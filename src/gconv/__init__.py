@@ -57,6 +57,7 @@ from .variational import (
     form_continuity_probe,
     form_eval,
     liminf_check,
+    potential_ladder,
     recovery_check,
 )
 

@@ -6,10 +6,12 @@ coefficients are additionally guarded by the points-per-feature rule of the
 families module, which keeps coefficient aliasing below discretization
 error.  Dirichlet dofs are eliminated at assembly, never penalized.
 
-Global matrices are exactly symmetric by construction: each local matrix is
-mirrored from its upper triangle and both orientations of every off-diagonal
-entry are accumulated from identical value sequences, so the two sums agree
-bit for bit.
+Each call only evaluates its coefficient and the local integrals; the cell
+geometry, quadrature points and sparsity pattern are cached on the space.
+Global matrices are exactly symmetric by construction: both orientations of
+every off-diagonal entry are summed from the same upper-triangle local
+entries in the same order (``mesh.SymmetricPattern``), so the two sums
+agree bit for bit.
 """
 from __future__ import annotations
 
@@ -18,28 +20,6 @@ from scipy import sparse
 
 from .families import check_resolution
 from .mesh import FeSpace
-
-# interior 3-point quadrature on the reference triangle: exact for
-# quadratics, and its points never land on cell edges, so coefficients with
-# mesh-aligned jumps are sampled on the correct side
-_TRI_POINTS = np.array([
-    [1.0 / 6.0, 1.0 / 6.0],
-    [2.0 / 3.0, 1.0 / 6.0],
-    [1.0 / 6.0, 2.0 / 3.0],
-])
-_TRI_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
-_TRI_CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-
-
-def _gauss01(npts: int):
-    gq, gw = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (gq + 1.0), 0.5 * gw
-
-
-def _tri_rule(quad_order: int):
-    if quad_order <= 1:
-        return _TRI_CENTROID, np.array([1.0])
-    return _TRI_POINTS, _TRI_WEIGHTS
 
 
 def _check_family_resolution(space: FeSpace, family, h: int, context: str) -> None:
@@ -52,95 +32,12 @@ def _require_dofs(space: FeSpace) -> None:
         raise ValueError("space has no degrees of freedom")
 
 
-def _cell_geometry(space: FeSpace):
-    """Quadrature-independent cell data: dof map, measures, P1 gradients."""
-    mesh = space.mesh
-    dofs = space.dof_of_vertex[mesh.cells]
-    if mesh.dimension == 1:
-        x0 = mesh.vertices[mesh.cells[:, 0]]
-        x1 = mesh.vertices[mesh.cells[:, 1]]
-        length = x1 - x0
-        grads = np.empty((mesh.num_cells, 2, 1))
-        grads[:, 0, 0] = -1.0 / length
-        grads[:, 1, 0] = 1.0 / length
-        return dofs, length, grads
-    p0 = mesh.vertices[mesh.cells[:, 0]]
-    e1 = mesh.vertices[mesh.cells[:, 1]] - p0
-    e2 = mesh.vertices[mesh.cells[:, 2]] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
-    grads = np.empty((mesh.num_cells, 3, 2))
-    grads[:, 1, 0] = e2[:, 1] / det
-    grads[:, 1, 1] = -e2[:, 0] / det
-    grads[:, 2, 0] = -e1[:, 1] / det
-    grads[:, 2, 1] = e1[:, 0] / det
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return dofs, area, grads
-
-
-def _quad_points(space: FeSpace, quad_order: int):
-    """Physical quadrature points, weights and P1 values per cell.
-
-    Returns (pts, weights, phi) with pts of shape (nq, nc[, 2]), weights
-    summing to one, and phi[q, i] the value of local basis i at point q.
-    """
-    mesh = space.mesh
-    if mesh.dimension == 1:
-        gq, gw = _gauss01(max(1, quad_order))
-        x0 = mesh.vertices[mesh.cells[:, 0]]
-        length = mesh.vertices[mesh.cells[:, 1]] - x0
-        pts = x0[None, :] + gq[:, None] * length[None, :]
-        phi = np.column_stack([1.0 - gq, gq])
-        return pts, gw, phi
-    ref, gw = _tri_rule(quad_order)
-    p0 = mesh.vertices[mesh.cells[:, 0]]
-    e1 = mesh.vertices[mesh.cells[:, 1]] - p0
-    e2 = mesh.vertices[mesh.cells[:, 2]] - p0
-    pts = (p0[None, :, :]
-           + ref[:, 0][:, None, None] * e1[None, :, :]
-           + ref[:, 1][:, None, None] * e2[None, :, :])
-    phi = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
-    return pts, gw, phi
-
-
-def _scatter_symmetric(local: np.ndarray, dofs: np.ndarray, n: int) -> sparse.csr_matrix:
-    """Accumulate symmetric local matrices into a global CSR matrix.
-
-    Duplicate (row, col) entries are summed with a stable sort so that the
-    (i, j) and (j, i) accumulation orders coincide exactly.
-    """
-    nd = dofs.shape[1]
-    rows, cols, vals = [], [], []
-    for i in range(nd):
-        for j in range(i, nd):
-            r, c, v = dofs[:, i], dofs[:, j], local[:, i, j]
-            keep = (r >= 0) & (c >= 0)
-            rows.append(r[keep])
-            cols.append(c[keep])
-            vals.append(v[keep])
-            if i != j:
-                rows.append(c[keep])
-                cols.append(r[keep])
-                vals.append(v[keep])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    key = rows.astype(np.int64) * n + cols
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    summed = np.add.reduceat(vals, starts)
-    urows = (key[starts] // n).astype(np.int64)
-    ucols = (key[starts] % n).astype(np.int64)
-    return sparse.csr_matrix((summed, (urows, ucols)), shape=(n, n))
-
-
-def _mirror_upper(local: np.ndarray) -> np.ndarray:
-    nd = local.shape[1]
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            local[:, j, i] = local[:, i, j]
-    return local
+def _fill(space: FeSpace, local: np.ndarray) -> sparse.csr_matrix:
+    """Sum local matrices into the space's cached symmetric CSR pattern."""
+    pattern = space.pattern
+    data = np.add.reduceat(local.ravel()[pattern.gather], pattern.starts)
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr),
+                             shape=(space.num_dofs, space.num_dofs))
 
 
 def assemble_stiffness(space: FeSpace, family, h: int = 1,
@@ -153,14 +50,12 @@ def assemble_stiffness(space: FeSpace, family, h: int = 1,
     _require_dofs(space)
     _check_family_resolution(space, family, h,
                              f"assemble_stiffness({getattr(family, 'name', '?')}, h={h})")
-    dofs, measure, grads = _cell_geometry(space)
-    pts, gw, _ = _quad_points(space, quad_order)
-    A = family.matrix_at(h, pts)                     # (nq, nc, d, d)
-    Abar = np.einsum("q,qcij->cij", gw, A)           # mean over the cell
-    GA = np.einsum("cik,ckl->cil", grads, Abar)      # (nc, nd, d)
-    local = np.einsum("cil,cjl->cij", GA, grads) * measure[:, None, None]
-    local = _mirror_upper(local)
-    return _scatter_symmetric(local, dofs, space.num_dofs)
+    cd = space.cell_data(quad_order)
+    A = family.matrix_at(h, cd.points)               # (nq, nc, d, d)
+    Abar = np.einsum("q,qcij->cij", cd.weights, A)   # mean over the cell
+    GA = np.einsum("cik,ckl->cil", cd.grads, Abar)   # (nc, nd, d)
+    local = np.einsum("cil,cjl->cij", GA, cd.grads) * cd.measure[:, None, None]
+    return _fill(space, local)
 
 
 def assemble_mass(space: FeSpace, weight=None, h: int = 1,
@@ -173,15 +68,14 @@ def assemble_mass(space: FeSpace, weight=None, h: int = 1,
     _require_dofs(space)
     _check_family_resolution(space, weight, h,
                              f"assemble_mass({getattr(weight, 'name', 'unit')}, h={h})")
-    dofs, measure, _ = _cell_geometry(space)
-    pts, gw, phi = _quad_points(space, quad_order)
+    cd = space.cell_data(quad_order)
     if weight is None:
-        w = np.ones(pts.shape[:2])
+        w = np.ones(cd.points.shape[:2])
     else:
-        w = weight.values_at(h, pts)
-    local = np.einsum("q,qc,qi,qj->cij", gw, w, phi, phi) * measure[:, None, None]
-    local = _mirror_upper(local)
-    return _scatter_symmetric(local, dofs, space.num_dofs)
+        w = weight.values_at(h, cd.points)
+    local = (np.einsum("q,qc,qi,qj->cij", cd.weights, w, cd.phi, cd.phi)
+             * cd.measure[:, None, None])
+    return _fill(space, local)
 
 
 def assemble_load(space: FeSpace, source, h: int = 1,
@@ -190,13 +84,12 @@ def assemble_load(space: FeSpace, source, h: int = 1,
     _require_dofs(space)
     _check_family_resolution(space, source, h,
                              f"assemble_load({getattr(source, 'name', '?')}, h={h})")
-    dofs, measure, _ = _cell_geometry(space)
-    pts, gw, phi = _quad_points(space, quad_order)
-    f = source.values_at(h, pts)
-    local = np.einsum("q,qc,qi->ci", gw, f, phi) * measure[:, None]
+    cd = space.cell_data(quad_order)
+    f = source.values_at(h, cd.points)
+    local = np.einsum("q,qc,qi->ci", cd.weights, f, cd.phi) * cd.measure[:, None]
     b = np.zeros(space.num_dofs)
-    keep = dofs >= 0
-    np.add.at(b, dofs[keep], local[keep])
+    keep = cd.dofs >= 0
+    np.add.at(b, cd.dofs[keep], local[keep])
     return b
 
 
@@ -219,6 +112,25 @@ def discrete_h1_norms(space: FeSpace, u: np.ndarray) -> tuple[float, float]:
 
 def cell_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
     """Piecewise-constant gradient of a P1 function, shape (nc, dim)."""
-    dofs, _, grads = _cell_geometry(space)
+    dofs, _, grads = space.cell_data()[:3]
     uc = np.where(dofs >= 0, np.asarray(u, dtype=float)[np.clip(dofs, 0, None)], 0.0)
     return np.einsum("ci,cid->cd", uc, grads)
+
+
+def strip_averages(space: FeSpace, values: np.ndarray, edges: np.ndarray,
+                   quad_order: int = 4) -> np.ndarray:
+    """Averages over strips of the first coordinate, binned by quadrature point.
+
+    ``values`` broadcasts to (nq, nc, k); the result has shape (strips, k).
+    """
+    cd = space.cell_data(quad_order)
+    xq = cd.points if space.mesh.dimension == 1 else cd.points[..., 0]
+    bins = np.clip(np.searchsorted(edges, xq, side="right") - 1,
+                   0, len(edges) - 2).ravel()
+    w = cd.weights[:, None] * cd.measure[None, :]               # (nq, nc)
+    weighted = w[..., None] * values
+    sums = np.zeros((len(edges) - 1, weighted.shape[-1]))
+    vols = np.zeros(len(edges) - 1)
+    np.add.at(vols, bins, w.ravel())
+    np.add.at(sums, bins, weighted.reshape(-1, weighted.shape[-1]))
+    return sums / vols[:, None]

@@ -122,8 +122,7 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
         K_red = K[keep][:, keep].tocsc()
         factor = cholesky(K_red)
 
-        dofs, measure, grads = assembly._cell_geometry(space)
-        pts, gw, _ = assembly._quad_points(space, 2)
+        dofs, measure, grads, pts, gw, _ = space.cell_data(2)
         A = field.matrix_at(1, pts)                          # (nq, nc, 2, 2)
         Abar = np.einsum("q,qcij->cij", gw, A)               # cell averages of A
         ones = np.ones(n)

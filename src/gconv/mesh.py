@@ -3,15 +3,32 @@
 Convergence ladders need a tightly controlled mesh size, so only uniform
 structured meshes are provided.  The mesh size is called delta throughout
 the package; h always indexes a coefficient sequence, never the mesh.
+
+What assembly needs that depends only on the space (cell geometry,
+quadrature points per rule, the sparsity pattern) is computed once per
+space, on first use, and stored read-only on the space itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 DIRICHLET = "dirichlet-zero"
 PERIODIC = "periodic"
+
+# interior 3-point quadrature on the reference triangle: exact for
+# quadratics, and its points never land on cell edges, so coefficients with
+# mesh-aligned jumps are sampled on the correct side
+_TRI_POINTS = np.array([
+    [1.0 / 6.0, 1.0 / 6.0],
+    [2.0 / 3.0, 1.0 / 6.0],
+    [1.0 / 6.0, 2.0 / 3.0],
+])
+_TRI_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
+_TRI_CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +76,39 @@ class Mesh:
         return float(np.sum(self.cell_measures()))
 
 
+class CellData(NamedTuple):
+    """Per-cell P1 data of a space under one quadrature rule."""
+
+    dofs: np.ndarray      # (nc, dim + 1) dof of each local vertex, -1 if eliminated
+    measure: np.ndarray   # (nc,) cell lengths or areas
+    grads: np.ndarray     # (nc, dim + 1, dim) gradients of the local basis
+    points: np.ndarray    # (nq, nc[, 2]) physical quadrature points
+    weights: np.ndarray   # (nq,) summing to one
+    phi: np.ndarray       # (nq, dim + 1) local basis values at the points
+
+
+class SymmetricPattern(NamedTuple):
+    """CSR pattern of the global matrices plus the order that fills it.
+
+    ``local.ravel()[gather]`` lists the upper-triangle local entries of
+    every cell, off-diagonal ones twice (as (row, col) and mirrored), stably
+    sorted by global (row, col); ``np.add.reduceat`` over ``starts`` sums
+    them.  Both orientations of an entry sum the same values in the same
+    order, so the global matrix is symmetric bit for bit.
+    """
+
+    gather: np.ndarray    # int32 indices into local.ravel()
+    starts: np.ndarray    # int32 first gathered entry of each CSR entry
+    indices: np.ndarray   # int32 CSR column indices
+    indptr: np.ndarray    # int32 CSR row pointers
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class FeSpace:
     """P1 nodal space on a mesh with Dirichlet or periodic boundary handling.
@@ -92,6 +142,88 @@ class FeSpace:
         else:
             vals = fn(coords[:, 0], coords[:, 1])
         return np.asarray(vals, dtype=float).reshape(self.num_dofs)
+
+    def cell_data(self, quad_order: int = 4) -> CellData:
+        """Cell geometry and one quadrature rule's data, cached on the space.
+
+        Intervals use ``max(1, quad_order)`` Gauss points; triangles the
+        centroid for ``quad_order <= 1``, else the interior 3-point rule.
+        """
+        mesh = self.mesh
+        if mesh.dimension == 1:
+            gq, gw = np.polynomial.legendre.leggauss(max(1, quad_order))
+            ref, gw = 0.5 * (gq + 1.0), 0.5 * gw
+        elif quad_order <= 1:
+            ref, gw = _TRI_CENTROID, np.array([1.0])
+        else:
+            ref, gw = _TRI_POINTS, _TRI_WEIGHTS
+        geometry = self._geometry
+        quadrature = self._quadratures.get(gw.size)  # point count names the rule
+        if quadrature is None:
+            x0 = mesh.vertices[mesh.cells[:, 0]]
+            if mesh.dimension == 1:
+                pts = x0[None, :] + ref[:, None] * geometry[1][None, :]
+                phi = np.column_stack([1.0 - ref, ref])
+            else:
+                e1 = mesh.vertices[mesh.cells[:, 1]] - x0
+                e2 = mesh.vertices[mesh.cells[:, 2]] - x0
+                pts = (x0[None, :, :] + ref[:, 0][:, None, None] * e1[None, :, :]
+                       + ref[:, 1][:, None, None] * e2[None, :, :])
+                phi = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
+            quadrature = self._quadratures[gw.size] = _read_only(pts, gw, phi)
+        return CellData(*geometry, *quadrature)
+
+    @cached_property
+    def _quadratures(self) -> dict:
+        return {}
+
+    @cached_property
+    def _geometry(self):
+        """Quadrature-independent cell data: dof map, measures, P1 gradients."""
+        mesh = self.mesh
+        measure = mesh.cell_measures()
+        if mesh.dimension == 1:
+            grads = np.stack([-1.0 / measure, 1.0 / measure], axis=1)[:, :, None]
+            return _read_only(self.dof_of_vertex[mesh.cells], measure, grads)
+        p0 = mesh.vertices[mesh.cells[:, 0]]
+        e1 = mesh.vertices[mesh.cells[:, 1]] - p0
+        e2 = mesh.vertices[mesh.cells[:, 2]] - p0
+        det = 2.0 * measure   # exact: the measure is half the determinant
+        grads = np.empty((mesh.num_cells, 3, 2))
+        grads[:, 1, 0] = e2[:, 1] / det
+        grads[:, 1, 1] = -e2[:, 0] / det
+        grads[:, 2, 0] = -e1[:, 1] / det
+        grads[:, 2, 1] = e1[:, 0] / det
+        grads[:, 0] = -grads[:, 1] - grads[:, 2]
+        return _read_only(self.dof_of_vertex[mesh.cells], measure, grads)
+
+    @cached_property
+    def pattern(self) -> SymmetricPattern:
+        """Symmetric CSR pattern of this space's P1 matrices (see SymmetricPattern)."""
+        dofs = self._geometry[0]
+        nc, nd = dofs.shape
+        n = self.num_dofs
+        cell_base = np.arange(nc) * (nd * nd)
+        keys, src = [], []
+        for i in range(nd):
+            for j in range(i, nd):
+                keep = (dofs[:, i] >= 0) & (dofs[:, j] >= 0)
+                r, c = dofs[keep, i], dofs[keep, j]
+                keys.append(r * n + c)
+                src.append(cell_base[keep] + (i * nd + j))
+                if i != j:
+                    keys.append(c * n + r)
+                    src.append(src[-1])
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        ukey = key[starts]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ukey // n, minlength=n), out=indptr[1:])
+        gather = np.concatenate(src)[order].astype(np.int32)
+        return SymmetricPattern(*_read_only(gather, starts.astype(np.int32),
+                                            (ukey % n).astype(np.int32), indptr))
 
 
 def build_interval_mesh(n_cells: int, interval=(0.0, 1.0)) -> Mesh:

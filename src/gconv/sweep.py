@@ -396,18 +396,8 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
 
 def _window_gradient(space, u, edges, quad_order):
     """Strip averages of the first gradient component (weak-H1 probes)."""
-    _, measure, _ = assembly._cell_geometry(space)
-    pts, gw, _ = assembly._quad_points(space, quad_order)
-    grad = assembly.cell_gradients(space, u)[:, 0]
-    xq = pts if space.mesh.dimension == 1 else pts[..., 0]
-    bins = np.clip(np.searchsorted(edges, xq, side="right") - 1,
-                   0, len(edges) - 2)
-    w = gw[:, None] * measure[None, :]
-    sums = np.zeros(len(edges) - 1)
-    vols = np.zeros(len(edges) - 1)
-    np.add.at(vols, bins.ravel(), w.ravel())
-    np.add.at(sums, bins.ravel(), (w * grad[None, :]).ravel())
-    return sums / vols
+    grad = assembly.cell_gradients(space, u)[None, :, :1]       # (1, nc, 1)
+    return assembly.strip_averages(space, grad, edges, quad_order)[:, 0]
 
 
 def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
@@ -477,7 +467,7 @@ class GammaReport:
     h_values: tuple
     liminf_passed: int
     liminf_total: int
-    liminf_margins: np.ndarray     # tail_min + slack - limit_value per target
+    liminf_margins: np.ndarray     # LiminfReport.margin per target
     recovery: object               # PairingTrace
     config_echo: dict
     tool_version: str = __version__
@@ -503,7 +493,7 @@ class GammaReport:
 
 def run_gamma(config: ExperimentConfig) -> GammaReport:
     """Sample the liminf inequality and trace the affine recovery sequence."""
-    from .variational import liminf_check, recovery_check
+    from .variational import liminf_check, potential_ladder, recovery_check
 
     potential = config.potential
     if potential is None:
@@ -513,20 +503,18 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
     unit = make_builtin_family("const", [1.0])
     K0 = assembly.assemble_stiffness(space, unit, h=1, quad_order=config.quad_order)
     M = assembly.assemble_mass(space, quad_order=config.quad_order)
+    ladder = potential_ladder(space, potential, config.h_list, config.quad_order)
     rng = np.random.default_rng(config.seed)
     margins = np.empty(config.targets)
     passed = 0
     for t in range(config.targets):
         u = rng.normal(size=space.num_dofs)
         u /= np.sqrt(u @ (M @ u))
-        rep = liminf_check(space, K0, potential, config.h_list, u,
-                           config.perturbation_scale, seed=config.seed + 1 + t,
-                           quad_order=config.quad_order)
-        margins[t] = rep.tail_min + rep.slack * max(1.0, abs(rep.limit_value)) \
-            - rep.limit_value
+        rep = liminf_check(space, K0, ladder, u, config.perturbation_scale,
+                           seed=config.seed + 1 + t)
+        margins[t] = rep.margin
         passed += int(rep.passed)
-    trace = recovery_check(space, K0, potential, config.h_list,
-                           config.affine, quad_order=config.quad_order)
+    trace = recovery_check(space, K0, ladder, config.affine)
     return GammaReport("gamma", config.h_list, passed, config.targets,
                        margins, trace, dict(config.echo))
 

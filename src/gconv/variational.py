@@ -100,6 +100,27 @@ def _trace(h_values, values, limit) -> PairingTrace:
 
 
 @dataclass(frozen=True, eq=False)
+class PotentialLadder:
+    """Limit potential matrix V and V_h per ``h_values`` entry, on one space."""
+
+    h_values: np.ndarray
+    limit: sparse.csr_matrix
+    matrices: tuple
+
+
+def potential_ladder(space: FeSpace, family: PotentialFamily, h_list,
+                     quad_order: int = 4) -> PotentialLadder:
+    """Assemble the limit potential and each V_h of an ascending ladder once."""
+    h_list = [int(h) for h in h_list]
+    if sorted(h_list) != h_list:
+        raise ValueError("h_list must be ascending")
+    limit = assembly.assemble_mass(space, _limit_weight(family), 1, quad_order)
+    matrices = tuple(assembly.assemble_mass(space, family, h, quad_order)
+                     for h in h_list)
+    return PotentialLadder(np.asarray(h_list), limit, matrices)
+
+
+@dataclass(frozen=True, eq=False)
 class LiminfReport:
     """Sampled lower-semicontinuity check along randomly perturbed sequences.
 
@@ -107,7 +128,7 @@ class LiminfReport:
     vanishing envelope: the Cauchy-Schwarz bound on the perturbation cross
     term plus the potential pairing defect |u'(V_h - V)u| at the target.
     The check passes when the limit energy stays below every tail value
-    plus its envelope, within the slack.
+    plus its envelope, within the slack: when ``margin`` is nonnegative.
     """
 
     h_values: np.ndarray
@@ -116,13 +137,13 @@ class LiminfReport:
     limit_value: float         # F(u) with the limit potential
     tail_min: float            # min over the tail of energies + envelopes
     slack: float
+    margin: float              # tail_min + slack * max(1, |F(u)|) - F(u)
     passed: bool
 
 
 def liminf_check(space: FeSpace, base: sparse.spmatrix,
-                 potential_family: PotentialFamily, h_list,
-                 u_target: np.ndarray, perturbation_scale: float,
-                 seed: int, quad_order: int = 4,
+                 ladder: PotentialLadder, u_target: np.ndarray,
+                 perturbation_scale: float, seed: int,
                  slack: float = 1e-8) -> LiminfReport:
     """Probe the liminf inequality F(u) <= liminf F_h(u_h) at one target.
 
@@ -131,37 +152,31 @@ def liminf_check(space: FeSpace, base: sparse.spmatrix,
     keep the quadratic perturbation term nonnegative, so the one-sided
     envelope only needs the cross term and the pairing defect.
     """
-    h_list = [int(h) for h in h_list]
-    if sorted(h_list) != h_list:
-        raise ValueError("h_list must be ascending")
     u = np.asarray(u_target, dtype=float)
     n = space.num_dofs
     if u.shape != (n,):
         raise ValueError(f"target has shape {u.shape}, expected ({n},)")
     rng = np.random.default_rng(seed)
-    limit_mat = assembly.assemble_mass(space, _limit_weight(potential_family),
-                                       h=1, quad_order=quad_order)
-    limit_value = float(u @ (base @ u) + u @ (limit_mat @ u))
-
-    energies = np.empty(len(h_list))
-    envelopes = np.empty(len(h_list))
-    for i, h in enumerate(h_list):
-        vmat = assembly.assemble_mass(space, potential_family, h=h,
-                                      quad_order=quad_order)
+    limit_pairing = float(u @ (ladder.limit @ u))
+    limit_value = float(u @ (base @ u)) + limit_pairing
+    h_values = ladder.h_values
+    energies = np.empty(len(h_values))
+    envelopes = np.empty(len(h_values))
+    for i, (h, vmat) in enumerate(zip(h_values, ladder.matrices)):
         form = QuadraticForm(base, vmat)
         r = rng.normal(size=n)
         r /= np.linalg.norm(r)
-        s = perturbation_scale / h
+        s = perturbation_scale / int(h)
         u_h = u + s * r
         energies[i] = form_eval(form, u_h)
         cross = 2.0 * s * float(np.linalg.norm(form.apply(u)))
-        defect = abs(float(u @ (vmat @ u)) - float(u @ (limit_mat @ u)))
+        defect = abs(float(u @ (vmat @ u)) - limit_pairing)
         envelopes[i] = cross + defect
-    tail = slice(len(h_list) // 2, None)
+    tail = slice(len(h_values) // 2, None)
     tail_min = float(np.min(energies[tail] + envelopes[tail]))
-    passed = limit_value <= tail_min + slack * max(1.0, abs(limit_value))
-    return LiminfReport(np.asarray(h_list), energies, envelopes,
-                        limit_value, tail_min, slack, passed)
+    margin = tail_min + slack * max(1.0, abs(limit_value)) - limit_value
+    return LiminfReport(h_values, energies, envelopes, limit_value, tail_min,
+                        slack, margin, margin >= 0.0)
 
 
 def _limit_weight(potential_family: PotentialFamily):
@@ -178,29 +193,22 @@ def _limit_weight(potential_family: PotentialFamily):
 
 
 def recovery_check(space: FeSpace, base: sparse.spmatrix,
-                   potential_family: PotentialFamily, h_list,
-                   u_affine, quad_order: int = 4) -> PairingTrace:
+                   ladder: PotentialLadder, u_affine) -> PairingTrace:
     """Energy trace along the constant recovery sequence u_h = u for affine u.
 
     ``u_affine`` is (a, b) for u(x) = a x + b, interpolated onto the space
     (Dirichlet spaces clamp the boundary values; the background energy is
     common to F_h and F, so the trace isolates the potential defect).  The
-    trace |F_h(u) - F(u)| must decay toward zero.
+    trace |F_h(u) - F(u)| over the ladder must decay toward zero.
     """
     a, b = (float(u_affine[0]), float(u_affine[1]))
     if space.mesh.dimension == 1:
         u = space.interpolate(lambda x: a * x + b)
     else:
         u = space.interpolate(lambda x, y: a * x + b)
-    limit_mat = assembly.assemble_mass(space, _limit_weight(potential_family),
-                                       h=1, quad_order=quad_order)
-    f_limit = float(u @ (base @ u) + u @ (limit_mat @ u))
-    values = []
-    for h in h_list:
-        vmat = assembly.assemble_mass(space, potential_family, h=int(h),
-                                      quad_order=quad_order)
-        values.append(float(u @ (base @ u) + u @ (vmat @ u)))
-    return _trace(h_list, values, f_limit)
+    f_limit = float(u @ (base @ u) + u @ (ladder.limit @ u))
+    values = [float(u @ (base @ u) + u @ (vmat @ u)) for vmat in ladder.matrices]
+    return _trace(ladder.h_values, values, f_limit)
 
 
 def interpolate_bump(space: FeSpace, support) -> np.ndarray:
@@ -236,8 +244,7 @@ def _solve_dirichlet(space, family, h, source, source_h, quad_order=4):
 
 def _energy_pairing(space, family, h, u, phi, quad_order=4):
     """integral( phi * (A_h grad u . grad u) ) for P1 u and phi."""
-    dofs, measure, grads = assembly._cell_geometry(space)
-    pts, gw, phi_vals = assembly._quad_points(space, quad_order)
+    dofs, measure, _, pts, gw, phi_vals = space.cell_data(quad_order)
     grad_u = assembly.cell_gradients(space, u)            # (nc, d)
     A = family.matrix_at(h, pts)                          # (nq, nc, d, d)
     energy_density = np.einsum("qcde,ce,cd->qc", A, grad_u, grad_u)
@@ -330,18 +337,7 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
 
 def _window_flux(space, family, h, u, edges, quad_order):
     """Per-strip averages of A_h grad u, binned by quadrature point."""
-    _, measure, _ = assembly._cell_geometry(space)
-    pts, gw, _ = assembly._quad_points(space, quad_order)
     grad_u = assembly.cell_gradients(space, u)                  # (nc, d)
-    A = family.matrix_at(h, pts)                                # (nq, nc, d, d)
+    A = family.matrix_at(h, space.cell_data(quad_order).points)  # (nq, nc, d, d)
     flux_q = np.einsum("qcde,ce->qcd", A, grad_u)               # (nq, nc, d)
-    xq = pts if space.mesh.dimension == 1 else pts[..., 0]
-    bins = np.clip(np.searchsorted(edges, xq, side="right") - 1, 0, len(edges) - 2)
-    w = gw[:, None] * measure[None, :]                          # (nq, nc)
-    dim = flux_q.shape[-1]
-    sums = np.zeros((len(edges) - 1, dim))
-    vols = np.zeros(len(edges) - 1)
-    np.add.at(vols, bins.ravel(), w.ravel())
-    for d in range(dim):
-        np.add.at(sums[:, d], bins.ravel(), (w * flux_q[..., d]).ravel())
-    return sums / vols[:, None]
+    return assembly.strip_averages(space, flux_q, edges, quad_order)

@@ -5,6 +5,7 @@ from gconv import assembly
 from gconv.families import (
     ConstantMatrixCoefficient,
     ResolutionError,
+    SourceFamily,
     make_builtin_family,
 )
 from gconv.linalg import cholesky, eig_smallest
@@ -73,16 +74,35 @@ def test_load_affine_source(quarter_space):
 
 
 def test_bitwise_symmetry():
-    fam = make_builtin_family("osc1d", [2.0])
-    sp = build_space(build_interval_mesh(256), DIRICHLET)
-    K = assembly.assemble_stiffness(sp, fam, h=8)
-    diff = K - K.T
-    assert diff.nnz == 0 or abs(diff).max() == 0.0
+    # Mass with two weights, then stiffness, all on one space: each matrix is
+    # exactly symmetric and equals, bit for bit, the same assembly on a fresh
+    # space, so no assembly leaks state into the next through the space's
+    # cached data, which callers cannot write to.
+    radial = SourceFamily(
+        name="1+|x|^2", limit=lambda x: x,
+        values=lambda h, x: 1.0 + np.square(x).reshape(*x.shape[:2], -1).sum(-1))
     lam = make_builtin_family("laminate2d", [1.0, 4.0])
-    sp2 = build_space(build_rect_mesh(24, 24), PERIODIC)
-    K2 = assembly.assemble_stiffness(sp2, lam, h=1)
-    diff2 = K2 - K2.T
-    assert diff2.nnz == 0 or abs(diff2).max() == 0.0
+    cases = [
+        (lambda: build_space(build_interval_mesh(256), DIRICHLET),
+         make_builtin_family("osc1d", [2.0]), 8),
+        (lambda: build_space(build_rect_mesh(24, 24), DIRICHLET), lam, 1),
+        (lambda: build_space(build_rect_mesh(24, 24), PERIODIC), lam, 1),
+    ]
+    for build, coeff, h in cases:
+        steps = [lambda sp: assembly.assemble_mass(sp),
+                 lambda sp: assembly.assemble_mass(sp, radial),
+                 lambda sp: assembly.assemble_stiffness(sp, coeff, h=h)]
+        sp = build()
+        shared = [step(sp) for step in steps]
+        for mat, step in zip(shared, steps):
+            fresh = step(build())
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(mat, part), getattr(fresh, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+            diff = mat - mat.T
+            assert diff.nnz == 0 or abs(diff).max() == 0.0
+        for cached in (*sp.pattern, *sp.cell_data()):
+            assert cached.flags.writeable is False
 
 
 def test_periodic_stiffness_kernel_is_constants():

@@ -209,6 +209,33 @@ def test_cli_help_lists_config_keys():
         assert key in proc.stdout
 
 
+def _drop_wall_clock(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_wall_clock(v) for k, v in obj.items() if k != "wall_clock"}
+    if isinstance(obj, list):
+        return [_drop_wall_clock(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("subcommand,name", [
+    ("homogenize", "a4_laminate"),
+    ("gamma-check", "a7_gamma_sin2"),
+    ("sweep-source", "a9_source"),
+])
+def test_cli_shipped_config_reruns_identically(tmp_path, subcommand, name):
+    # two runs in one process: nothing cached by the first may change the second
+    runs = []
+    for run in ("run1", "run2"):
+        out = tmp_path / run
+        assert main([subcommand, "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        runs.append({p.name: (p.read_bytes() if p.suffix == ".csv" else
+                              _drop_wall_clock(json.loads(p.read_text())))
+                     for p in out.iterdir()})
+    assert runs[0] == runs[1]
+    assert any(key.endswith(".json") for key in runs[0])
+
+
 def test_cli_echoed_config_reruns_identically(tmp_path):
     cfg = _write(tmp_path, _minimal())
     out1 = tmp_path / "run1"

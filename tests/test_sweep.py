@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from gconv import assembly
 from gconv.families import make_builtin_family
 from gconv.linalg import CLUSTER_GAP
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
@@ -188,6 +189,24 @@ def test_gamma_runner_all_pass():
     assert rep.liminf_passed == rep.liminf_total == 5
     assert np.all(rep.liminf_margins >= 0.0)
     assert rep.recovery.abs_errors[-1] <= 1e-2 * abs(rep.recovery.limit) + 1e-10
+
+
+def test_gamma_runner_assembles_each_potential_once(monkeypatch):
+    # one V_h per rung, the limit V and the plain mass matrix, however many
+    # targets share them
+    calls = []
+    assemble_mass = assembly.assemble_mass
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble_mass(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_mass", counting)
+    cfg = ExperimentConfig(kind="gamma", h_list=(8, 16, 32),
+                           potential=make_builtin_family("sin2-potential"),
+                           targets=4, seed=3)
+    run_gamma(cfg)
+    assert len(calls) == len(cfg.h_list) + 2
 
 
 def test_divcurl_runner_envelope():

@@ -16,6 +16,7 @@ from gconv.variational import (
     form_eval,
     interpolate_bump,
     liminf_check,
+    potential_ladder,
     recovery_check,
 )
 
@@ -102,7 +103,7 @@ def test_liminf_zero_potential_constant_sequence(fine_setup):
     sp, K0, _ = fine_setup
     fam = make_builtin_family("const-potential", [0.0])
     u = sp.interpolate(lambda x: x * (1 - x))
-    rep = liminf_check(sp, K0, fam, [8, 16, 32, 64], u,
+    rep = liminf_check(sp, K0, potential_ladder(sp, fam, [8, 16, 32, 64]), u,
                        perturbation_scale=0.0, seed=1)
     assert rep.passed
     assert np.abs(rep.energies - rep.limit_value).max() <= 1e-12 * rep.limit_value
@@ -112,7 +113,8 @@ def test_liminf_sin2_first_eigenvector(fine_setup):
     sp, K0, M = fine_setup
     u = eig_smallest(K0, M, 1).vectors[:, 0]
     fam = make_builtin_family("sin2-potential")
-    rep = liminf_check(sp, K0, fam, [8, 16, 32, 64], u, 0.5, seed=3)
+    rep = liminf_check(sp, K0, potential_ladder(sp, fam, [8, 16, 32, 64]), u,
+                       0.5, seed=3)
     assert rep.passed
     # the limit energy is u'K0u + 0.5 u'Mu
     expected = u @ (K0 @ u) + 0.5 * (u @ (M @ u))
@@ -123,7 +125,8 @@ def test_liminf_spike_affine_target(fine_setup):
     sp, K0, _ = fine_setup
     u = sp.interpolate(lambda x: 1.0 - x)
     fam = make_builtin_family("spike-potential", [2.0])
-    rep = liminf_check(sp, K0, fam, [8, 16, 32, 64], u, 0.5, seed=4)
+    rep = liminf_check(sp, K0, potential_ladder(sp, fam, [8, 16, 32, 64]), u,
+                       0.5, seed=4)
     assert rep.passed
     base = u @ (K0 @ u)
     assert abs(rep.limit_value - base) <= 1e-12 * base  # V = 0 in the limit
@@ -136,25 +139,27 @@ def test_liminf_random_targets_all_families(fine_setup):
                 make_builtin_family("spike-potential", [2.0]),
                 make_builtin_family("const-potential", [1.0])]
     for fam in families:
+        ladder = potential_ladder(sp, fam, [8, 16, 32, 64])
         for t in range(5):
             u = rng.normal(size=sp.num_dofs)
             u /= math.sqrt(u @ (M @ u))
-            rep = liminf_check(sp, K0, fam, [8, 16, 32, 64], u, 0.5,
-                               seed=50 + t)
+            rep = liminf_check(sp, K0, ladder, u, 0.5, seed=50 + t)
             assert rep.passed, fam.name
 
 
 def test_recovery_const_potential_identically_zero(fine_setup):
     sp, K0, _ = fine_setup
-    tr = recovery_check(sp, K0, make_builtin_family("const-potential", [2.0]),
-                        [8, 16, 32, 64], (1.0, 0.0))
+    ladder = potential_ladder(sp, make_builtin_family("const-potential", [2.0]),
+                              [8, 16, 32, 64])
+    tr = recovery_check(sp, K0, ladder, (1.0, 0.0))
     assert np.abs(tr.abs_errors).max() <= 1e-11 * abs(tr.limit)
 
 
 def test_recovery_sin2_decays(fine_setup):
     sp, K0, _ = fine_setup
-    tr = recovery_check(sp, K0, make_builtin_family("sin2-potential"),
-                        [8, 16, 32, 64], (1.0, 0.0))
+    ladder = potential_ladder(sp, make_builtin_family("sin2-potential"),
+                              [8, 16, 32, 64])
+    tr = recovery_check(sp, K0, ladder, (1.0, 0.0))
     assert tr.abs_errors[-1] <= 1e-2 * abs(tr.limit) + 1e-10
 
 
@@ -162,16 +167,17 @@ def test_recovery_spike_rate(fine_setup):
     # u(x) = 1 - x does not vanish at the spike: the defect is the pairing
     # integral(V_h u^2) which decays like h^(-1/2)
     sp, K0, _ = fine_setup
-    tr = recovery_check(sp, K0, make_builtin_family("spike-potential", [2.0]),
-                        [8, 16, 32, 64], (-1.0, 1.0))
+    ladder = potential_ladder(sp, make_builtin_family("spike-potential", [2.0]),
+                              [8, 16, 32, 64])
+    tr = recovery_check(sp, K0, ladder, (-1.0, 1.0))
     ratios = tr.abs_errors[1:] / tr.abs_errors[:-1]
     assert np.abs(ratios - 2.0 ** -0.5).max() <= 0.08
 
 
 def test_recovery_trace_csv_roundtrip(tmp_path, fine_setup):
     sp, K0, _ = fine_setup
-    tr = recovery_check(sp, K0, make_builtin_family("sin2-potential"),
-                        [8, 16], (1.0, 0.0))
+    ladder = potential_ladder(sp, make_builtin_family("sin2-potential"), [8, 16])
+    tr = recovery_check(sp, K0, ladder, (1.0, 0.0))
     path = tmp_path / "trace.csv"
     tr.write_csv(path)
     rows = path.read_text().strip().splitlines()
