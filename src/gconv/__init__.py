@@ -38,7 +38,6 @@ from .linalg import (
     NotPositiveDefiniteError,
     cholesky,
     eig_smallest,
-    solve_spd,
 )
 from .mesh import (
     DIRICHLET,

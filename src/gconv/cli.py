@@ -7,13 +7,12 @@ failures (the diagnostic names the failing stage).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sweep
 from .config import (
     ConfigError,
     apply_overrides,
@@ -29,26 +28,8 @@ from .families import (
     ResolutionError,
     validate_ellipticity,
 )
-from .homogenize import homogenized_tensor
 from .linalg import ConvergenceError, NotPositiveDefiniteError
-from .sweep import (
-    emit_report,
-    run_divcurl,
-    run_eigen_homog,
-    run_eigen_potential,
-    run_gamma,
-    run_source_homog,
-)
-
-_SUBCOMMANDS = {
-    "sweep-eigen": "eigen-homog",
-    "sweep-source": "source-homog",
-    "sweep-potential": "eigen-potential",
-    "homogenize": "homogenize",
-    "gamma-check": "gamma",
-    "divcurl": "divcurl",
-    "validate": None,  # accepts any experiment kind
-}
+from .sweep import EXPERIMENTS, emit_report
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -59,20 +40,17 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gconv {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "sweep-eigen": "eigenvalue sweep of an oscillating pencil vs its limit",
-        "sweep-source": "Dirichlet source sweep vs the homogenized solution",
-        "sweep-potential": "spectral sweep of a perturbed operator K0 + V_h",
-        "homogenize": "compute the limit tensor of a coefficient family",
-        "gamma-check": "liminf sampling and affine recovery traces",
-        "divcurl": "div-curl pairing trace and flux window averages",
-        "validate": "validate a config and its declared family bounds",
-    }
-    for name, summary in helps.items():
+    commands = [(exp.subcommand, exp.summary, kind)
+                for kind, exp in EXPERIMENTS.items()]
+    # validate accepts a config of any experiment kind
+    commands.append(("validate", "validate a config and its declared family bounds",
+                     None))
+    for name, summary, kind in commands:
         p = sub.add_parser(
-            name, help=summary, epilog=schema_help(_SUBCOMMANDS[name]),
+            name, help=summary, epilog=schema_help(kind),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
+        p.set_defaults(kind=kind)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -85,22 +63,12 @@ def _load_effective(args):
     raw = load_config(args.config)
     raw = apply_overrides(raw, args.overrides)
     effective = validate_config(raw)
-    expected = _SUBCOMMANDS[args.subcommand]
-    if expected is not None and effective["experiment"] != expected:
+    if args.kind is not None and effective["experiment"] != args.kind:
         raise ConfigError(
             f"config key 'experiment': '{effective['experiment']}' does not "
-            f"match subcommand '{args.subcommand}' (expected '{expected}')"
+            f"match subcommand '{args.subcommand}' (expected '{args.kind}')"
         )
     return effective
-
-
-def _out_path(args, effective, key, default):
-    name = effective["output"].get(key) or default
-    if name is None:
-        return None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
 
 
 def _run_validate(args, effective) -> int:
@@ -144,26 +112,27 @@ def _run_validate(args, effective) -> int:
     return 0
 
 
-def _run_homogenize(args, effective) -> int:
-    fam = build_family(effective["family"], "family")
-    tensor = homogenized_tensor(fam, quad_points=effective["quad_points"],
-                                cell_resolution=effective["cell_resolution"])
-    doc = {
-        "kind": "homogenize",
-        "tool_version": __version__,
-        "config": effective,
-        "family": fam.name,
-        "tensor": tensor.matrix.tolist(),
-        "provenance": tensor.provenance,
-        "est_error": tensor.est_error,
-    }
-    path = _out_path(args, effective, "json", "homogenize.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _run_experiment(args, effective) -> int:
+    """Run the config's experiment, write its reports, map its outcome."""
+    experiment = EXPERIMENTS[args.kind]
+    # looked up per call, so a wrapped runner in the sweep module is the one run
+    runner = getattr(sweep, experiment.runner)
+    report = runner(experiment_from_config(effective))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for fmt, default in zip(("csv", "json"), experiment.outputs):
+        if default is not None:
+            paths.append(out / (effective["output"][fmt] or default))
+            emit_report(report, fmt, paths[-1])
     if args.verbose:
-        print(json.dumps(doc["tensor"]))
-    print(f"gconv homogenize: wrote {path}")
+        for line in report.lines():
+            print(line)
+    print(f"gconv {args.subcommand}: wrote {', '.join(map(str, paths))}")
+    if report.failed_stage is not None:
+        print(f"gconv: numerical failure at stage '{report.failed_stage}'",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -171,61 +140,12 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         effective = _load_effective(args)
+        if args.kind is None:
+            return _run_validate(args, effective)
+        return _run_experiment(args, effective)
     except ConfigError as exc:
         print(f"gconv: config error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        if args.subcommand == "validate":
-            return _run_validate(args, effective)
-        if args.subcommand == "homogenize":
-            return _run_homogenize(args, effective)
-
-        exp = experiment_from_config(effective)
-        if args.subcommand == "gamma-check":
-            report = run_gamma(exp)
-            trace_path = _out_path(args, effective, "csv", "recovery_trace.csv")
-            report.recovery.write_csv(trace_path)
-            json_path = _out_path(args, effective, "json", "gamma.json")
-            with open(json_path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            ok = report.liminf_passed == report.liminf_total
-            print(f"gconv gamma-check: liminf {report.liminf_passed}/"
-                  f"{report.liminf_total}, wrote {trace_path}, {json_path}")
-            if not ok:
-                print("gconv: numerical failure at stage 'gamma liminf sampling'",
-                      file=sys.stderr)
-                return 2
-            return 0
-        if args.subcommand == "divcurl":
-            report = run_divcurl(exp)
-            trace_path = _out_path(args, effective, "csv", "divcurl_trace.csv")
-            report.trace.write_csv(trace_path)
-            json_path = _out_path(args, effective, "json", "divcurl.json")
-            with open(json_path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"gconv divcurl: wrote {trace_path}, {json_path}")
-            return 0
-
-        runner = {
-            "sweep-eigen": run_eigen_homog,
-            "sweep-source": run_source_homog,
-            "sweep-potential": run_eigen_potential,
-        }[args.subcommand]
-        report = runner(exp)
-        csv_path = _out_path(args, effective, "csv", "report.csv")
-        json_path = _out_path(args, effective, "json", "report.json")
-        emit_report(report, "csv", csv_path)
-        emit_report(report, "json", json_path)
-        if args.verbose:
-            for rec in report.records:
-                print(f"  h={rec.h}: max rel err "
-                      f"{float(np.max(rec.rel_errors)):.3e} "
-                      f"({rec.wall_clock:.3f}s)")
-        print(f"gconv {args.subcommand}: wrote {csv_path}, {json_path}")
-        return 0
     except ResolutionError as exc:
         print(f"gconv: numerical failure at stage 'resolution check': {exc}",
               file=sys.stderr)
@@ -238,9 +158,6 @@ def main(argv=None) -> int:
         print(f"gconv: numerical failure at stage 'eigensolver': {exc}",
               file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"gconv: config error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ import copy
 import json
 
 from .families import make_builtin_family
-from .sweep import EXPERIMENT_KINDS, ExperimentConfig
+from .sweep import EXPERIMENTS, ExperimentConfig
+
+MAX_DOFS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -19,7 +21,8 @@ class ConfigError(ValueError):
 
 
 # leaf spec: (type tag, default, description); required leaves have default
-# REQUIRED.  Type tags: str, int, float, bool, int_list, float_pair, family.
+# REQUIRED.  Type tags: str, int, float, int_list, float_list, float_pair;
+# a dict in place of a tag is a nested schema.
 REQUIRED = object()
 
 _FAMILY_SCHEMA = {
@@ -40,7 +43,7 @@ _OUTPUT_SCHEMA = {
 
 SCHEMA = {
     "experiment": ("str", REQUIRED,
-                   "one of " + ", ".join(EXPERIMENT_KINDS)),
+                   "one of " + ", ".join(EXPERIMENTS)),
     "seed": ("int", 0, "seed for every randomized probe"),
     "h_list": ("int_list", [4, 8, 16, 32, 64], "ascending frequency ladder"),
     "points_per_period": ("int", 32, "mesh points per oscillation period (>= 16)"),
@@ -60,15 +63,6 @@ SCHEMA = {
     "quad_points": ("int", 512, "quadrature subintervals for 1D limit oracles"),
 }
 
-_KIND_REQUIRES = {
-    "eigen-homog": ("family",),
-    "source-homog": ("family", "source"),
-    "eigen-potential": ("potential",),
-    "gamma": ("potential",),
-    "divcurl": ("family", "source"),
-    "homogenize": ("family",),
-}
-
 
 def _type_ok(tag, value):
     if tag == "str":
@@ -77,8 +71,6 @@ def _type_ok(tag, value):
         return isinstance(value, int) and not isinstance(value, bool)
     if tag == "float":
         return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if tag == "bool":
-        return isinstance(value, bool)
     if tag == "int_list":
         return (isinstance(value, list) and len(value) >= 1
                 and all(_type_ok("int", v) for v in value))
@@ -127,12 +119,13 @@ def validate_config(data: dict) -> dict:
     """Validate a raw config dict, fill defaults, return the effective config."""
     effective = _validate_level(data, SCHEMA, "")
     kind = effective["experiment"]
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in EXPERIMENTS:
         raise ConfigError(
             f"config key 'experiment': unknown kind '{kind}' "
-            f"(choose from {', '.join(EXPERIMENT_KINDS)})"
+            f"(choose from {', '.join(EXPERIMENTS)})"
         )
-    for req in _KIND_REQUIRES[kind]:
+    experiment = EXPERIMENTS[kind]
+    for req in experiment.requires:
         if effective.get(req) is None:
             raise ConfigError(f"config key '{req}': required for experiment '{kind}'")
     hs = effective["h_list"]
@@ -142,6 +135,19 @@ def validate_config(data: dict) -> dict:
         raise ConfigError("config key 'points_per_period': must be >= 16")
     if effective["eigen_count"] < 1:
         raise ConfigError("config key 'eigen_count': must be >= 1")
+    family = build_family(effective["family"], "family")
+    dim = getattr(family, "dim", 1)
+    if "source" in experiment.requires and dim != 1:
+        raise ConfigError(
+            f"config key 'source': built-in sources are 1D, but family "
+            f"'{family.name}' is {dim}D"
+        )
+    n = effective["points_per_period"] * hs[-1]
+    if experiment.ladder and n ** dim > MAX_DOFS:
+        raise ConfigError(
+            f"config key 'h_list': mesh of {n ** dim} dofs exceeds the budget "
+            f"of {MAX_DOFS}"
+        )
     return effective
 
 
@@ -203,29 +209,26 @@ def experiment_from_config(effective: dict) -> ExperimentConfig:
     family = build_family(effective.get("family"), "family")
     potential = build_family(effective.get("potential"), "potential")
     source = build_family(effective.get("source"), "source")
-    try:
-        return ExperimentConfig(
-            kind=effective["experiment"],
-            h_list=tuple(effective["h_list"]),
-            points_per_period=effective["points_per_period"],
-            eigen_count=effective["eigen_count"],
-            eig_tol=effective["solver"]["eig_tol"],
-            quad_order=effective["quad_order"],
-            seed=effective["seed"],
-            family=family,
-            potential=potential,
-            source=source,
-            windows=effective["windows"],
-            phi_support=tuple(effective["phi_support"]),
-            affine=tuple(effective["affine"]),
-            targets=effective["targets"],
-            perturbation_scale=effective["perturbation_scale"],
-            cell_resolution=effective["cell_resolution"],
-            quad_points=effective["quad_points"],
-            echo=effective,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    return ExperimentConfig(
+        kind=effective["experiment"],
+        h_list=tuple(effective["h_list"]),
+        points_per_period=effective["points_per_period"],
+        eigen_count=effective["eigen_count"],
+        eig_tol=effective["solver"]["eig_tol"],
+        quad_order=effective["quad_order"],
+        seed=effective["seed"],
+        family=family,
+        potential=potential,
+        source=source,
+        windows=effective["windows"],
+        phi_support=tuple(effective["phi_support"]),
+        affine=tuple(effective["affine"]),
+        targets=effective["targets"],
+        perturbation_scale=effective["perturbation_scale"],
+        cell_resolution=effective["cell_resolution"],
+        quad_points=effective["quad_points"],
+        echo=effective,
+    )
 
 
 def schema_help(kind: str | None = None) -> str:
@@ -243,7 +246,6 @@ def schema_help(kind: str | None = None) -> str:
 
     walk(SCHEMA, "")
     if kind:
-        req = ", ".join(_KIND_REQUIRES.get(kind, ()))
-        if req:
-            lines.append(f"required for this subcommand: {req}")
+        lines.append("required for this subcommand: "
+                     + ", ".join(EXPERIMENTS[kind].requires))
     return "\n".join(lines)

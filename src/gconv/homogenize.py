@@ -34,10 +34,6 @@ class HomogenizedTensor:
     provenance: str
     est_error: float
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
@@ -194,8 +190,3 @@ def locality_check(family: PiecewiseCoefficient, subdomain,
             return homogenized_tensor(piece, **oracle_kwargs)
     raise ValueError(f"no piece matches subdomain [{a}, {b}]")
 
-
-def homogenize_piecewise(family: PiecewiseCoefficient, **oracle_kwargs):
-    """Per-subdomain limit tensors of a piecewise family, in piece order."""
-    return [(iv, homogenized_tensor(piece, **oracle_kwargs))
-            for iv, piece in family.pieces]

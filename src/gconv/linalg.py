@@ -80,36 +80,6 @@ def cholesky(matrix) -> CholeskyFactor:
     return CholeskyFactor(A.shape[0], lu)
 
 
-def solve_spd(factor_or_matrix, b: np.ndarray, tol: float = 1e-12,
-              method: str = "direct") -> np.ndarray:
-    """Solve K u = b for SPD K.
-
-    The direct path factors (or reuses a factor) and ignores ``tol``; the
-    conjugate-gradient path iterates to a relative residual ``tol`` and
-    raises ``ConvergenceError`` at the iteration cap.
-    """
-    b = np.asarray(b, dtype=float)
-    if method == "direct":
-        factor = (factor_or_matrix if isinstance(factor_or_matrix, CholeskyFactor)
-                  else cholesky(factor_or_matrix))
-        return factor.solve(b)
-    if method == "cg":
-        if isinstance(factor_or_matrix, CholeskyFactor):
-            raise ValueError("cg path needs the matrix, not a factor")
-        A = sparse.csr_matrix(factor_or_matrix)
-        n = A.shape[0]
-        u, info = sparse.linalg.cg(A, b, rtol=tol, atol=0.0, maxiter=10 * n)
-        if info > 0:
-            raise ConvergenceError(f"cg did not reach tol={tol} in {info} iterations")
-        if info < 0:
-            raise NotPositiveDefiniteError("cg breakdown: input not SPD")
-        bnorm = np.linalg.norm(b)
-        if bnorm > 0 and np.linalg.norm(A @ u - b) > tol * bnorm * 10.0:
-            raise ConvergenceError("cg residual check failed")
-        return u
-    raise ValueError(f"unknown method '{method}'")
-
-
 @dataclass(eq=False)
 class EigenResult:
     """Ascending eigenvalues with M-orthonormal eigenvectors and residuals.
@@ -120,10 +90,6 @@ class EigenResult:
     values: np.ndarray     # (k,)
     vectors: np.ndarray    # (n, k)
     residuals: np.ndarray  # (k,)
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
 
 
 def _fix_sign(x: np.ndarray) -> np.ndarray:

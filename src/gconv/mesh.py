@@ -305,3 +305,9 @@ def build_space(mesh: Mesh, rule: str = DIRICHLET) -> FeSpace:
             return FeSpace(mesh, rule, dof_of_vertex, reps[order])
         raise ValueError(f"periodic rule unsupported on '{kind}' mesh")
     raise ValueError(f"unknown boundary rule '{rule}'")
+
+
+def build_dirichlet_space(dim: int, n: int) -> FeSpace:
+    """Dirichlet P1 space on the unit interval or square, n cells per side."""
+    mesh = build_interval_mesh(n) if dim == 1 else build_rect_mesh(n, n)
+    return build_space(mesh, DIRICHLET)

@@ -5,40 +5,67 @@ h-dependent problem on a mesh coupled to the oscillation (delta = 1/(m h)
 with m sample points per period), and measures errors against a reference
 computed from the limit operator on the finest mesh of the ladder, so the
 reported errors measure the operator convergence rather than the
-discretization.  Reports serialize to CSV (one row per h and mode) and to
-JSON with the effective config echoed for reproducibility.
+discretization.
+
+``EXPERIMENTS`` is the one table of experiment kinds: the CLI subcommand,
+required config keys, runner and default report names of each.  Every
+report goes through ``emit_report``, the one writer of CSV tables and JSON
+documents (the effective config echoed for reproducibility).
 """
 from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, assembly
-from .families import (
-    ConstantMatrixCoefficient,
-    PotentialFamily,
-    make_builtin_family,
-)
+from .families import make_builtin_family
 from .homogenize import homogenized_tensor
 from .linalg import CLUSTER_GAP, cholesky, eig_smallest
-from .mesh import DIRICHLET, FeSpace, build_interval_mesh, build_rect_mesh, build_space
-from .variational import _limit_weight
+from .mesh import FeSpace, build_dirichlet_space
+from .variational import _limit_weight, _tensor_family
 
-EXPERIMENT_KINDS = ("eigen-homog", "source-homog", "eigen-potential",
-                    "gamma", "divcurl", "homogenize")
 
-MAX_DOFS = 1_000_000
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind: how the CLI runs it and where its reports go."""
+
+    subcommand: str
+    summary: str       # one-line help of the subcommand
+    requires: tuple    # config keys the kind cannot run without
+    runner: str        # name of the run_* function of this module
+    outputs: tuple     # default (CSV, JSON) report names; no CSV when None
+    ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
+
+
+EXPERIMENTS = {
+    "eigen-homog": Experiment(
+        "sweep-eigen", "eigenvalue sweep of an oscillating pencil vs its limit",
+        ("family",), "run_eigen_homog", ("report.csv", "report.json")),
+    "source-homog": Experiment(
+        "sweep-source", "Dirichlet source sweep vs the homogenized solution",
+        ("family", "source"), "run_source_homog", ("report.csv", "report.json")),
+    "eigen-potential": Experiment(
+        "sweep-potential", "spectral sweep of a perturbed operator K0 + V_h",
+        ("potential",), "run_eigen_potential", ("report.csv", "report.json")),
+    "gamma": Experiment(
+        "gamma-check", "liminf sampling and affine recovery traces",
+        ("potential",), "run_gamma", ("recovery_trace.csv", "gamma.json")),
+    "divcurl": Experiment(
+        "divcurl", "div-curl pairing trace and flux window averages",
+        ("family", "source"), "run_divcurl", ("divcurl_trace.csv", "divcurl.json")),
+    "homogenize": Experiment(
+        "homogenize", "compute the limit tensor of a coefficient family",
+        ("family",), "run_homogenize", (None, "homogenize.json"), ladder=False),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated description of one experiment run."""
+    """One experiment run, built from a config ``validate_config`` accepted."""
 
     kind: str
     h_list: tuple
@@ -59,23 +86,21 @@ class ExperimentConfig:
     quad_points: int = 512
     echo: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        hs = [int(h) for h in self.h_list]
-        if hs and hs != sorted(hs):
-            raise ValueError("h_list must be ascending")
-        if self.points_per_period < 16:
-            raise ValueError("points_per_period must be >= 16")
-        if self.eigen_count < 1:
-            raise ValueError("eigen_count must be >= 1")
-        if hs:
-            dim = getattr(self.family, "dim", 1)
-            n = self.points_per_period * max(hs)
-            dofs = n if dim == 1 else n * n
-            if dofs > MAX_DOFS:
-                raise ValueError(
-                    f"mesh of {dofs} dofs exceeds the budget of {MAX_DOFS}"
-                )
-        object.__setattr__(self, "h_list", tuple(hs))
+
+class Report:
+    """What ``emit_report`` needs from every experiment report.
+
+    A report has ``kind`` and ``config_echo`` fields; ``body`` returns its
+    kind-specific JSON fields and ``table``, for kinds that write a CSV, its
+    header and rows.
+    """
+
+    # a numerical check that failed after the reports were complete
+    failed_stage = None
+
+    def lines(self) -> list:
+        """Summary lines printed by ``gconv -v``."""
+        return []
 
 
 @dataclass(eq=False)
@@ -103,7 +128,7 @@ class RateFit:
 
 
 @dataclass(eq=False)
-class SweepReport:
+class SweepReport(Report):
     """Full sweep output: per-h records, references, fitted rates."""
 
     kind: str
@@ -113,40 +138,47 @@ class SweepReport:
     reference_meta: dict
     rates: list
     config_echo: dict
-    tool_version: str = __version__
 
-    def to_dict(self) -> dict:
+    def body(self) -> dict:
         return {
-            "kind": self.kind,
-            "tool_version": self.tool_version,
-            "config": self.config_echo,
-            "h_values": list(self.h_values),
-            "reference": _jsonify(self.reference),
-            "reference_meta": _jsonify(self.reference_meta),
+            "h_values": self.h_values,
+            "reference": self.reference,
+            "reference_meta": self.reference_meta,
             "rates": [
                 {"slope": r.slope, "intercept": r.intercept,
-                 "n_used": r.n_used, "excluded": list(r.excluded)}
+                 "n_used": r.n_used, "excluded": r.excluded}
                 for r in self.rates
             ],
             "records": [
                 {
                     "h": rec.h,
-                    "values": _jsonify(rec.values),
-                    "abs_errors": _jsonify(rec.abs_errors),
-                    "rel_errors": _jsonify(rec.rel_errors),
-                    "residuals": _jsonify(rec.residuals),
-                    "vector_errors": _jsonify(rec.vector_errors),
-                    "limit_residuals": _jsonify(rec.limit_residuals),
+                    "values": rec.values,
+                    "abs_errors": rec.abs_errors,
+                    "rel_errors": rec.rel_errors,
+                    "residuals": rec.residuals,
+                    "vector_errors": rec.vector_errors,
+                    "limit_residuals": rec.limit_residuals,
                     "wall_clock": rec.wall_clock,
                 }
                 for rec in self.records
             ],
         }
 
+    def table(self):
+        """CSV header and rows: one row per h and mode k (1-based for
+        eigenvalues; for source sweeps k=0 is the L2 distance)."""
+        first_k = 0 if self.kind == "source-homog" else 1
+        rows = [[rec.h, first_k + mode, rec.values[mode], self.reference[mode],
+                 rec.abs_errors[mode], rec.rel_errors[mode]]
+                for rec in self.records for mode in range(rec.values.shape[0])]
+        return ["h", "k", "value", "reference", "abs_err", "rel_err"], rows
+
+    def lines(self) -> list:
+        return [f"  h={rec.h}: max rel err {float(np.max(rec.rel_errors)):.3e} "
+                f"({rec.wall_clock:.3f}s)" for rec in self.records]
+
 
 def _jsonify(obj):
-    if obj is None:
-        return None
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, dict):
@@ -156,29 +188,6 @@ def _jsonify(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
-
-
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("GCONV_THREADS", "1")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        cap = 1
-    return min(cap, n_tasks)
-
-
-def _map_ordered(fn, items):
-    workers = _worker_count(len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _build_space(dim: int, n: int) -> FeSpace:
-    if dim == 1:
-        return build_space(build_interval_mesh(n), DIRICHLET)
-    return build_space(build_rect_mesh(n, n), DIRICHLET)
 
 
 def interpolate_between(space_from: FeSpace, u: np.ndarray,
@@ -289,23 +298,26 @@ def _reference_pencil(config: ExperimentConfig, dim: int):
     tensor = homogenized_tensor(config.family,
                                 quad_points=config.quad_points,
                                 cell_resolution=config.cell_resolution)
-    if dim == 1:
-        limit_family = make_builtin_family("const", [float(tensor.matrix[0, 0])])
-    else:
-        limit_family = ConstantMatrixCoefficient(tensor.matrix)
+    limit_family = _tensor_family(tensor, dim)
     n_fine = config.points_per_period * max(config.h_list)
-    space = _build_space(dim, n_fine)
+    space = build_dirichlet_space(dim, n_fine)
     K = assembly.assemble_stiffness(space, limit_family, h=1,
                                     quad_order=config.quad_order)
     M = assembly.assemble_mass(space, quad_order=config.quad_order)
     return tensor, limit_family, space, K, M
 
 
+def _rung_space(config: ExperimentConfig, dim: int, h: int,
+                space_ref: FeSpace) -> FeSpace:
+    """Space of one rung; the top rung shares the reference space and its caches."""
+    if h == max(config.h_list):
+        return space_ref
+    return build_dirichlet_space(dim, config.points_per_period * h)
+
+
 def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
     """Eigenvalue sweep of the oscillating pencil against its homogenized limit."""
     family = config.family
-    if family is None or getattr(family, "limit_oracle", "none") == "none":
-        raise ValueError("eigen-homog needs a coefficient family with a limit oracle")
     dim = family.dim
     k = config.eigen_count
     tensor, _, space_ref, K_ref, M_ref = _reference_pencil(config, dim)
@@ -313,10 +325,11 @@ def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
 
     def one(h):
         t0 = time.perf_counter()
-        space = _build_space(dim, config.points_per_period * h)
+        space = _rung_space(config, dim, h, space_ref)
         K = assembly.assemble_stiffness(space, family, h=h,
                                         quad_order=config.quad_order)
-        M = assembly.assemble_mass(space, quad_order=config.quad_order)
+        M = (M_ref if space is space_ref
+             else assembly.assemble_mass(space, quad_order=config.quad_order))
         eig = eig_smallest(K, M, k, tol=config.eig_tol)
         vec_err = eigenvector_errors(space, eig.vectors, space_ref,
                                      ref.vectors, M_ref, ref.values)
@@ -328,7 +341,7 @@ def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
             wall_clock=time.perf_counter() - t0,
         )
 
-    records = _map_ordered(one, list(config.h_list))
+    records = [one(h) for h in config.h_list]
     rates = _rates_per_mode(config.h_list, records, k)
     meta = {
         "tensor": tensor.matrix,
@@ -347,8 +360,6 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     window averages of the first gradient component, the weak-H1 probes.
     """
     family, source = config.family, config.source
-    if family is None or source is None:
-        raise ValueError("source-homog needs a coefficient family and a source")
     dim = family.dim
     tensor, limit_family, space_ref, K_ref, M_ref = _reference_pencil(config, dim)
     b_ref = assembly.assemble_load(space_ref, source, h=max(config.h_list),
@@ -360,7 +371,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
 
     def one(h):
         t0 = time.perf_counter()
-        space = _build_space(dim, config.points_per_period * h)
+        space = _rung_space(config, dim, h, space_ref)
         K = assembly.assemble_stiffness(space, family, h=h,
                                         quad_order=config.quad_order)
         b = assembly.assemble_load(space, source, h=h,
@@ -380,7 +391,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
         return SweepRecord(h=h, values=values, abs_errors=abs_err,
                            rel_errors=rel, wall_clock=time.perf_counter() - t0)
 
-    records = _map_ordered(one, list(config.h_list))
+    records = [one(h) for h in config.h_list]
     n_modes = config.windows + 1
     rates = _rates_per_mode(config.h_list, records, n_modes)
     meta = {
@@ -407,12 +418,10 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
     limit problem on the finest mesh, which must decay with h.
     """
     potential = config.potential
-    if potential is None:
-        raise ValueError("eigen-potential needs a potential family")
     dim = 1
     k = config.eigen_count
     n_fine = config.points_per_period * max(config.h_list)
-    space_ref = _build_space(dim, n_fine)
+    space_ref = build_dirichlet_space(dim, n_fine)
     unit = make_builtin_family("const", [1.0])
     K0_ref = assembly.assemble_stiffness(space_ref, unit, h=1,
                                          quad_order=config.quad_order)
@@ -424,7 +433,7 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
 
     def one(h):
         t0 = time.perf_counter()
-        space = _build_space(dim, config.points_per_period * h)
+        space = _rung_space(config, dim, h, space_ref)
         K0 = assembly.assemble_stiffness(space, unit, h=1,
                                          quad_order=config.quad_order)
         V = assembly.assemble_mass(space, potential, h=h,
@@ -448,7 +457,7 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
             wall_clock=time.perf_counter() - t0,
         )
 
-    records = _map_ordered(one, list(config.h_list))
+    records = [one(h) for h in config.h_list]
     rates = _rates_per_mode(config.h_list, records, k)
     meta = {
         "potential": potential.name,
@@ -460,35 +469,42 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
 
 
 @dataclass(eq=False)
-class GammaReport:
+class GammaReport(Report):
     """Liminf sampling summary plus the affine recovery trace."""
 
     kind: str
-    h_values: tuple
     liminf_passed: int
     liminf_total: int
     liminf_margins: np.ndarray     # LiminfReport.margin per target
     recovery: object               # PairingTrace
     config_echo: dict
-    tool_version: str = __version__
 
-    def to_dict(self) -> dict:
+    @property
+    def failed_stage(self):
+        if self.liminf_passed != self.liminf_total:
+            return "gamma liminf sampling"
+        return None
+
+    def body(self) -> dict:
         return {
-            "kind": self.kind,
-            "tool_version": self.tool_version,
-            "config": self.config_echo,
-            "h_values": list(self.h_values),
+            "h_values": self.recovery.h_values,
             "liminf": {
                 "passed": self.liminf_passed,
                 "total": self.liminf_total,
-                "margins": _jsonify(self.liminf_margins),
+                "margins": self.liminf_margins,
             },
             "recovery": {
-                "values": _jsonify(self.recovery.values),
+                "values": self.recovery.values,
                 "limit": self.recovery.limit,
-                "abs_errors": _jsonify(self.recovery.abs_errors),
+                "abs_errors": self.recovery.abs_errors,
             },
         }
+
+    def table(self):
+        return self.recovery.table()
+
+    def lines(self) -> list:
+        return [f"  liminf {self.liminf_passed}/{self.liminf_total}"]
 
 
 def run_gamma(config: ExperimentConfig) -> GammaReport:
@@ -496,10 +512,8 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
     from .variational import liminf_check, potential_ladder, recovery_check
 
     potential = config.potential
-    if potential is None:
-        raise ValueError("gamma needs a potential family")
     n_fine = config.points_per_period * max(config.h_list)
-    space = _build_space(1, n_fine)
+    space = build_dirichlet_space(1, n_fine)
     unit = make_builtin_family("const", [1.0])
     K0 = assembly.assemble_stiffness(space, unit, h=1, quad_order=config.quad_order)
     M = assembly.assemble_mass(space, quad_order=config.quad_order)
@@ -515,12 +529,12 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
         margins[t] = rep.margin
         passed += int(rep.passed)
     trace = recovery_check(space, K0, ladder, config.affine)
-    return GammaReport("gamma", config.h_list, passed, config.targets,
-                       margins, trace, dict(config.echo))
+    return GammaReport("gamma", passed, config.targets, margins, trace,
+                       dict(config.echo))
 
 
 @dataclass(eq=False)
-class DivCurlReport:
+class DivCurlReport(Report):
     """Div-curl pairing trace plus flux window averages at the largest h."""
 
     kind: str
@@ -528,36 +542,33 @@ class DivCurlReport:
     flux: object                   # FluxWindowReport
     envelope_prediction: float     # 1/h fit from the leading rungs at h_max
     config_echo: dict
-    tool_version: str = __version__
 
-    def to_dict(self) -> dict:
+    def body(self) -> dict:
         return {
-            "kind": self.kind,
-            "tool_version": self.tool_version,
-            "config": self.config_echo,
             "trace": {
-                "h_values": _jsonify(self.trace.h_values),
-                "values": _jsonify(self.trace.values),
+                "h_values": self.trace.h_values,
+                "values": self.trace.values,
                 "limit": self.trace.limit,
-                "abs_errors": _jsonify(self.trace.abs_errors),
+                "abs_errors": self.trace.abs_errors,
             },
             "envelope_prediction": self.envelope_prediction,
             "flux_windows": {
                 "h": self.flux.h,
-                "edges": _jsonify(self.flux.window_edges),
-                "flux_averages": _jsonify(self.flux.flux_averages),
-                "reference_averages": _jsonify(self.flux.reference_averages),
-                "abs_errors": _jsonify(self.flux.abs_errors),
+                "edges": self.flux.window_edges,
+                "flux_averages": self.flux.flux_averages,
+                "reference_averages": self.flux.reference_averages,
+                "abs_errors": self.flux.abs_errors,
             },
         }
+
+    def table(self):
+        return self.trace.table()
 
 
 def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
     """Pair the discrete energy density against its homogenized limit."""
     from .variational import div_curl_test, flux_weak_limit
 
-    if config.family is None or config.source is None:
-        raise ValueError("divcurl needs a coefficient family and a source")
     tensor = homogenized_tensor(config.family,
                                 quad_points=config.quad_points,
                                 cell_resolution=config.cell_resolution)
@@ -593,30 +604,52 @@ def _rates_per_mode(h_values, records, n_modes):
     return rates
 
 
-def emit_report(report: SweepReport, fmt: str, path) -> None:
-    """Write a sweep report as CSV rows or a JSON document.
+@dataclass(eq=False)
+class HomogenizeReport(Report):
+    """Limit tensor of a coefficient family."""
 
-    CSV columns are h, k, value, reference, abs_err, rel_err with one row
-    per h and mode; floats carry 17 significant digits so reruns are
-    byte-comparable.
+    kind: str
+    family: str
+    tensor: object                 # HomogenizedTensor
+    config_echo: dict
+
+    def body(self) -> dict:
+        return {"family": self.family, "tensor": self.tensor.matrix,
+                "provenance": self.tensor.provenance,
+                "est_error": self.tensor.est_error}
+
+    def lines(self) -> list:
+        return [str(self.tensor.matrix.tolist())]
+
+
+def run_homogenize(config: ExperimentConfig) -> HomogenizeReport:
+    """Limit tensor of the configured family from its oracle."""
+    tensor = homogenized_tensor(config.family, quad_points=config.quad_points,
+                                cell_resolution=config.cell_resolution)
+    return HomogenizeReport("homogenize", config.family.name, tensor,
+                            dict(config.echo))
+
+
+def emit_report(report: Report, fmt: str, path) -> None:
+    """Write a report as its CSV table or as a JSON document.
+
+    The JSON document is the report's kind, the tool version and the echoed
+    config plus the report's body.  CSV floats carry 17 significant digits
+    so reruns are byte-comparable.
     """
     if fmt == "csv":
+        header, rows = report.table()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["h", "k", "value", "reference", "abs_err", "rel_err"])
-            for rec in report.records:
-                for mode in range(rec.values.shape[0]):
-                    writer.writerow([
-                        rec.h, mode if report.kind == "source-homog" else mode + 1,
-                        format(rec.values[mode], ".17g"),
-                        format(report.reference[mode], ".17g"),
-                        format(rec.abs_errors[mode], ".17g"),
-                        format(rec.rel_errors[mode], ".17g"),
-                    ])
+            writer.writerow(header)
+            writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                              for v in row] for row in rows)
         return
     if fmt == "json":
+        doc = {"kind": report.kind, "tool_version": __version__,
+               "config": report.config_echo, **report.body()}
         with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
     raise ValueError(f"unknown report format '{fmt}'")

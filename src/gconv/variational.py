@@ -7,7 +7,6 @@ or potential sequence itself.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .families import (
 )
 from .homogenize import homogenized_tensor
 from .linalg import cholesky
-from .mesh import DIRICHLET, FeSpace, build_interval_mesh, build_rect_mesh, build_space
+from .mesh import FeSpace, build_dirichlet_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +34,6 @@ class QuadraticForm:
     @property
     def n(self) -> int:
         return self.base.shape[0]
-
-    def matrix(self) -> sparse.spmatrix:
-        if self.potential is None:
-            return self.base
-        return (self.base + self.potential).tocsr()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.base @ u
@@ -83,13 +77,11 @@ class PairingTrace:
     limit: float
     abs_errors: np.ndarray
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["h", "value", "limit", "abs_error"])
-            for h, v, e in zip(self.h_values, self.values, self.abs_errors):
-                writer.writerow([int(h), format(v, ".17g"),
-                                 format(self.limit, ".17g"), format(e, ".17g")])
+    def table(self):
+        """CSV header and rows: one row per h."""
+        return (["h", "value", "limit", "abs_error"],
+                [[int(h), v, self.limit, e]
+                 for h, v, e in zip(self.h_values, self.values, self.abs_errors)])
 
 
 def _trace(h_values, values, limit) -> PairingTrace:
@@ -229,13 +221,6 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
     return space.interpolate(lambda x, y: tent(x))
 
 
-def _fine_space(family, h_max: int, points_per_period: int, dim: int) -> FeSpace:
-    n = points_per_period * h_max
-    if dim == 1:
-        return build_space(build_interval_mesh(n), DIRICHLET)
-    return build_space(build_rect_mesh(n, n), DIRICHLET)
-
-
 def _solve_dirichlet(space, family, h, source, source_h, quad_order=4):
     K = assembly.assemble_stiffness(space, family, h=h, quad_order=quad_order)
     b = assembly.assemble_load(space, source, h=source_h, quad_order=quad_order)
@@ -265,7 +250,7 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     """
     h_list = [int(h) for h in h_list]
     h_max = max(h_list)
-    space = _fine_space(coeff_family, h_max, points_per_period, coeff_family.dim)
+    space = build_dirichlet_space(coeff_family.dim, points_per_period * h_max)
     for h in h_list:
         check_resolution(coeff_family.feature_scale(h), space.mesh.max_cell_span(),
                          f"div_curl_test(h={h})")
@@ -314,7 +299,7 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
     homogenized tensor on the same mesh.  Windows are strips in the first
     coordinate; widths below the mesh resolution are refused.
     """
-    space = _fine_space(coeff_family, h, points_per_period, coeff_family.dim)
+    space = build_dirichlet_space(coeff_family.dim, points_per_period * h)
     width = 1.0 / window_count
     if width < space.mesh.max_cell_span() - 1e-14:
         raise ValueError(

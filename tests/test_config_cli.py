@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gconv import sweep
 from gconv.cli import main
 from gconv.config import (
     ConfigError,
@@ -13,6 +14,7 @@ from gconv.config import (
     schema_help,
     validate_config,
 )
+from gconv.sweep import EXPERIMENTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -192,11 +194,45 @@ def test_cli_gamma_check(tmp_path):
     assert (tmp_path / "gamma.json").exists()
 
 
+def test_cli_failed_stage_exits_2_after_reports(tmp_path, capsys, monkeypatch):
+    # the runner is looked up when the CLI runs, so this wrapper is the one run
+    run_gamma = sweep.run_gamma
+
+    def one_target_fails(config):
+        report = run_gamma(config)
+        report.liminf_passed -= 1
+        return report
+
+    monkeypatch.setattr(sweep, "run_gamma", one_target_fails)
+    cfg = _write(tmp_path, {"experiment": "gamma", "h_list": [8, 16, 32],
+                            "potential": {"name": "sin2-potential"}, "targets": 2})
+    code = main(["gamma-check", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "stage 'gamma liminf sampling'" in capsys.readouterr().err
+    with open(tmp_path / "gamma.json") as fh:
+        assert json.load(fh)["liminf"]["passed"] == 1
+    assert (tmp_path / "recovery_trace.csv").exists()
+
+
 def test_cli_divcurl(tmp_path):
     code = main(["divcurl", "--config", str(CONFIGS / "a8_divcurl.json"),
                  "--out", str(tmp_path), "--set", "h_list=[8,16]"])
     assert code == 0
     assert (tmp_path / "a8_divcurl.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,kind", [("sweep-source", "source-homog"),
+                                              ("divcurl", "divcurl")])
+def test_cli_2d_family_with_source_exit_1(tmp_path, capsys, subcommand, kind):
+    # built-in sources are 1D; a 2D family must not reach the assembly
+    cfg = _write(tmp_path, {"experiment": kind, "h_list": [1, 2],
+                            "family": {"name": "laminate2d", "params": [1.0, 4.0]},
+                            "source": {"name": "const-source"}})
+    code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'source'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_help_lists_config_keys():
@@ -217,11 +253,11 @@ def _drop_wall_clock(obj):
     return obj
 
 
-@pytest.mark.parametrize("subcommand,name", [
-    ("homogenize", "a4_laminate"),
-    ("gamma-check", "a7_gamma_sin2"),
-    ("sweep-source", "a9_source"),
-])
+SHIPPED = [(EXPERIMENTS[json.loads(p.read_text())["experiment"]].subcommand, p.stem)
+           for p in sorted(CONFIGS.glob("*.json")) if p.name != "invalid_alpha.json"]
+
+
+@pytest.mark.parametrize("subcommand,name", SHIPPED)
 def test_cli_shipped_config_reruns_identically(tmp_path, subcommand, name):
     # two runs in one process: nothing cached by the first may change the second
     runs = []

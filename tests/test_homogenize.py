@@ -8,7 +8,6 @@ from gconv.homogenize import (
     arithmetic_mean_1d,
     cell_problem_2d,
     harmonic_mean_1d,
-    homogenize_piecewise,
     homogenized_tensor,
     locality_check,
 )
@@ -156,10 +155,3 @@ def test_locality_independent_of_other_piece():
 def test_locality_unmatched_subdomain():
     with pytest.raises(ValueError, match="no piece"):
         locality_check(_piecewise(), (0.1, 0.4))
-
-
-def test_homogenize_piecewise_lists_all_pieces():
-    tensors = homogenize_piecewise(_piecewise())
-    assert len(tensors) == 2
-    assert abs(tensors[0][1].matrix[0, 0] - SQRT3) <= 1e-10
-    assert abs(tensors[1][1].matrix[0, 0] - 5.0) <= 1e-12

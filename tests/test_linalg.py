@@ -10,7 +10,6 @@ from gconv.linalg import (
     NotPositiveDefiniteError,
     cholesky,
     eig_smallest,
-    solve_spd,
 )
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 
@@ -67,31 +66,22 @@ def test_cholesky_rejects_unsymmetric():
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(solve_spd(sparse.identity(3, format="csr"), b), b)
+    assert np.array_equal(cholesky(sparse.identity(3, format="csr")).solve(b), b)
 
 
 def test_solve_dirichlet_poisson(quarter_space, unit_family):
     K = assembly.assemble_stiffness(quarter_space, unit_family)
     b = assembly.assemble_load(quarter_space, make_builtin_family("const-source", [1.0]))
-    u = solve_spd(K, b)
+    u = cholesky(K).solve(b)
     # P1 is nodally exact in 1D: u(x) = x(1-x)/2 at the nodes
     assert np.allclose(u, [0.09375, 0.125, 0.09375], atol=1e-15)
-
-
-def test_solve_cg_matches_dense():
-    A = _random_spd(50, seed=7)
-    rng = np.random.default_rng(8)
-    b = rng.normal(size=50)
-    u = solve_spd(A, b, tol=1e-12, method="cg")
-    assert np.linalg.norm(A @ u - b) <= 1e-12 * np.linalg.norm(b) * 10
-    assert np.allclose(u, np.linalg.solve(A.toarray(), b), atol=1e-9)
 
 
 def test_solve_reuses_factor(quarter_space, unit_family):
     K = assembly.assemble_stiffness(quarter_space, unit_family)
     factor = cholesky(K)
     b = np.array([0.25, 0.25, 0.25])
-    assert np.allclose(solve_spd(factor, b), solve_spd(K, b))
+    assert np.allclose(factor.solve(b), cholesky(K).solve(b))
 
 
 def test_eig_diagonal_pencil():

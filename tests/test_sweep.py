@@ -1,16 +1,17 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
-from gconv import assembly
+from gconv import __version__, assembly
+from gconv.config import ConfigError, validate_config
 from gconv.families import make_builtin_family
 from gconv.linalg import CLUSTER_GAP
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 from gconv.sweep import (
     ExperimentConfig,
+    _jsonify,
     emit_report,
     fit_rate,
     interpolate_between,
@@ -50,12 +51,21 @@ def test_fit_rate_needs_three_points():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="ascending"):
-        _eigen_cfg(h_list=(8, 4))
-    with pytest.raises(ValueError, match="points_per_period"):
-        _eigen_cfg(points_per_period=8)
-    with pytest.raises(ValueError, match="budget"):
-        _eigen_cfg(h_list=(4, 1 << 16))
+    def config(**kw):
+        return {"experiment": "eigen-homog", "h_list": [4, 8, 16],
+                "family": {"name": "osc1d", "params": [2.0]}, **kw}
+
+    with pytest.raises(ConfigError, match="'h_list': must be strictly ascending"):
+        validate_config(config(h_list=[8, 4]))
+    with pytest.raises(ConfigError, match="'points_per_period'"):
+        validate_config(config(points_per_period=8))
+    with pytest.raises(ConfigError, match="'h_list': mesh of .* exceeds the budget"):
+        validate_config(config(h_list=[4, 1 << 16]))
+    with pytest.raises(ConfigError, match="'h_list': mesh of .* exceeds the budget"):
+        validate_config(config(family={"name": "laminate2d"}, h_list=[4, 64]))
+    # homogenize sizes its mesh by cell_resolution, not by the ladder
+    validate_config(config(experiment="homogenize",
+                           family={"name": "laminate2d"}, h_list=[4, 64]))
 
 
 def test_interpolate_between_1d_nested_exact():
@@ -235,26 +245,14 @@ def test_emit_json_roundtrip(tmp_path):
     emit_report(rep, "json", path)
     with open(path) as fh:
         parsed = json.load(fh)
-    assert parsed == rep.to_dict()
+    assert parsed == {"kind": "eigen-homog", "tool_version": __version__,
+                      "config": rep.config_echo, **_jsonify(rep.body())}
 
 
 def test_emit_unknown_format(tmp_path):
     rep = run_eigen_homog(_eigen_cfg(h_list=(4, 8, 16)))
     with pytest.raises(ValueError, match="format"):
         emit_report(rep, "xml", tmp_path / "r.xml")
-
-
-def test_thread_pool_deterministic(tmp_path):
-    cfg = _eigen_cfg(h_list=(4, 8, 16))
-    serial = run_eigen_homog(cfg)
-    os.environ["GCONV_THREADS"] = "3"
-    try:
-        pooled = run_eigen_homog(_eigen_cfg(h_list=(4, 8, 16)))
-    finally:
-        del os.environ["GCONV_THREADS"]
-    for a, b in zip(serial.records, pooled.records):
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.abs_errors, b.abs_errors)
 
 
 def test_cluster_gap_constant_sane():

@@ -8,6 +8,7 @@ from gconv import assembly
 from gconv.families import make_builtin_family
 from gconv.linalg import eig_smallest
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_space
+from gconv.sweep import emit_report
 from gconv.variational import (
     QuadraticForm,
     div_curl_test,
@@ -179,7 +180,7 @@ def test_recovery_trace_csv_roundtrip(tmp_path, fine_setup):
     ladder = potential_ladder(sp, make_builtin_family("sin2-potential"), [8, 16])
     tr = recovery_check(sp, K0, ladder, (1.0, 0.0))
     path = tmp_path / "trace.csv"
-    tr.write_csv(path)
+    emit_report(tr, "csv", path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "h,value,limit,abs_error"
     assert len(rows) == 3
