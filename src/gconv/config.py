@@ -10,7 +10,12 @@ from __future__ import annotations
 import copy
 import json
 
-from .families import make_builtin_family
+from .families import (
+    CoefficientFamily,
+    PotentialFamily,
+    SourceFamily,
+    make_builtin_family,
+)
 from .sweep import EXPERIMENTS, ExperimentConfig
 
 MAX_DOFS = 1_000_000
@@ -18,6 +23,14 @@ MAX_DOFS = 1_000_000
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
+
+
+# the family class each family-valued config key takes
+FAMILY_CLASSES = {
+    "family": CoefficientFamily,
+    "potential": PotentialFamily,
+    "source": SourceFamily,
+}
 
 
 # leaf spec: (type tag, default, description); required leaves have default
@@ -92,26 +105,17 @@ def _validate_level(data, schema, prefix):
     out = {}
     for key, (tag, default, _desc) in schema.items():
         path = f"{prefix}.{key}" if prefix else key
-        if key in data:
-            value = data[key]
-            if isinstance(tag, dict):
-                if value is None and default is not REQUIRED:
-                    out[key] = None
-                else:
-                    out[key] = _validate_level(value, tag, path)
-            elif value is None and default is not REQUIRED:
-                out[key] = None
-            elif not _type_ok(tag, value):
-                raise ConfigError(f"config key '{path}': expected {tag}, got {value!r}")
-            else:
-                out[key] = copy.deepcopy(value)
-        elif default is REQUIRED:
+        if key not in data and default is REQUIRED:
             raise ConfigError(f"config key '{path}': required key missing")
+        value = data.get(key, default)
+        if value is None and default is None:
+            out[key] = None  # null is valid only where the default is null
         elif isinstance(tag, dict):
-            out[key] = _validate_level(default if default else {}, tag, path) \
-                if default is not None else None
+            out[key] = _validate_level(value, tag, path)
+        elif not _type_ok(tag, value):
+            raise ConfigError(f"config key '{path}': expected {tag}, got {value!r}")
         else:
-            out[key] = copy.deepcopy(default)
+            out[key] = copy.deepcopy(value)
     return out
 
 
@@ -135,7 +139,8 @@ def validate_config(data: dict) -> dict:
         raise ConfigError("config key 'points_per_period': must be >= 16")
     if effective["eigen_count"] < 1:
         raise ConfigError("config key 'eigen_count': must be >= 1")
-    family = build_family(effective["family"], "family")
+    families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
+    family = families["family"]
     dim = getattr(family, "dim", 1)
     if "source" in experiment.requires and dim != 1:
         raise ConfigError(
@@ -201,6 +206,12 @@ def build_family(spec: dict, key: str):
         fam = make_builtin_family(spec["name"], spec.get("params") or [])
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': {exc}") from exc
+    expected = FAMILY_CLASSES[key]
+    if not isinstance(fam, expected):
+        raise ConfigError(
+            f"config key '{key}': '{spec['name']}' is a {type(fam).__name__}, "
+            f"expected a {expected.__name__}"
+        )
     return fam
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, assembly
 from .families import make_builtin_family
 from .homogenize import homogenized_tensor
-from .linalg import CLUSTER_GAP, cholesky, eig_smallest
+from .linalg import ConvergenceError, cholesky, eig_smallest
 from .mesh import FeSpace, build_dirichlet_space
 from .variational import _limit_weight, _tensor_family
 
@@ -225,6 +225,10 @@ def interpolate_between(space_from: FeSpace, u: np.ndarray,
     return np.where(lower, vals_low, vals_up)
 
 
+# relative gap below which two eigenvalues count as one cluster
+CLUSTER_GAP = 1e-6
+
+
 def _clusters(values: np.ndarray):
     """Group indices of near-equal eigenvalues (relative gap < CLUSTER_GAP)."""
     groups = [[0]]
@@ -307,6 +311,14 @@ def _reference_pencil(config: ExperimentConfig, dim: int):
     return tensor, limit_family, space, K, M
 
 
+def _rung_eigenpairs(rung: str, K, M, config: ExperimentConfig):
+    """eig_smallest for one pencil of a ladder; a failure names the rung."""
+    try:
+        return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{rung}: {exc}") from exc
+
+
 def _rung_space(config: ExperimentConfig, dim: int, h: int,
                 space_ref: FeSpace) -> FeSpace:
     """Space of one rung; the top rung shares the reference space and its caches."""
@@ -321,7 +333,7 @@ def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
     dim = family.dim
     k = config.eigen_count
     tensor, _, space_ref, K_ref, M_ref = _reference_pencil(config, dim)
-    ref = eig_smallest(K_ref, M_ref, k, tol=config.eig_tol)
+    ref = _rung_eigenpairs("reference", K_ref, M_ref, config)
 
     def one(h):
         t0 = time.perf_counter()
@@ -330,7 +342,7 @@ def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
                                         quad_order=config.quad_order)
         M = (M_ref if space is space_ref
              else assembly.assemble_mass(space, quad_order=config.quad_order))
-        eig = eig_smallest(K, M, k, tol=config.eig_tol)
+        eig = _rung_eigenpairs(f"h={h}", K, M, config)
         vec_err = eigenvector_errors(space, eig.vectors, space_ref,
                                      ref.vectors, M_ref, ref.values)
         abs_err = np.abs(eig.values - ref.values)
@@ -429,7 +441,7 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
     V_ref = assembly.assemble_mass(space_ref, _limit_weight(potential), h=1,
                                    quad_order=config.quad_order)
     H_ref = (K0_ref + V_ref).tocsr()
-    ref = eig_smallest(H_ref, M_ref, k, tol=config.eig_tol)
+    ref = _rung_eigenpairs("reference", H_ref, M_ref, config)
 
     def one(h):
         t0 = time.perf_counter()
@@ -438,8 +450,8 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
                                          quad_order=config.quad_order)
         V = assembly.assemble_mass(space, potential, h=h,
                                    quad_order=config.quad_order)
-        eig = eig_smallest((K0 + V).tocsr(), assembly.assemble_mass(
-            space, quad_order=config.quad_order), k, tol=config.eig_tol)
+        M = assembly.assemble_mass(space, quad_order=config.quad_order)
+        eig = _rung_eigenpairs(f"h={h}", (K0 + V).tocsr(), M, config)
         vec_err = eigenvector_errors(space, eig.vectors, space_ref,
                                      ref.vectors, M_ref, ref.values)
         limit_res = np.empty(k)

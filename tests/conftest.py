@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gconv import assembly
 from gconv.families import make_builtin_family
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_space
+
+# tests that start ``python -m gconv.cli`` need the package of this checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

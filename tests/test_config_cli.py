@@ -14,6 +14,7 @@ from gconv.config import (
     schema_help,
     validate_config,
 )
+from gconv.linalg import ConvergenceError
 from gconv.sweep import EXPERIMENTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -155,6 +156,71 @@ def test_cli_eigensolver_failure_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "eigensolver" in err
+
+
+def test_cli_unreachable_tolerance_fails_fast_naming_rung(tmp_path, capsys):
+    # the residual floor of the 32768-cell limit pencil lies above eig_tol 1e-10
+    cfg = _write(tmp_path, {"experiment": "eigen-homog",
+                            "family": {"name": "osc1d", "params": [2.0]},
+                            "h_list": [128, 256, 512, 1024],
+                            "points_per_period": 32})
+    code = main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage 'eigensolver': reference: " in err
+    assert "worst residual" in err and "exceeds tol 1.0e-10" in err
+
+
+@pytest.mark.parametrize("subcommand,kind", [("sweep-eigen", "eigen-homog"),
+                                              ("sweep-potential", "eigen-potential")])
+def test_cli_eigensolver_failure_names_rung_h(tmp_path, capsys, monkeypatch,
+                                              subcommand, kind):
+    # the h=8 rung (256 cells, 255 dofs) fails; the reference pencil is larger
+    eig_smallest = sweep.eig_smallest
+
+    def rung_fails(K, M, k, tol):
+        if K.shape[0] == 255:
+            raise ConvergenceError("eig_smallest: worst residual 1e-09 exceeds tol")
+        return eig_smallest(K, M, k, tol=tol)
+
+    monkeypatch.setattr(sweep, "eig_smallest", rung_fails)
+    cfg = _write(tmp_path, _minimal(kind, h_list=[4, 8, 16]))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "stage 'eigensolver': h=8: eig_smallest: worst residual" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,name,subcommand,kind", [
+    ("family", "sin2-potential", "sweep-eigen", "eigen-homog"),
+    ("potential", "osc1d", "gamma-check", "gamma"),
+    ("source", "osc1d", "sweep-source", "source-homog"),
+    ("family", "const-source", "sweep-source", "source-homog"),
+])
+def test_cli_family_of_wrong_class_exit_1(tmp_path, capsys, key, name,
+                                          subcommand, kind):
+    doc = _minimal(kind, **{key: {"name": name}})
+    with pytest.raises(ConfigError, match=f"config key '{key}': '{name}' is a"):
+        validate_config(doc)
+    cfg = _write(tmp_path, doc)
+    for argv in ([subcommand, "--out", str(tmp_path)], ["validate"]):
+        assert main(argv + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"config key '{key}': '{name}' is a" in err
+        assert "Traceback" not in err
+
+
+def test_null_only_where_the_default_is_null():
+    for key in ("solver", "output"):
+        with pytest.raises(ConfigError, match=f"'{key}': expected an object"):
+            validate_config(_minimal(**{key: None}))
+    with pytest.raises(ConfigError, match="'solver.eig_tol': expected float"):
+        validate_config(_minimal(solver={"eig_tol": None}))
+    eff = validate_config(_minimal(potential=None, source=None,
+                                   output={"csv": None}))
+    assert eff["potential"] is None and eff["source"] is None
+    assert eff["output"] == {"csv": None, "json": None}
+    with pytest.raises(ConfigError, match="'family': required"):
+        validate_config(_minimal(family=None))
 
 
 def test_cli_validate_good_config(tmp_path, capsys):

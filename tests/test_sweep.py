@@ -7,9 +7,9 @@ import pytest
 from gconv import __version__, assembly
 from gconv.config import ConfigError, validate_config
 from gconv.families import make_builtin_family
-from gconv.linalg import CLUSTER_GAP
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 from gconv.sweep import (
+    CLUSTER_GAP,
     ExperimentConfig,
     _jsonify,
     emit_report,
