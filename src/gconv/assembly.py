@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .families import check_resolution
+from .families import ConstantMatrixCoefficient, check_resolution
 from .mesh import FeSpace
 
 
@@ -98,13 +98,7 @@ def discrete_h1_norms(space: FeSpace, u: np.ndarray) -> tuple[float, float]:
     u = np.asarray(u, dtype=float)
     if u.shape != (space.num_dofs,):
         raise ValueError(f"vector has shape {u.shape}, expected ({space.num_dofs},)")
-    from .families import make_builtin_family
-
-    unit = make_builtin_family("const", [1.0])
-    if space.mesh.dimension == 2:
-        from .families import ConstantMatrixCoefficient
-
-        unit = ConstantMatrixCoefficient(np.eye(2))
+    unit = ConstantMatrixCoefficient(np.eye(space.mesh.dimension))
     m = assemble_mass(space)
     k = assemble_stiffness(space, unit)
     return float(np.sqrt(u @ (m @ u))), float(np.sqrt(max(u @ (k @ u), 0.0)))

@@ -11,14 +11,27 @@ import copy
 import json
 
 from .families import (
+    RESOLUTION_POINTS,
     CoefficientFamily,
     PotentialFamily,
     SourceFamily,
     make_builtin_family,
 )
+from .homogenize import MIN_QUAD_POINTS
 from .sweep import EXPERIMENTS, ExperimentConfig
 
 MAX_DOFS = 1_000_000
+
+# least value of each integer key
+MINIMA = {
+    "seed": 0,
+    "targets": 0,
+    "points_per_period": 16,
+    "eigen_count": 1,
+    "windows": 1,
+    "quad_points": MIN_QUAD_POINTS,
+    "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
+}
 
 
 class ConfigError(ValueError):
@@ -135,10 +148,14 @@ def validate_config(data: dict) -> dict:
     hs = effective["h_list"]
     if hs != sorted(hs) or len(set(hs)) != len(hs):
         raise ConfigError("config key 'h_list': must be strictly ascending")
-    if effective["points_per_period"] < 16:
-        raise ConfigError("config key 'points_per_period': must be >= 16")
-    if effective["eigen_count"] < 1:
-        raise ConfigError("config key 'eigen_count': must be >= 1")
+    if hs[0] < 1:
+        raise ConfigError("config key 'h_list': entries must be >= 1")
+    for key, least in MINIMA.items():
+        if effective[key] < least:
+            raise ConfigError(f"config key '{key}': must be >= {least}")
+    a, b = effective["phi_support"]
+    if not a < b:
+        raise ConfigError("config key 'phi_support': must be [a, b] with a < b")
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
     dim = getattr(family, "dim", 1)
@@ -147,12 +164,21 @@ def validate_config(data: dict) -> dict:
             f"config key 'source': built-in sources are 1D, but family "
             f"'{family.name}' is {dim}D"
         )
-    n = effective["points_per_period"] * hs[-1]
+    ppp = effective["points_per_period"]
+    n = ppp * hs[-1]
     if experiment.ladder and n ** dim > MAX_DOFS:
         raise ConfigError(
             f"config key 'h_list': mesh of {n ** dim} dofs exceeds the budget "
             f"of {MAX_DOFS}"
         )
+    coarsest = (ppp * hs[0] - 1) ** dim
+    if experiment.ladder and effective["eigen_count"] > coarsest:
+        raise ConfigError(f"config key 'eigen_count': must be <= {coarsest}, "
+                          f"the dofs of the coarsest rung h={hs[0]}")
+    rung = experiment.strip_rung  # no strip narrower than one cell
+    if rung is not None and effective["windows"] > ppp * hs[rung]:
+        raise ConfigError(f"config key 'windows': must be <= {ppp * hs[rung]}, "
+                          f"the cells of the h={hs[rung]} mesh")
     return effective
 
 
@@ -190,7 +216,12 @@ def apply_overrides(data: dict, overrides) -> dict:
             if not isinstance(tag, dict):
                 raise ConfigError(f"override key '{path}': '{part}' is not an object")
             schema = tag
-            node = node.setdefault(part, {})
+            if node.get(part) is None:  # null starts a fresh object, as absence does
+                node[part] = {}
+            node = node[part]
+            if not isinstance(node, dict):
+                raise ConfigError(f"override key '{path}': config key '{part}' "
+                                  f"holds {node!r}, not an object")
         leaf = parts[-1]
         if leaf not in schema:
             raise ConfigError(f"override key '{path}': unknown key")

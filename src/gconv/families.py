@@ -24,16 +24,12 @@ class ResolutionError(RuntimeError):
     """A family was sampled below the points-per-feature rule."""
 
 
-def required_spacing(scale: float | None) -> float | None:
-    """Largest admissible sample spacing for a feature of length ``scale``."""
-    if scale is None:
-        return None
-    return scale / RESOLUTION_POINTS
-
-
 def check_resolution(scale: float | None, spacing: float, context: str) -> None:
-    limit = required_spacing(scale)
-    if limit is not None and spacing > limit * (1.0 + 1e-12):
+    """Refuse a sample spacing above 1/RESOLUTION_POINTS of a feature's length."""
+    if scale is None:
+        return
+    limit = scale / RESOLUTION_POINTS
+    if spacing > limit * (1.0 + 1e-12):
         raise ResolutionError(
             f"{context}: sample spacing {spacing:.3e} exceeds {limit:.3e} "
             f"({RESOLUTION_POINTS} points per feature of length {scale:.3e})"
@@ -210,6 +206,13 @@ class PotentialFamily:
 
     def limit_at(self, x) -> np.ndarray:
         return np.asarray(self.limit(np.asarray(x, dtype=float)), dtype=float)
+
+    def limit_family(self) -> PotentialFamily:
+        """The limit oracle V as an h-independent potential family."""
+        return PotentialFamily(
+            name=f"{self.name}-limit", convergence=self.convergence, p=self.p,
+            bound=self.bound, values=lambda h, x: self.limit_at(x),
+            limit=self.limit)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,7 @@ from .mesh import PERIODIC, build_rect_mesh, build_space
 
 CLOSED_FORM = "closed-form"
 CELL_PROBLEM = "cell-problem"
+MIN_QUAD_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +46,9 @@ def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
     computed at ``quad_points`` and ``2 * quad_points`` subintervals and the
     finer value is returned.
     """
-    if quad_points < 64:
-        raise ValueError(f"quad_points must be >= 64, got {quad_points}")
+    if quad_points < MIN_QUAD_POINTS:
+        raise ValueError(
+            f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
 
     def value(n):
         nodes, weights = _composite_gauss(n)

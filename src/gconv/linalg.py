@@ -78,10 +78,7 @@ def cholesky(matrix) -> CholeskyFactor:
 
 @dataclass(eq=False)
 class EigenResult:
-    """Ascending eigenvalues with M-orthonormal eigenvectors and residuals.
-
-    ``residuals[k]`` is ||K x - lambda M x||_2 / (lambda ||x||_M).
-    """
+    """Ascending eigenvalues, M-orthonormal eigenvectors and their ``residuals``."""
 
     values: np.ndarray     # (k,)
     vectors: np.ndarray    # (n, k)
@@ -94,7 +91,8 @@ def _fix_sign(x: np.ndarray) -> np.ndarray:
     return -x if x[i] < 0.0 else x
 
 
-def _residuals(K, M, vals, vecs) -> np.ndarray:
+def residuals(K, M, vals, vecs) -> np.ndarray:
+    """||K x - lam M x||_2 / (lam ||x||_M) for each pair (lam, column x)."""
     res = np.empty(vals.shape[0])
     for j in range(vals.shape[0]):
         x = vecs[:, j]
@@ -130,7 +128,7 @@ def eig_smallest(K, M, k: int, tol: float = 1e-10) -> EigenResult:
     order = np.argsort(vals)
     vals = vals[order]
     vecs = np.column_stack([_fix_sign(vecs[:, j]) for j in order])
-    res = _residuals(K, M, vals, vecs)
+    res = residuals(K, M, vals, vecs)
     worst = np.max(res)
     if not worst <= tol:  # a NaN residual fails too
         raise ConvergenceError(

@@ -17,16 +17,22 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__, assembly
-from .families import make_builtin_family
+from .families import ConstantMatrixCoefficient
 from .homogenize import homogenized_tensor
-from .linalg import ConvergenceError, cholesky, eig_smallest
+from .linalg import ConvergenceError, cholesky, eig_smallest, residuals
 from .mesh import FeSpace, build_dirichlet_space
-from .variational import _limit_weight, _tensor_family
+from .variational import (
+    div_curl_test,
+    flux_weak_limit,
+    liminf_check,
+    potential_ladder,
+    recovery_check,
+)
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,7 @@ class Experiment:
     runner: str        # name of the run_* function of this module
     outputs: tuple     # default (CSV, JSON) report names; no CSV when None
     ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
+    strip_rung: int | None = None  # h_list index of the mesh cut into strips
 
 
 EXPERIMENTS = {
@@ -47,7 +54,8 @@ EXPERIMENTS = {
         ("family",), "run_eigen_homog", ("report.csv", "report.json")),
     "source-homog": Experiment(
         "sweep-source", "Dirichlet source sweep vs the homogenized solution",
-        ("family", "source"), "run_source_homog", ("report.csv", "report.json")),
+        ("family", "source"), "run_source_homog", ("report.csv", "report.json"),
+        strip_rung=0),
     "eigen-potential": Experiment(
         "sweep-potential", "spectral sweep of a perturbed operator K0 + V_h",
         ("potential",), "run_eigen_potential", ("report.csv", "report.json")),
@@ -56,7 +64,8 @@ EXPERIMENTS = {
         ("potential",), "run_gamma", ("recovery_trace.csv", "gamma.json")),
     "divcurl": Experiment(
         "divcurl", "div-curl pairing trace and flux window averages",
-        ("family", "source"), "run_divcurl", ("divcurl_trace.csv", "divcurl.json")),
+        ("family", "source"), "run_divcurl", ("divcurl_trace.csv", "divcurl.json"),
+        strip_rung=-1),
     "homogenize": Experiment(
         "homogenize", "compute the limit tensor of a coefficient family",
         ("family",), "run_homogenize", (None, "homogenize.json"), ladder=False),
@@ -140,29 +149,9 @@ class SweepReport(Report):
     config_echo: dict
 
     def body(self) -> dict:
-        return {
-            "h_values": self.h_values,
-            "reference": self.reference,
-            "reference_meta": self.reference_meta,
-            "rates": [
-                {"slope": r.slope, "intercept": r.intercept,
-                 "n_used": r.n_used, "excluded": r.excluded}
-                for r in self.rates
-            ],
-            "records": [
-                {
-                    "h": rec.h,
-                    "values": rec.values,
-                    "abs_errors": rec.abs_errors,
-                    "rel_errors": rec.rel_errors,
-                    "residuals": rec.residuals,
-                    "vector_errors": rec.vector_errors,
-                    "limit_residuals": rec.limit_residuals,
-                    "wall_clock": rec.wall_clock,
-                }
-                for rec in self.records
-            ],
-        }
+        body = asdict(self)
+        del body["kind"], body["config_echo"]
+        return body
 
     def table(self):
         """CSV header and rows: one row per h and mode k (1-based for
@@ -297,72 +286,85 @@ def fit_rate(h_values, errors) -> RateFit:
                    int(np.count_nonzero(usable)), excluded)
 
 
-def _reference_pencil(config: ExperimentConfig, dim: int):
-    """Homogenized tensor and the constant-coefficient pencil on the finest mesh."""
-    tensor = homogenized_tensor(config.family,
-                                quad_points=config.quad_points,
-                                cell_resolution=config.cell_resolution)
-    limit_family = _tensor_family(tensor, dim)
-    n_fine = config.points_per_period * max(config.h_list)
-    space = build_dirichlet_space(dim, n_fine)
-    K = assembly.assemble_stiffness(space, limit_family, h=1,
-                                    quad_order=config.quad_order)
-    M = assembly.assemble_mass(space, quad_order=config.quad_order)
-    return tensor, limit_family, space, K, M
+def _limit_tensor(config: ExperimentConfig):
+    return homogenized_tensor(config.family, quad_points=config.quad_points,
+                              cell_resolution=config.cell_resolution)
 
 
-def _rung_eigenpairs(rung: str, K, M, config: ExperimentConfig):
-    """eig_smallest for one pencil of a ladder; a failure names the rung."""
-    try:
-        return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{rung}: {exc}") from exc
+def _finest(config: ExperimentConfig, dim: int):
+    """Finest space of the ladder, where every reference lives, and its unit mass."""
+    space = build_dirichlet_space(dim, config.points_per_period * max(config.h_list))
+    return space, assembly.assemble_mass(space, quad_order=config.quad_order)
 
 
 def _rung_space(config: ExperimentConfig, dim: int, h: int,
                 space_ref: FeSpace) -> FeSpace:
-    """Space of one rung; the top rung shares the reference space and its caches."""
+    """Space of one rung; the top rung shares the finest space and its caches."""
     if h == max(config.h_list):
         return space_ref
     return build_dirichlet_space(dim, config.points_per_period * h)
 
 
-def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
-    """Eigenvalue sweep of the oscillating pencil against its homogenized limit."""
-    family = config.family
-    dim = family.dim
-    k = config.eigen_count
-    tensor, _, space_ref, K_ref, M_ref = _reference_pencil(config, dim)
-    ref = _rung_eigenpairs("reference", K_ref, M_ref, config)
+def _eigen_ladder(config: ExperimentConfig, kind: str, dim: int,
+                  limit_operator, rung_operator, meta: dict,
+                  limit_residuals: bool = False) -> SweepReport:
+    """The rung loop of both eigen sweeps, each operator paired with the unit mass.
 
-    def one(h):
+    ``limit_operator(space)`` gives the reference eigenpairs on the finest
+    space, ``rung_operator(space, h)`` those of rung h on its own space.  With
+    ``limit_residuals`` each rung's eigenpairs, interpolated onto the finest
+    space, are also scored as eigenpairs of the limit operator there.
+    """
+    def eigenpairs(rung, K, M):
+        try:
+            return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{rung}: {exc}") from exc
+
+    space_ref, M_ref = _finest(config, dim)
+    H_ref = limit_operator(space_ref)
+    ref = eigenpairs("reference", H_ref, M_ref)
+    records = []
+    for h in config.h_list:
         t0 = time.perf_counter()
         space = _rung_space(config, dim, h, space_ref)
-        K = assembly.assemble_stiffness(space, family, h=h,
-                                        quad_order=config.quad_order)
         M = (M_ref if space is space_ref
              else assembly.assemble_mass(space, quad_order=config.quad_order))
-        eig = _rung_eigenpairs(f"h={h}", K, M, config)
+        eig = eigenpairs(f"h={h}", rung_operator(space, h), M)
         vec_err = eigenvector_errors(space, eig.vectors, space_ref,
                                      ref.vectors, M_ref, ref.values)
+        limit_res = None
+        if limit_residuals:
+            X = np.column_stack([interpolate_between(space, x, space_ref)
+                                 for x in eig.vectors.T])
+            # contiguous columns: the dot products of a strided column round
+            # differently in the last bit
+            limit_res = residuals(H_ref, M_ref, eig.values, np.asfortranarray(X))
         abs_err = np.abs(eig.values - ref.values)
-        return SweepRecord(
+        records.append(SweepRecord(
             h=h, values=eig.values, abs_errors=abs_err,
             rel_errors=abs_err / np.abs(ref.values),
             residuals=eig.residuals, vector_errors=vec_err,
-            wall_clock=time.perf_counter() - t0,
-        )
+            limit_residuals=limit_res, wall_clock=time.perf_counter() - t0,
+        ))
+    rates = _rates_per_mode(config.h_list, records, config.eigen_count)
+    meta = {**meta, "finest_cells": config.points_per_period * max(config.h_list)}
+    return SweepReport(kind, config.h_list, records, ref.values, meta, rates,
+                       dict(config.echo))
 
-    records = [one(h) for h in config.h_list]
-    rates = _rates_per_mode(config.h_list, records, k)
-    meta = {
-        "tensor": tensor.matrix,
-        "provenance": tensor.provenance,
-        "tensor_est_error": tensor.est_error,
-        "finest_cells": config.points_per_period * max(config.h_list),
-    }
-    return SweepReport("eigen-homog", config.h_list, records, ref.values,
-                       meta, rates, dict(config.echo))
+
+def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
+    """Eigenvalue sweep of the oscillating pencil against its homogenized limit."""
+    family, q = config.family, config.quad_order
+    tensor = _limit_tensor(config)
+    limit = ConstantMatrixCoefficient(tensor.matrix)
+    return _eigen_ladder(
+        config, "eigen-homog", family.dim,
+        lambda space: assembly.assemble_stiffness(space, limit, h=1, quad_order=q),
+        lambda space, h: assembly.assemble_stiffness(space, family, h=h,
+                                                     quad_order=q),
+        {"tensor": tensor.matrix, "provenance": tensor.provenance,
+         "tensor_est_error": tensor.est_error})
 
 
 def run_source_homog(config: ExperimentConfig) -> SweepReport:
@@ -373,13 +375,18 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     """
     family, source = config.family, config.source
     dim = family.dim
-    tensor, limit_family, space_ref, K_ref, M_ref = _reference_pencil(config, dim)
+    tensor = _limit_tensor(config)
+    space_ref, M_ref = _finest(config, dim)
+    K_ref = assembly.assemble_stiffness(space_ref,
+                                        ConstantMatrixCoefficient(tensor.matrix),
+                                        h=1, quad_order=config.quad_order)
     b_ref = assembly.assemble_load(space_ref, source, h=max(config.h_list),
                                    quad_order=config.quad_order)
     u_star = cholesky(K_ref).solve(b_ref)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
     edges = np.linspace(0.0, 1.0, config.windows + 1)
     ref_probes = _window_gradient(space_ref, u_star, edges, config.quad_order)
+    reference = np.concatenate([[0.0], ref_probes])
 
     def one(h):
         t0 = time.perf_counter()
@@ -394,7 +401,6 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
         l2_err = float(np.sqrt(max(diff @ (M_ref @ diff), 0.0)))
         probes = _window_gradient(space, u_h, edges, config.quad_order)
         values = np.concatenate([[l2_err], probes])
-        reference = np.concatenate([[0.0], ref_probes])
         abs_err = np.abs(values - reference)
         rel = np.empty_like(abs_err)
         rel[0] = l2_err / ref_norm
@@ -404,15 +410,9 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
                            rel_errors=rel, wall_clock=time.perf_counter() - t0)
 
     records = [one(h) for h in config.h_list]
-    n_modes = config.windows + 1
-    rates = _rates_per_mode(config.h_list, records, n_modes)
-    meta = {
-        "tensor": tensor.matrix,
-        "provenance": tensor.provenance,
-        "reference_l2_norm": ref_norm,
-        "window_edges": edges,
-    }
-    reference = np.concatenate([[0.0], ref_probes])
+    rates = _rates_per_mode(config.h_list, records, config.windows + 1)
+    meta = {"tensor": tensor.matrix, "provenance": tensor.provenance,
+            "reference_l2_norm": ref_norm, "window_edges": edges}
     return SweepReport("source-homog", config.h_list, records, reference,
                        meta, rates, dict(config.echo))
 
@@ -429,55 +429,21 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
     Also records, per h, the residual of each converged eigenpair in the
     limit problem on the finest mesh, which must decay with h.
     """
-    potential = config.potential
-    dim = 1
-    k = config.eigen_count
-    n_fine = config.points_per_period * max(config.h_list)
-    space_ref = build_dirichlet_space(dim, n_fine)
-    unit = make_builtin_family("const", [1.0])
-    K0_ref = assembly.assemble_stiffness(space_ref, unit, h=1,
-                                         quad_order=config.quad_order)
-    M_ref = assembly.assemble_mass(space_ref, quad_order=config.quad_order)
-    V_ref = assembly.assemble_mass(space_ref, _limit_weight(potential), h=1,
-                                   quad_order=config.quad_order)
-    H_ref = (K0_ref + V_ref).tocsr()
-    ref = _rung_eigenpairs("reference", H_ref, M_ref, config)
+    potential, q = config.potential, config.quad_order
+    unit = ConstantMatrixCoefficient(np.eye(1))
 
-    def one(h):
-        t0 = time.perf_counter()
-        space = _rung_space(config, dim, h, space_ref)
-        K0 = assembly.assemble_stiffness(space, unit, h=1,
-                                         quad_order=config.quad_order)
-        V = assembly.assemble_mass(space, potential, h=h,
-                                   quad_order=config.quad_order)
-        M = assembly.assemble_mass(space, quad_order=config.quad_order)
-        eig = _rung_eigenpairs(f"h={h}", (K0 + V).tocsr(), M, config)
-        vec_err = eigenvector_errors(space, eig.vectors, space_ref,
-                                     ref.vectors, M_ref, ref.values)
-        limit_res = np.empty(k)
-        for j in range(k):
-            x = interpolate_between(space, eig.vectors[:, j], space_ref)
-            xm = np.sqrt(max(x @ (M_ref @ x), np.finfo(float).tiny))
-            r = H_ref @ x - eig.values[j] * (M_ref @ x)
-            limit_res[j] = float(np.linalg.norm(r) / (eig.values[j] * xm))
-        abs_err = np.abs(eig.values - ref.values)
-        return SweepRecord(
-            h=h, values=eig.values, abs_errors=abs_err,
-            rel_errors=abs_err / np.abs(ref.values),
-            residuals=eig.residuals, vector_errors=vec_err,
-            limit_residuals=limit_res,
-            wall_clock=time.perf_counter() - t0,
-        )
+    def operator(space, weight, h):
+        K0 = assembly.assemble_stiffness(space, unit, h=1, quad_order=q)
+        return (K0 + assembly.assemble_mass(space, weight, h=h, quad_order=q)).tocsr()
 
-    records = [one(h) for h in config.h_list]
-    rates = _rates_per_mode(config.h_list, records, k)
-    meta = {
-        "potential": potential.name,
-        "convergence_class": potential.convergence,
-        "finest_cells": n_fine,
-    }
-    return SweepReport("eigen-potential", config.h_list, records, ref.values,
-                       meta, rates, dict(config.echo))
+    limit = potential.limit_family()
+    return _eigen_ladder(
+        config, "eigen-potential", 1,
+        lambda space: operator(space, limit, 1),
+        lambda space, h: operator(space, potential, h),
+        {"potential": potential.name,
+         "convergence_class": potential.convergence},
+        limit_residuals=True)
 
 
 @dataclass(eq=False)
@@ -521,14 +487,10 @@ class GammaReport(Report):
 
 def run_gamma(config: ExperimentConfig) -> GammaReport:
     """Sample the liminf inequality and trace the affine recovery sequence."""
-    from .variational import liminf_check, potential_ladder, recovery_check
-
     potential = config.potential
-    n_fine = config.points_per_period * max(config.h_list)
-    space = build_dirichlet_space(1, n_fine)
-    unit = make_builtin_family("const", [1.0])
-    K0 = assembly.assemble_stiffness(space, unit, h=1, quad_order=config.quad_order)
-    M = assembly.assemble_mass(space, quad_order=config.quad_order)
+    space, M = _finest(config, 1)
+    K0 = assembly.assemble_stiffness(space, ConstantMatrixCoefficient(np.eye(1)),
+                                     h=1, quad_order=config.quad_order)
     ladder = potential_ladder(space, potential, config.h_list, config.quad_order)
     rng = np.random.default_rng(config.seed)
     margins = np.empty(config.targets)
@@ -579,11 +541,7 @@ class DivCurlReport(Report):
 
 def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
     """Pair the discrete energy density against its homogenized limit."""
-    from .variational import div_curl_test, flux_weak_limit
-
-    tensor = homogenized_tensor(config.family,
-                                quad_points=config.quad_points,
-                                cell_resolution=config.cell_resolution)
+    tensor = _limit_tensor(config)
     trace = div_curl_test(config.family, config.h_list, config.source,
                           config.phi_support,
                           points_per_period=config.points_per_period,
@@ -636,8 +594,7 @@ class HomogenizeReport(Report):
 
 def run_homogenize(config: ExperimentConfig) -> HomogenizeReport:
     """Limit tensor of the configured family from its oracle."""
-    tensor = homogenized_tensor(config.family, quad_points=config.quad_points,
-                                cell_resolution=config.cell_resolution)
+    tensor = _limit_tensor(config)
     return HomogenizeReport("homogenize", config.family.name, tensor,
                             dict(config.echo))
 

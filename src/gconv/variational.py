@@ -14,10 +14,10 @@ from scipy import sparse
 
 from . import assembly
 from .families import (
+    ConstantMatrixCoefficient,
     PotentialFamily,
     SourceFamily,
     check_resolution,
-    make_builtin_family,
 )
 from .homogenize import homogenized_tensor
 from .linalg import cholesky
@@ -106,7 +106,7 @@ def potential_ladder(space: FeSpace, family: PotentialFamily, h_list,
     h_list = [int(h) for h in h_list]
     if sorted(h_list) != h_list:
         raise ValueError("h_list must be ascending")
-    limit = assembly.assemble_mass(space, _limit_weight(family), 1, quad_order)
+    limit = assembly.assemble_mass(space, family.limit_family(), 1, quad_order)
     matrices = tuple(assembly.assemble_mass(space, family, h, quad_order)
                      for h in h_list)
     return PotentialLadder(np.asarray(h_list), limit, matrices)
@@ -171,19 +171,6 @@ def liminf_check(space: FeSpace, base: sparse.spmatrix,
                         slack, margin, margin >= 0.0)
 
 
-def _limit_weight(potential_family: PotentialFamily):
-    """Present the limit oracle V as an h-independent potential family."""
-    return PotentialFamily(
-        name=f"{potential_family.name}-limit",
-        convergence=potential_family.convergence,
-        p=potential_family.p,
-        bound=potential_family.bound,
-        values=lambda h, x: potential_family.limit_at(x),
-        limit=potential_family.limit,
-        feature_fraction=None,
-    )
-
-
 def recovery_check(space: FeSpace, base: sparse.spmatrix,
                    ladder: PotentialLadder, u_affine) -> PairingTrace:
     """Energy trace along the constant recovery sequence u_h = u for affine u.
@@ -224,7 +211,7 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
 def _solve_dirichlet(space, family, h, source, source_h, quad_order=4):
     K = assembly.assemble_stiffness(space, family, h=h, quad_order=quad_order)
     b = assembly.assemble_load(space, source, h=source_h, quad_order=quad_order)
-    return cholesky(K).solve(b), K
+    return cholesky(K).solve(b)
 
 
 def _energy_pairing(space, family, h, u, phi, quad_order=4):
@@ -257,25 +244,16 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     phi = interpolate_bump(space, phi_support)
     if limit_tensor is None:
         limit_tensor = homogenized_tensor(coeff_family)
-    limit_family = _tensor_family(limit_tensor, coeff_family.dim)
-    u_star, _ = _solve_dirichlet(space, limit_family, 1, source,
-                                 source_h=h_max, quad_order=quad_order)
+    limit_family = ConstantMatrixCoefficient(limit_tensor.matrix)
+    u_star = _solve_dirichlet(space, limit_family, 1, source,
+                              source_h=h_max, quad_order=quad_order)
     limit_pairing = _energy_pairing(space, limit_family, 1, u_star, phi, quad_order)
     values = []
     for h in h_list:
-        u_h, _ = _solve_dirichlet(space, coeff_family, h, source,
-                                  source_h=h, quad_order=quad_order)
+        u_h = _solve_dirichlet(space, coeff_family, h, source,
+                               source_h=h, quad_order=quad_order)
         values.append(_energy_pairing(space, coeff_family, h, u_h, phi, quad_order))
     return _trace(h_list, values, limit_pairing)
-
-
-def _tensor_family(tensor, dim):
-    from .families import ConstantMatrixCoefficient
-
-    mat = tensor.matrix if hasattr(tensor, "matrix") else np.asarray(tensor)
-    if dim == 1 and mat.size == 1:
-        return make_builtin_family("const", [float(mat.reshape(1)[0])])
-    return ConstantMatrixCoefficient(np.asarray(mat, dtype=float).reshape(dim, dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,11 +286,11 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
         )
     if limit_tensor is None:
         limit_tensor = homogenized_tensor(coeff_family)
-    limit_family = _tensor_family(limit_tensor, coeff_family.dim)
-    u_h, _ = _solve_dirichlet(space, coeff_family, h, source, source_h=h,
+    limit_family = ConstantMatrixCoefficient(limit_tensor.matrix)
+    u_h = _solve_dirichlet(space, coeff_family, h, source, source_h=h,
+                           quad_order=quad_order)
+    u_star = _solve_dirichlet(space, limit_family, 1, source, source_h=h,
                               quad_order=quad_order)
-    u_star, _ = _solve_dirichlet(space, limit_family, 1, source, source_h=h,
-                                 quad_order=quad_order)
     edges = np.linspace(0.0, 1.0, window_count + 1)
     flux = _window_flux(space, coeff_family, h, u_h, edges, quad_order)
     ref = _window_flux(space, limit_family, 1, u_star, edges, quad_order)

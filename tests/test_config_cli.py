@@ -88,6 +88,19 @@ def test_overrides_reject_unknown_and_type():
         validate_config(doc)
 
 
+def test_override_through_null_or_non_object(tmp_path, capsys):
+    # a null on the path starts a fresh object, as an absent key does
+    doc = apply_overrides(_minimal(solver=None), ["solver.eig_tol=1e-8"])
+    assert validate_config(doc)["solver"] == {"eig_tol": 1e-8}
+    for solver, code in ((None, 0), (5, 1)):
+        cfg = _write(tmp_path, _minimal(solver=solver))
+        assert main(["validate", "--config", str(cfg),
+                     "--set", "solver.eig_tol=1e-8"]) == code
+    err = capsys.readouterr().err
+    assert "config key 'solver' holds 5, not an object" in err
+    assert "Traceback" not in err
+
+
 def test_experiment_from_config_builds_families():
     exp = experiment_from_config(validate_config(_minimal()))
     assert exp.family.name == "osc1d"
@@ -207,6 +220,38 @@ def test_cli_family_of_wrong_class_exit_1(tmp_path, capsys, key, name,
         err = capsys.readouterr().err
         assert f"config key '{key}': '{name}' is a" in err
         assert "Traceback" not in err
+
+
+_DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
+            "source": {"name": "const-source"}}
+
+
+@pytest.mark.parametrize("subcommand,kind,extra,key", [
+    ("sweep-eigen", "eigen-homog", {"h_list": [0, 4, 8]}, "h_list"),
+    ("sweep-source", "source-homog", {"windows": 0}, "windows"),
+    ("divcurl", "divcurl", {"windows": 100000, **_DIVCURL}, "windows"),
+    # 1000 strips on the 128 cells of the h=4 rung: strips with no
+    # quadrature point give NaN probes
+    ("sweep-source", "source-homog", {"windows": 1000}, "windows"),
+    ("divcurl", "divcurl", {"phi_support": [0.5, 0.5], **_DIVCURL}, "phi_support"),
+    ("homogenize", "homogenize", {"quad_points": 8}, "quad_points"),
+    ("homogenize", "homogenize",
+     {"cell_resolution": 0, "family": {"name": "laminate2d"}}, "cell_resolution"),
+    # the h=4 rung has 127 dofs
+    ("sweep-eigen", "eigen-homog", {"eigen_count": 128}, "eigen_count"),
+    ("gamma-check", "gamma", {"targets": -1}, "targets"),
+    ("gamma-check", "gamma", {"seed": -1}, "seed"),
+], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
+        "phi-empty", "quad-points", "cell-resolution", "eigen-count",
+        "targets", "seed"])
+def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):
+    cfg = _write(tmp_path, _minimal(kind, **extra))
+    for argv in ([subcommand, "--out", str(tmp_path)], ["validate"]):
+        assert main(argv + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"config key '{key}'" in err
+        assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_null_only_where_the_default_is_null():

@@ -201,9 +201,9 @@ def test_gamma_runner_all_pass():
     assert rep.recovery.abs_errors[-1] <= 1e-2 * abs(rep.recovery.limit) + 1e-10
 
 
-def test_gamma_runner_assembles_each_potential_once(monkeypatch):
-    # one V_h per rung, the limit V and the plain mass matrix, however many
-    # targets share them
+@pytest.fixture
+def mass_calls(monkeypatch):
+    """Arguments of every ``assemble_mass`` call the test makes."""
     calls = []
     assemble_mass = assembly.assemble_mass
 
@@ -212,11 +212,27 @@ def test_gamma_runner_assembles_each_potential_once(monkeypatch):
         return assemble_mass(*args, **kwargs)
 
     monkeypatch.setattr(assembly, "assemble_mass", counting)
+    return calls
+
+
+def test_gamma_runner_assembles_each_potential_once(mass_calls):
+    # one V_h per rung, the limit V and the plain mass matrix, however many
+    # targets share them
     cfg = ExperimentConfig(kind="gamma", h_list=(8, 16, 32),
                            potential=make_builtin_family("sin2-potential"),
                            targets=4, seed=3)
     run_gamma(cfg)
-    assert len(calls) == len(cfg.h_list) + 2
+    assert len(mass_calls) == len(cfg.h_list) + 2
+
+
+def test_potential_sweep_shares_the_finest_mass(mass_calls):
+    # the unit mass and V_h per rung, the limit V once; the top rung reuses
+    # the unit mass of the finest space
+    cfg = ExperimentConfig(kind="eigen-potential", h_list=(4, 8, 16),
+                           potential=make_builtin_family("sin2-potential"),
+                           eigen_count=2)
+    run_eigen_potential(cfg)
+    assert len(mass_calls) == 2 * len(cfg.h_list) + 1
 
 
 def test_divcurl_runner_envelope():
