@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .families import ConstantMatrixCoefficient, check_resolution
+from .families import check_resolution
 from .mesh import FeSpace
 
 
@@ -91,17 +91,6 @@ def assemble_load(space: FeSpace, source, h: int = 1,
     keep = cd.dofs >= 0
     np.add.at(b, cd.dofs[keep], local[keep])
     return b
-
-
-def discrete_h1_norms(space: FeSpace, u: np.ndarray) -> tuple[float, float]:
-    """L2 norm sqrt(u'Mu) and H1 seminorm sqrt(u'K1u), K1 the unit stiffness."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (space.num_dofs,):
-        raise ValueError(f"vector has shape {u.shape}, expected ({space.num_dofs},)")
-    unit = ConstantMatrixCoefficient(np.eye(space.mesh.dimension))
-    m = assemble_mass(space)
-    k = assemble_stiffness(space, unit)
-    return float(np.sqrt(u @ (m @ u))), float(np.sqrt(max(u @ (k @ u), 0.0)))
 
 
 def cell_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:

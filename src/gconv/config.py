@@ -22,7 +22,7 @@ from .sweep import EXPERIMENTS, ExperimentConfig
 
 MAX_DOFS = 1_000_000
 
-# least value of each integer key
+# least value of each numeric top-level key
 MINIMA = {
     "seed": 0,
     "targets": 0,
@@ -31,6 +31,7 @@ MINIMA = {
     "windows": 1,
     "quad_points": MIN_QUAD_POINTS,
     "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
+    "perturbation_scale": 0.0,
 }
 
 
@@ -151,8 +152,10 @@ def validate_config(data: dict) -> dict:
     if hs[0] < 1:
         raise ConfigError("config key 'h_list': entries must be >= 1")
     for key, least in MINIMA.items():
-        if effective[key] < least:
+        if not effective[key] >= least:  # a NaN fails too
             raise ConfigError(f"config key '{key}': must be >= {least}")
+    if not effective["solver"]["eig_tol"] > 0:
+        raise ConfigError("config key 'solver.eig_tol': must be > 0")
     a, b = effective["phi_support"]
     if not a < b:
         raise ConfigError("config key 'phi_support': must be [a, b] with a < b")

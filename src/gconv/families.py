@@ -433,41 +433,3 @@ def validate_ellipticity(family, h: int, sample_count: int = 1000,
         alpha=alpha, beta=beta,
     )
 
-
-def _composite_gauss(n_intervals: int, npts: int = 4):
-    """Nodes and weights of a composite Gauss rule on (0, 1)."""
-    gq, gw = np.polynomial.legendre.leggauss(npts)
-    gq = 0.5 * (gq + 1.0)
-    gw = 0.5 * gw
-    width = 1.0 / n_intervals
-    offsets = np.arange(n_intervals) * width
-    nodes = (offsets[:, None] + width * gq[None, :]).ravel()
-    weights = np.tile(width * gw, n_intervals)
-    return nodes, weights
-
-
-def weak_limit_estimate(family: PotentialFamily, h: int, test_functions,
-                        quad_order: int) -> np.ndarray:
-    """Pairings integral(V_h * phi) over (0, 1) for each test function.
-
-    ``quad_order`` is the number of uniform quadrature subintervals (4-point
-    Gauss each); the call refuses when the subinterval width cannot resolve
-    the family's oscillation at index h.
-    """
-    if quad_order < 1:
-        raise ValueError("quad_order must be >= 1")
-    check_resolution(family.feature_scale(h), 1.0 / quad_order,
-                     f"weak_limit_estimate({family.name}, h={h})")
-    nodes, weights = _composite_gauss(quad_order)
-    v = family.values_at(h, nodes)
-    return np.array([float(np.sum(weights * v * np.asarray(phi(nodes), dtype=float)))
-                     for phi in test_functions])
-
-
-def limit_pairings(family: PotentialFamily, test_functions,
-                   quad_order: int) -> np.ndarray:
-    """Pairings integral(V * phi) against the family's limit oracle."""
-    nodes, weights = _composite_gauss(quad_order)
-    v = family.limit_at(nodes)
-    return np.array([float(np.sum(weights * v * np.asarray(phi(nodes), dtype=float)))
-                     for phi in test_functions])

@@ -16,7 +16,6 @@ from .families import (
     CoefficientFamily,
     ConstantMatrixCoefficient,
     PiecewiseCoefficient,
-    _composite_gauss,
     check_resolution,
 )
 from .linalg import cholesky
@@ -35,9 +34,6 @@ class HomogenizedTensor:
     provenance: str
     est_error: float
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
     """Limit coefficient (integral of 1/a over one period)^-1 of a 1D profile.
@@ -50,8 +46,16 @@ def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
         raise ValueError(
             f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
 
+    gq, gw = np.polynomial.legendre.leggauss(4)
+    gq = 0.5 * (gq + 1.0)
+    gw = 0.5 * gw
+
     def value(n):
-        nodes, weights = _composite_gauss(n)
+        # composite 4-point Gauss rule on n subintervals of (0, 1)
+        width = 1.0 / n
+        offsets = np.arange(n) * width
+        nodes = (offsets[:, None] + width * gq[None, :]).ravel()
+        weights = np.tile(width * gw, n)
         a = np.asarray(profile(nodes), dtype=float)
         if np.any(a <= 0.0):
             raise ValueError("profile is not positive on the unit cell")
@@ -60,12 +64,6 @@ def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
     coarse = value(quad_points)
     fine = value(2 * quad_points)
     return HomogenizedTensor(np.array([[fine]]), CLOSED_FORM, abs(fine - coarse))
-
-
-def arithmetic_mean_1d(profile, quad_points: int = 256) -> float:
-    """Plain average of a profile over one period (laminate oracle helper)."""
-    nodes, weights = _composite_gauss(quad_points)
-    return float(np.sum(weights * np.asarray(profile(nodes), dtype=float)))
 
 
 class _UnitCellField:

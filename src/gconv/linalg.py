@@ -3,8 +3,7 @@
 The factorization is a SuperLU decomposition run in symmetric mode with a
 fill-reducing ordering and diagonal pivoting disabled, which for a
 symmetric positive definite matrix is a Cholesky factorization up to a
-diagonal scaling; ``CholeskyFactor.lower`` recovers the genuine L such that
-L L' equals the symmetrically permuted input.
+diagonal scaling.
 
 The eigensolver extracts the k smallest eigenvalues of K x = lambda M x
 with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode at
@@ -32,7 +31,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class CholeskyFactor:
-    """Lower-triangular sparse factor with a fill-reducing permutation."""
+    """Sparse SPD factor with a fill-reducing permutation."""
 
     n: int
     _lu: object
@@ -42,12 +41,6 @@ class CholeskyFactor:
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has length {b.shape[0]}, expected {self.n}")
         return self._lu.solve(b)
-
-    def lower(self):
-        """Return (L, perm) with L L' = A[perm][:, perm] for the input A."""
-        d = np.sqrt(self._lu.U.diagonal())
-        L = self._lu.L @ sparse.diags(d)
-        return L.tocsr(), np.argsort(self._lu.perm_c)
 
 
 def cholesky(matrix) -> CholeskyFactor:

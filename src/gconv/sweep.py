@@ -99,13 +99,18 @@ class ExperimentConfig:
 class Report:
     """What ``emit_report`` needs from every experiment report.
 
-    A report has ``kind`` and ``config_echo`` fields; ``body`` returns its
-    kind-specific JSON fields and ``table``, for kinds that write a CSV, its
-    header and rows.
+    A report is a dataclass with ``kind`` and ``config_echo`` fields;
+    ``table``, for kinds that write a CSV, returns its header and rows.
     """
 
     # a numerical check that failed after the reports were complete
     failed_stage = None
+
+    def body(self) -> dict:
+        """The kind-specific JSON fields: every field but kind and config_echo."""
+        body = asdict(self)
+        del body["kind"], body["config_echo"]
+        return body
 
     def lines(self) -> list:
         """Summary lines printed by ``gconv -v``."""
@@ -147,11 +152,6 @@ class SweepReport(Report):
     reference_meta: dict
     rates: list
     config_echo: dict
-
-    def body(self) -> dict:
-        body = asdict(self)
-        del body["kind"], body["config_echo"]
-        return body
 
     def table(self):
         """CSV header and rows: one row per h and mode k (1-based for
@@ -229,21 +229,18 @@ def _clusters(values: np.ndarray):
     return groups
 
 
-def eigenvector_errors(space_h: FeSpace, vectors_h: np.ndarray,
-                       space_ref: FeSpace, vectors_ref: np.ndarray,
+def eigenvector_errors(interp: np.ndarray, vectors_ref: np.ndarray,
                        mass_ref, ref_values: np.ndarray) -> np.ndarray:
     """L2 distances between eigenvectors after sign alignment.
 
-    Vectors are interpolated onto the reference space and normalized in the
-    reference mass norm.  Inside a degenerate cluster the individual vectors
-    are not comparable, so every vector of the cluster is scored by the
-    principal-angle distance between the spanned subspaces.
+    ``interp`` holds a rung's vectors interpolated onto the reference space;
+    a copy is normalized in the reference mass norm.  Inside a degenerate
+    cluster the individual vectors are not comparable, so every vector of
+    the cluster is scored by the principal-angle distance between the
+    spanned subspaces.
     """
-    k = vectors_h.shape[1]
-    interp = np.column_stack([
-        interpolate_between(space_h, vectors_h[:, j], space_ref)
-        for j in range(k)
-    ])
+    k = interp.shape[1]
+    interp = interp.copy()
     for j in range(k):
         nrm = np.sqrt(interp[:, j] @ (mass_ref @ interp[:, j]))
         if nrm > 0:
@@ -311,9 +308,10 @@ def _eigen_ladder(config: ExperimentConfig, kind: str, dim: int,
     """The rung loop of both eigen sweeps, each operator paired with the unit mass.
 
     ``limit_operator(space)`` gives the reference eigenpairs on the finest
-    space, ``rung_operator(space, h)`` those of rung h on its own space.  With
-    ``limit_residuals`` each rung's eigenpairs, interpolated onto the finest
-    space, are also scored as eigenpairs of the limit operator there.
+    space, ``rung_operator(space, h)`` those of rung h on its own space.  Each
+    rung's eigenvectors are interpolated onto the finest space once; with
+    ``limit_residuals`` they are also scored there as eigenpairs of the limit
+    operator.
     """
     def eigenpairs(rung, K, M):
         try:
@@ -331,12 +329,11 @@ def _eigen_ladder(config: ExperimentConfig, kind: str, dim: int,
         M = (M_ref if space is space_ref
              else assembly.assemble_mass(space, quad_order=config.quad_order))
         eig = eigenpairs(f"h={h}", rung_operator(space, h), M)
-        vec_err = eigenvector_errors(space, eig.vectors, space_ref,
-                                     ref.vectors, M_ref, ref.values)
+        X = np.column_stack([interpolate_between(space, x, space_ref)
+                             for x in eig.vectors.T])
+        vec_err = eigenvector_errors(X, ref.vectors, M_ref, ref.values)
         limit_res = None
         if limit_residuals:
-            X = np.column_stack([interpolate_between(space, x, space_ref)
-                                 for x in eig.vectors.T])
             # contiguous columns: the dot products of a strided column round
             # differently in the last bit
             limit_res = residuals(H_ref, M_ref, eig.values, np.asfortranarray(X))
@@ -513,27 +510,9 @@ class DivCurlReport(Report):
 
     kind: str
     trace: object                  # PairingTrace
-    flux: object                   # FluxWindowReport
+    flux_windows: object           # FluxWindowReport
     envelope_prediction: float     # 1/h fit from the leading rungs at h_max
     config_echo: dict
-
-    def body(self) -> dict:
-        return {
-            "trace": {
-                "h_values": self.trace.h_values,
-                "values": self.trace.values,
-                "limit": self.trace.limit,
-                "abs_errors": self.trace.abs_errors,
-            },
-            "envelope_prediction": self.envelope_prediction,
-            "flux_windows": {
-                "h": self.flux.h,
-                "edges": self.flux.window_edges,
-                "flux_averages": self.flux.flux_averages,
-                "reference_averages": self.flux.reference_averages,
-                "abs_errors": self.flux.abs_errors,
-            },
-        }
 
     def table(self):
         return self.trace.table()
@@ -580,22 +559,20 @@ class HomogenizeReport(Report):
 
     kind: str
     family: str
-    tensor: object                 # HomogenizedTensor
+    tensor: np.ndarray
+    provenance: str
+    est_error: float
     config_echo: dict
 
-    def body(self) -> dict:
-        return {"family": self.family, "tensor": self.tensor.matrix,
-                "provenance": self.tensor.provenance,
-                "est_error": self.tensor.est_error}
-
     def lines(self) -> list:
-        return [str(self.tensor.matrix.tolist())]
+        return [str(self.tensor.tolist())]
 
 
 def run_homogenize(config: ExperimentConfig) -> HomogenizeReport:
     """Limit tensor of the configured family from its oracle."""
     tensor = _limit_tensor(config)
-    return HomogenizeReport("homogenize", config.family.name, tensor,
+    return HomogenizeReport("homogenize", config.family.name, tensor.matrix,
+                            tensor.provenance, tensor.est_error,
                             dict(config.echo))
 
 

@@ -261,7 +261,7 @@ class FluxWindowReport:
     """Window averages of the discrete flux against the homogenized flux."""
 
     h: int
-    window_edges: np.ndarray       # (W + 1,)
+    edges: np.ndarray              # (W + 1,)
     flux_averages: np.ndarray      # (W, dim)
     reference_averages: np.ndarray
     abs_errors: np.ndarray         # (W,)

@@ -1,0 +1,69 @@
+"""The package's public functions and classes all have a caller.
+
+A public module-level function or class of ``src/gconv`` must be named in
+another module of the package, in its own module outside its definition, or
+in the acceptance suite.  What only the other unit tests reach is not API.
+
+A use is resolved to the module that defines it: a bare name counts for the
+module it was imported from (or its own module), and an attribute counts only
+on a name bound to a package module (``assembly.assemble_mass``), so a method
+of the same name on an unrelated object is no use.  A string constant counts
+for its own module, because the experiment registry names its runners.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gconv"
+
+
+def _uses(tree, stem, skip=None) -> set:
+    """``(module, name)`` pairs used under ``tree`` of module ``stem``,
+    leaving out the subtree ``skip``; an import alone is no use."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if not node.level:
+            if source.split(".")[0] != "gconv":
+                continue
+            source = source.removeprefix("gconv").lstrip(".")
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if source:
+                names[bound] = (source, alias.name)
+            else:
+                modules[bound] = alias.name
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(names.get(node.id, (stem, node.id)))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            out.add((modules[node.value.id], node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add((stem, node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_public_definitions_are_reached():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = {stem: _uses(tree, stem) for stem, tree in trees.items()}
+    used["test_acceptance"] = _uses(
+        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()), "test_acceptance")
+    unreached = []
+    for stem, tree in trees.items():
+        elsewhere = set().union(*(u for s, u in used.items() if s != stem))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and (stem, node.name) not in elsewhere
+                    and (stem, node.name) not in _uses(tree, stem, skip=node)):
+                unreached.append(f"{stem}.{node.name}")
+    assert not unreached, f"public but reached only by unit tests: {unreached}"

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -241,9 +242,18 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     ("sweep-eigen", "eigen-homog", {"eigen_count": 128}, "eigen_count"),
     ("gamma-check", "gamma", {"targets": -1}, "targets"),
     ("gamma-check", "gamma", {"seed": -1}, "seed"),
+    # no residual meets a tolerance <= 0 or NaN
+    ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": 0.0}}, "solver.eig_tol"),
+    ("sweep-potential", "eigen-potential", {"solver": {"eig_tol": -1.0}},
+     "solver.eig_tol"),
+    ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": math.nan}},
+     "solver.eig_tol"),
+    ("gamma-check", "gamma", {"perturbation_scale": -1.0}, "perturbation_scale"),
+    ("gamma-check", "gamma", {"perturbation_scale": math.nan}, "perturbation_scale"),
 ], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
         "phi-empty", "quad-points", "cell-resolution", "eigen-count",
-        "targets", "seed"])
+        "targets", "seed", "eig-tol-zero", "eig-tol-negative", "eig-tol-nan",
+        "perturbation-negative", "perturbation-nan"])
 def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):
     cfg = _write(tmp_path, _minimal(kind, **extra))
     for argv in ([subcommand, "--out", str(tmp_path)], ["validate"]):

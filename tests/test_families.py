@@ -1,15 +1,30 @@
 import numpy as np
 import pytest
 
+from gconv import assembly
 from gconv.families import (
     CoefficientFamily,
     ResolutionError,
-    limit_pairings,
     make_builtin_family,
     piecewise_coefficient,
     validate_ellipticity,
-    weak_limit_estimate,
 )
+from gconv.mesh import PERIODIC, build_interval_mesh, build_space
+
+
+def _pairing(family, h, phi, cells):
+    """integral(V_h * phi) over (0, 1): 1' M phi, M the periodic mass of V_h."""
+    sp = build_space(build_interval_mesh(cells), PERIODIC)
+    M = assembly.assemble_mass(sp, family, h=h)
+    return float(np.ones(sp.num_dofs) @ (M @ sp.interpolate(phi)))
+
+
+def _one(x):
+    return np.ones_like(x)
+
+
+def _tent(x):  # periodic, and exact in P1 on an even number of cells
+    return 1.0 - np.abs(2.0 * x - 1.0)
 
 
 def test_osc1d_bounds():
@@ -92,40 +107,33 @@ def test_builtins_elliptic_across_ladder(name):
 
 def test_weak_limit_sin2_constant_test_function():
     fam = make_builtin_family("sin2-potential")
-    (pairing,) = weak_limit_estimate(fam, 8, [lambda x: np.ones_like(x)], 512)
-    assert abs(pairing - 0.5) <= 1e-10
+    assert abs(_pairing(fam, 8, _one, 512) - 0.5) <= 1e-10
 
 
 def test_weak_limit_spike():
     fam = make_builtin_family("spike-potential", [2.0])
-    (pairing,) = weak_limit_estimate(fam, 16, [lambda x: np.ones_like(x)], 512)
-    assert abs(pairing - 0.25) <= 1e-12  # 16^(1/2) / 16
+    assert abs(_pairing(fam, 16, _one, 512) - 0.25) <= 1e-12  # 16^(1/2) / 16
 
 
 def test_weak_limit_const_potential():
     fam = make_builtin_family("const-potential", [1.7])
-    phi = lambda x: 1.0 - x
-    (pairing,) = weak_limit_estimate(fam, 3, [phi], 128)
+    pairing = _pairing(fam, 3, _tent, 128)
     assert abs(pairing - 1.7 * 0.5) <= 1e-12
-    (limit,) = limit_pairings(fam, [phi], 128)
+    limit = _pairing(fam.limit_family(), 1, _tent, 128)
     assert abs(limit - pairing) <= 1e-14
 
 
 def test_weak_limit_refuses_coarse_quadrature():
     fam = make_builtin_family("sin2-potential")  # feature 1/(2h)
     with pytest.raises(ResolutionError):
-        weak_limit_estimate(fam, 16, [lambda x: x], 64)
+        _pairing(fam, 16, _tent, 64)
 
 
 def test_sin2_pairings_whole_period_cancellation():
-    # against a fixed affine function the error is non-increasing as h doubles
+    # against a fixed test function the error is non-increasing as h doubles
     fam = make_builtin_family("sin2-potential")
-    phi = lambda x: 2.0 * x + 1.0
-    (ref,) = limit_pairings(fam, [phi], 8192)
-    errs = []
-    for h in (4, 8, 16, 32, 64):
-        (p,) = weak_limit_estimate(fam, h, [phi], 8192)
-        errs.append(abs(p - ref))
+    ref = _pairing(fam.limit_family(), 1, _tent, 8192)
+    errs = [abs(_pairing(fam, h, _tent, 8192) - ref) for h in (4, 8, 16, 32, 64)]
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12
 
@@ -134,10 +142,7 @@ def test_sin2_pairings_whole_period_cancellation():
 def test_spike_pairing_decay_rate(p):
     fam = make_builtin_family("spike-potential", [p])
     hs = np.array([16, 32, 64, 128, 256])
-    pair = np.array([
-        weak_limit_estimate(fam, int(h), [lambda x: np.ones_like(x)], int(32 * h))[0]
-        for h in hs
-    ])
+    pair = np.array([_pairing(fam, int(h), _one, int(32 * h)) for h in hs])
     slope = np.polyfit(np.log(hs), np.log(pair), 1)[0]
     assert abs(slope - (1.0 / p - 1.0)) <= 0.1
 

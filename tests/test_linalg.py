@@ -22,22 +22,6 @@ def _random_spd(n, seed, shift=None):
     return sparse.csr_matrix(B @ B.T + (shift if shift is not None else n) * np.eye(n))
 
 
-def test_cholesky_identity():
-    f = cholesky(sparse.identity(5, format="csr"))
-    L, perm = f.lower()
-    assert np.allclose(L.toarray(), np.eye(5))
-    assert np.array_equal(np.sort(perm), np.arange(5))
-
-
-def test_cholesky_reproduces_permuted_input():
-    A = _random_spd(40, seed=2)
-    L, perm = cholesky(A).lower()
-    Ap = A.toarray()[np.ix_(perm, perm)]
-    rel = np.linalg.norm((L @ L.T).toarray() - Ap) / np.linalg.norm(Ap)
-    assert rel <= 1e-12
-    assert abs(sparse.triu(L, 1)).sum() == 0.0
-
-
 def test_cholesky_solve_tridiagonal(quarter_space, unit_family):
     K = assembly.assemble_stiffness(quarter_space, unit_family)
     # brute-force elimination oracle for K = tridiag(-4, 8, -4), b = ones

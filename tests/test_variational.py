@@ -232,7 +232,7 @@ def test_flux_weak_limit_osc1d_window_averages():
     src = make_builtin_family("const-source", [1.0])
     rep = flux_weak_limit(fam, 32, src, 8)
     # homogenized flux sqrt(3) u*' = (1 - 2x)/2: window averages over strips
-    centers = 0.5 * (rep.window_edges[:-1] + rep.window_edges[1:])
+    centers = 0.5 * (rep.edges[:-1] + rep.edges[1:])
     assert np.allclose(rep.reference_averages[:, 0], (1 - 2 * centers) / 2,
                        atol=1e-9)
     assert rep.abs_errors.max() <= 5e-3
