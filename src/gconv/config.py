@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 
 from .families import (
     RESOLUTION_POINTS,
@@ -21,6 +22,8 @@ from .homogenize import MIN_QUAD_POINTS
 from .sweep import EXPERIMENTS, ExperimentConfig
 
 MAX_DOFS = 1_000_000
+# the 1D rule builds a dense matrix of this order; 16 points integrate degree 31
+MAX_QUAD_ORDER = 16
 
 # least value of each numeric top-level key
 MINIMA = {
@@ -28,6 +31,7 @@ MINIMA = {
     "targets": 0,
     "points_per_period": 16,
     "eigen_count": 1,
+    "quad_order": 1,
     "windows": 1,
     "quad_points": MIN_QUAD_POINTS,
     "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
@@ -75,7 +79,8 @@ SCHEMA = {
     "h_list": ("int_list", [4, 8, 16, 32, 64], "ascending frequency ladder"),
     "points_per_period": ("int", 32, "mesh points per oscillation period (>= 16)"),
     "eigen_count": ("int", 3, "number of eigenpairs per rung"),
-    "quad_order": ("int", 4, "Gauss points per 1D cell (2D: 1 or 2)"),
+    "quad_order": ("int", 4, f"Gauss points per 1D cell, 1 to {MAX_QUAD_ORDER} "
+                             "(2D: 1 or 2)"),
     "family": (_FAMILY_SCHEMA, None, "coefficient family spec"),
     "potential": (_FAMILY_SCHEMA, None, "potential family spec"),
     "source": (_FAMILY_SCHEMA, None, "source family spec"),
@@ -154,6 +159,8 @@ def validate_config(data: dict) -> dict:
     for key, least in MINIMA.items():
         if not effective[key] >= least:  # a NaN fails too
             raise ConfigError(f"config key '{key}': must be >= {least}")
+    if effective["quad_order"] > MAX_QUAD_ORDER:
+        raise ConfigError(f"config key 'quad_order': must be <= {MAX_QUAD_ORDER}")
     if not effective["solver"]["eig_tol"] > 0:
         raise ConfigError("config key 'solver.eig_tol': must be > 0")
     a, b = effective["phi_support"]
@@ -233,7 +240,11 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 
 def build_family(spec: dict, key: str):
-    """Instantiate a family from its config spec, honoring declared bounds."""
+    """The built-in family a config spec names, or None for a null spec.
+
+    Raises ``ConfigError`` unless the family is of the class ``key`` takes.
+    The spec's ``alpha`` and ``beta`` are read only by ``gconv validate``.
+    """
     if spec is None:
         return None
     try:
@@ -251,29 +262,13 @@ def build_family(spec: dict, key: str):
 
 def experiment_from_config(effective: dict) -> ExperimentConfig:
     """Assemble the typed experiment description from an effective config."""
-    family = build_family(effective.get("family"), "family")
-    potential = build_family(effective.get("potential"), "potential")
-    source = build_family(effective.get("source"), "source")
-    return ExperimentConfig(
-        kind=effective["experiment"],
-        h_list=tuple(effective["h_list"]),
-        points_per_period=effective["points_per_period"],
-        eigen_count=effective["eigen_count"],
-        eig_tol=effective["solver"]["eig_tol"],
-        quad_order=effective["quad_order"],
-        seed=effective["seed"],
-        family=family,
-        potential=potential,
-        source=source,
-        windows=effective["windows"],
-        phi_support=tuple(effective["phi_support"]),
-        affine=tuple(effective["affine"]),
-        targets=effective["targets"],
-        perturbation_scale=effective["perturbation_scale"],
-        cell_resolution=effective["cell_resolution"],
-        quad_points=effective["quad_points"],
-        echo=effective,
-    )
+    names = {f.name for f in fields(ExperimentConfig)} - set(FAMILY_CLASSES)
+    flat = {key: tuple(value) if isinstance(value, list) else value
+            for key, value in effective.items() if key in names}
+    families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
+    return ExperimentConfig(kind=effective["experiment"],
+                            eig_tol=effective["solver"]["eig_tol"], echo=effective,
+                            **flat, **families)
 
 
 def schema_help(kind: str | None = None) -> str:

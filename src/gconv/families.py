@@ -2,14 +2,15 @@
 
 Built-in families realize the canonical settings of periodic homogenization
 (oscillation at frequency h) plus a concentration family for the weakly but
-not uniformly convergent potential regime.  Every family carries analytic
-limit oracles and declared bounds, and oscillatory families expose the
-length of their finest feature so numerical consumers can refuse to sample
-below RESOLUTION_POINTS points per feature instead of silently aliasing.
+not uniformly convergent potential regime.  Every family carries what its
+limit oracle reads (a unit-cell profile, or an analytic limit), and
+oscillatory families expose the length of their finest feature so numerical
+consumers can refuse to sample below RESOLUTION_POINTS points per feature
+instead of silently aliasing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,21 +39,17 @@ def check_resolution(scale: float | None, spacing: float, context: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientFamily:
-    """Symmetric elliptic coefficient sequence A_h(x) with bounds alpha, beta.
+    """Symmetric elliptic coefficient sequence A_h(x) = a(h x) I with bounds alpha, beta.
 
-    ``scalar`` evaluates the isotropic multiplier a_h at points (the built-in
-    families are all of the form a_h(x) * I); ``unit_profile`` is the
-    1-periodic profile on the unit cell used by the homogenization oracles.
-    ``limit_oracle`` is one of ``closed-form``, ``cell-problem``, ``none``.
+    ``unit_profile`` is the 1-periodic profile a on the unit cell, read at
+    h x (the first coordinate in 2D) and by the homogenization oracles.
     """
 
     name: str
     dim: int
     alpha: float
     beta: float
-    limit_oracle: str
-    scalar: Callable[[int, np.ndarray], np.ndarray]
-    unit_profile: Callable[[np.ndarray], np.ndarray] | None = None
+    unit_profile: Callable[[np.ndarray], np.ndarray]
     feature_fraction: float | None = None   # finest feature = fraction / h
 
     def feature_scale(self, h: int) -> float | None:
@@ -64,7 +61,7 @@ class CoefficientFamily:
         """Isotropic multiplier a_h at sample points (first coordinate in 2D)."""
         pts = np.asarray(x, dtype=float)
         coord = pts if self.dim == 1 else pts[..., 0]
-        return np.asarray(self.scalar(h, coord), dtype=float)
+        return np.asarray(self.unit_profile(h * coord), dtype=float)
 
     def matrix_at(self, h: int, x) -> np.ndarray:
         """Full coefficient matrices a_h(x) * I with shape (..., dim, dim)."""
@@ -81,7 +78,6 @@ class ConstantMatrixCoefficient:
 
     matrix: np.ndarray
     name: str = "const-matrix"
-    limit_oracle: str = "closed-form"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -95,14 +91,6 @@ class ConstantMatrixCoefficient:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def alpha(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    @property
-    def beta(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
-
     def feature_scale(self, h: int) -> None:
         return None
 
@@ -111,19 +99,13 @@ class ConstantMatrixCoefficient:
         base = pts.shape if self.dim == 1 else pts.shape[:-1]
         return np.broadcast_to(self.matrix, base + self.matrix.shape).copy()
 
-    def values_at(self, h: int, x) -> np.ndarray:
-        if self.dim != 1:
-            raise ValueError("scalar evaluation undefined for matrix coefficient")
-        return np.full(np.asarray(x, dtype=float).shape, self.matrix[0, 0])
-
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseCoefficient:
-    """1D coefficient glued from families on disjoint subintervals.
+    """1D coefficient families on disjoint subintervals.
 
-    Used to exercise locality of the homogenized limit: each piece keeps its
-    own oracle and the limit on a subinterval is the limit of the standalone
-    family there.
+    Used to exercise locality of the homogenized limit: the limit on a
+    subinterval is the limit of the standalone family there.
     """
 
     pieces: tuple   # ((x0, x1), CoefficientFamily), ...
@@ -141,57 +123,32 @@ class PiecewiseCoefficient:
             if fam.dim != 1:
                 raise ValueError("piecewise composition is 1D only")
 
-    @property
-    def dim(self) -> int:
-        return 1
 
-    @property
-    def alpha(self) -> float:
-        return min(f.alpha for _, f in self.pieces)
-
-    @property
-    def beta(self) -> float:
-        return max(f.beta for _, f in self.pieces)
-
-    @property
-    def limit_oracle(self) -> str:
-        tags = {f.limit_oracle for _, f in self.pieces}
-        return "none" if "none" in tags else "closed-form"
-
-    def feature_scale(self, h: int) -> float | None:
-        scales = [f.feature_scale(h) for _, f in self.pieces]
-        scales = [s for s in scales if s is not None]
-        return min(scales) if scales else None
+class _Sequence:
+    """Values f_h and the limit f of an h-indexed sequence of functions."""
 
     def values_at(self, h: int, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        out = np.empty_like(pts)
-        out.fill(np.nan)
-        for (a, b), fam in self.pieces:
-            sel = (pts >= a - 1e-14) & (pts <= b + 1e-14)
-            out[sel] = fam.values_at(h, pts[sel])
-        if np.any(np.isnan(out)):
-            raise ValueError("sample point outside every subdomain")
-        return out
+        return np.asarray(self.values(h, np.asarray(x, dtype=float)), dtype=float)
 
-    def matrix_at(self, h: int, x) -> np.ndarray:
-        a = self.values_at(h, x)
-        return a[..., None, None]
+    def limit_at(self, x) -> np.ndarray:
+        return np.asarray(self.limit(np.asarray(x, dtype=float)), dtype=float)
+
+    def limit_family(self):
+        """The limit as an h-independent family of the same class."""
+        return replace(self, name=f"{self.name}-limit", feature_fraction=None,
+                       values=lambda h, x: self.limit_at(x))
 
 
 @dataclass(frozen=True, eq=False)
-class PotentialFamily:
+class PotentialFamily(_Sequence):
     """Nonnegative multiplicative perturbation V_h with a declared limit.
 
-    ``convergence`` tags the mode in which V_h approaches the oracle:
-    ``weak-star-Linf`` families are uniformly bounded by ``bound``;
-    ``weak-Lp`` families are bounded by ``bound`` in the L^p norm.
+    ``convergence`` tags the mode in which V_h approaches the limit:
+    ``weak-star-Linf`` (uniformly bounded) or ``weak-Lp`` (bounded in L^p).
     """
 
     name: str
     convergence: str
-    p: float
-    bound: float
     values: Callable[[int, np.ndarray], np.ndarray]
     limit: Callable[[np.ndarray], np.ndarray]
     feature_fraction: float | None = None
@@ -201,22 +158,9 @@ class PotentialFamily:
             return None
         return self.feature_fraction / h
 
-    def values_at(self, h: int, x) -> np.ndarray:
-        return np.asarray(self.values(h, np.asarray(x, dtype=float)), dtype=float)
-
-    def limit_at(self, x) -> np.ndarray:
-        return np.asarray(self.limit(np.asarray(x, dtype=float)), dtype=float)
-
-    def limit_family(self) -> PotentialFamily:
-        """The limit oracle V as an h-independent potential family."""
-        return PotentialFamily(
-            name=f"{self.name}-limit", convergence=self.convergence, p=self.p,
-            bound=self.bound, values=lambda h, x: self.limit_at(x),
-            limit=self.limit)
-
 
 @dataclass(frozen=True, eq=False)
-class SourceFamily:
+class SourceFamily(_Sequence):
     """Right-hand side sequence f_h converging strongly to ``limit``."""
 
     name: str
@@ -228,12 +172,6 @@ class SourceFamily:
         if self.feature_fraction is None:
             return None
         return self.feature_fraction  # fixed-scale oscillation, h-independent
-
-    def values_at(self, h: int, x) -> np.ndarray:
-        return np.asarray(self.values(h, np.asarray(x, dtype=float)), dtype=float)
-
-    def limit_at(self, x) -> np.ndarray:
-        return np.asarray(self.limit(np.asarray(x, dtype=float)), dtype=float)
 
 
 def _two_phase_profile(p1: float, p2: float):
@@ -279,8 +217,6 @@ def make_builtin_family(name: str, params=()):
         profile = _sin_profile(offset)
         return CoefficientFamily(
             name="osc1d", dim=1, alpha=offset - 1.0, beta=offset + 1.0,
-            limit_oracle="closed-form",
-            scalar=lambda h, x: profile(h * x),
             unit_profile=profile, feature_fraction=1.0,
         )
 
@@ -291,8 +227,6 @@ def make_builtin_family(name: str, params=()):
         profile = _two_phase_profile(p1, p2)
         return CoefficientFamily(
             name="twophase1d", dim=1, alpha=min(p1, p2), beta=max(p1, p2),
-            limit_oracle="closed-form",
-            scalar=lambda h, x: profile(h * x),
             unit_profile=profile, feature_fraction=1.0,
         )
 
@@ -311,8 +245,6 @@ def make_builtin_family(name: str, params=()):
             alpha, beta = offset - 1.0, offset + 1.0
         return CoefficientFamily(
             name="laminate2d", dim=2, alpha=alpha, beta=beta,
-            limit_oracle="cell-problem",
-            scalar=lambda h, x: profile(h * x),
             unit_profile=profile, feature_fraction=1.0,
         )
 
@@ -322,8 +254,6 @@ def make_builtin_family(name: str, params=()):
             raise ValueError(f"const coefficient must be positive, got {c}")
         return CoefficientFamily(
             name="const", dim=1, alpha=c, beta=c,
-            limit_oracle="closed-form",
-            scalar=lambda h, x: np.full(np.shape(x), c, dtype=float),
             unit_profile=lambda y: np.full(np.shape(y), c, dtype=float),
             feature_fraction=None,
         )
@@ -331,7 +261,7 @@ def make_builtin_family(name: str, params=()):
     if name == "sin2-potential":
         # sin^2(2 pi h x) is 1/(2h)-periodic; its weak* limit is the mean 1/2.
         return PotentialFamily(
-            name="sin2-potential", convergence=WEAK_STAR_LINF, p=np.inf, bound=1.0,
+            name="sin2-potential", convergence=WEAK_STAR_LINF,
             values=lambda h, x: np.sin(2.0 * np.pi * h * x) ** 2,
             limit=lambda x: np.full(np.shape(x), 0.5, dtype=float),
             feature_fraction=0.5,
@@ -342,7 +272,7 @@ def make_builtin_family(name: str, params=()):
         if p < 2.0:
             raise ValueError(f"spike-potential exponent must satisfy p >= 2, got {p}")
         return PotentialFamily(
-            name="spike-potential", convergence=WEAK_LP, p=p, bound=1.0,
+            name="spike-potential", convergence=WEAK_LP,
             values=lambda h, x: np.where(
                 (x >= 0.0) & (x <= 1.0 / h), float(h) ** (1.0 / p), 0.0
             ),
@@ -355,7 +285,7 @@ def make_builtin_family(name: str, params=()):
         if c < 0.0:
             raise ValueError(f"const-potential must be nonnegative, got {c}")
         return PotentialFamily(
-            name="const-potential", convergence=WEAK_STAR_LINF, p=np.inf, bound=c,
+            name="const-potential", convergence=WEAK_STAR_LINF,
             values=lambda h, x: np.full(np.shape(x), c, dtype=float),
             limit=lambda x: np.full(np.shape(x), c, dtype=float),
             feature_fraction=None,

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .families import (
-    CoefficientFamily,
-    ConstantMatrixCoefficient,
-    PiecewiseCoefficient,
-    check_resolution,
-)
+from .families import CoefficientFamily, PiecewiseCoefficient, check_resolution
 from .linalg import cholesky
 from .mesh import PERIODIC, build_rect_mesh, build_space
 
@@ -151,24 +146,14 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
     return HomogenizedTensor(eff, CELL_PROBLEM, est)
 
 
-def homogenized_tensor(family, *, quad_points: int = 512,
+def homogenized_tensor(family: CoefficientFamily, *, quad_points: int = 512,
                        cell_resolution: int = 64) -> HomogenizedTensor:
-    """Dispatch a family to its limit oracle.
+    """Dispatch a coefficient family to its limit oracle.
 
     1D families use the harmonic mean of their unit profile, 2D families the
-    periodic cell problem; constants return themselves exactly.
+    periodic cell problem.
     """
-    if isinstance(family, ConstantMatrixCoefficient):
-        return HomogenizedTensor(family.matrix.copy(), CLOSED_FORM, 0.0)
-    if isinstance(family, PiecewiseCoefficient):
-        raise ValueError(
-            "piecewise families have per-subdomain limits; use locality_check"
-        )
-    if family.limit_oracle == "none":
-        raise ValueError(f"family '{family.name}' declares no limit oracle")
     if family.dim == 1:
-        if family.unit_profile is None:
-            raise ValueError(f"family '{family.name}' has no unit profile")
         return harmonic_mean_1d(family.unit_profile, quad_points)
     return cell_problem_2d(family, cell_resolution)
 

@@ -377,7 +377,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     K_ref = assembly.assemble_stiffness(space_ref,
                                         ConstantMatrixCoefficient(tensor.matrix),
                                         h=1, quad_order=config.quad_order)
-    b_ref = assembly.assemble_load(space_ref, source, h=max(config.h_list),
+    b_ref = assembly.assemble_load(space_ref, source.limit_family(),
                                    quad_order=config.quad_order)
     u_star = cholesky(K_ref).solve(b_ref)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))

@@ -208,9 +208,10 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
     return space.interpolate(lambda x, y: tent(x))
 
 
-def _solve_dirichlet(space, family, h, source, source_h, quad_order=4):
+def _solve_dirichlet(space, family, source, h, quad_order=4):
+    """Solution of -div(A_h grad u) = f_h; limit families at h = 1 give u_star."""
     K = assembly.assemble_stiffness(space, family, h=h, quad_order=quad_order)
-    b = assembly.assemble_load(space, source, h=source_h, quad_order=quad_order)
+    b = assembly.assemble_load(space, source, h=h, quad_order=quad_order)
     return cholesky(K).solve(b)
 
 
@@ -236,8 +237,7 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     The trace errors must decay like 1/h.
     """
     h_list = [int(h) for h in h_list]
-    h_max = max(h_list)
-    space = build_dirichlet_space(coeff_family.dim, points_per_period * h_max)
+    space = build_dirichlet_space(coeff_family.dim, points_per_period * max(h_list))
     for h in h_list:
         check_resolution(coeff_family.feature_scale(h), space.mesh.max_cell_span(),
                          f"div_curl_test(h={h})")
@@ -245,13 +245,12 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     if limit_tensor is None:
         limit_tensor = homogenized_tensor(coeff_family)
     limit_family = ConstantMatrixCoefficient(limit_tensor.matrix)
-    u_star = _solve_dirichlet(space, limit_family, 1, source,
-                              source_h=h_max, quad_order=quad_order)
+    u_star = _solve_dirichlet(space, limit_family, source.limit_family(), 1,
+                              quad_order)
     limit_pairing = _energy_pairing(space, limit_family, 1, u_star, phi, quad_order)
     values = []
     for h in h_list:
-        u_h = _solve_dirichlet(space, coeff_family, h, source,
-                               source_h=h, quad_order=quad_order)
+        u_h = _solve_dirichlet(space, coeff_family, source, h, quad_order)
         values.append(_energy_pairing(space, coeff_family, h, u_h, phi, quad_order))
     return _trace(h_list, values, limit_pairing)
 
@@ -287,10 +286,9 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
     if limit_tensor is None:
         limit_tensor = homogenized_tensor(coeff_family)
     limit_family = ConstantMatrixCoefficient(limit_tensor.matrix)
-    u_h = _solve_dirichlet(space, coeff_family, h, source, source_h=h,
-                           quad_order=quad_order)
-    u_star = _solve_dirichlet(space, limit_family, 1, source, source_h=h,
-                              quad_order=quad_order)
+    u_h = _solve_dirichlet(space, coeff_family, source, h, quad_order)
+    u_star = _solve_dirichlet(space, limit_family, source.limit_family(), 1,
+                              quad_order)
     edges = np.linspace(0.0, 1.0, window_count + 1)
     flux = _window_flux(space, coeff_family, h, u_h, edges, quad_order)
     ref = _window_flux(space, limit_family, 1, u_star, edges, quad_order)

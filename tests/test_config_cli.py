@@ -250,10 +250,17 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
      "solver.eig_tol"),
     ("gamma-check", "gamma", {"perturbation_scale": -1.0}, "perturbation_scale"),
     ("gamma-check", "gamma", {"perturbation_scale": math.nan}, "perturbation_scale"),
+    # below one point the rules fall back silently; far above the cap the 1D
+    # rule's dense companion matrix exhausts memory (the case here stays cheap
+    # should the check be lost)
+    ("sweep-eigen", "eigen-homog", {"quad_order": 0}, "quad_order"),
+    ("gamma-check", "gamma", {"quad_order": -3}, "quad_order"),
+    ("divcurl", "divcurl", {"quad_order": 17, **_DIVCURL}, "quad_order"),
 ], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
         "phi-empty", "quad-points", "cell-resolution", "eigen-count",
         "targets", "seed", "eig-tol-zero", "eig-tol-negative", "eig-tol-nan",
-        "perturbation-negative", "perturbation-nan"])
+        "perturbation-negative", "perturbation-nan", "quad-order-zero",
+        "quad-order-negative", "quad-order-above-cap"])
 def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):
     cfg = _write(tmp_path, _minimal(kind, **extra))
     for argv in ([subcommand, "--out", str(tmp_path)], ["validate"]):

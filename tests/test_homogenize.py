@@ -117,12 +117,6 @@ def test_homogenized_tensor_dispatch():
     t2 = homogenized_tensor(make_builtin_family("laminate2d", [1.0, 4.0]),
                             cell_resolution=32)
     assert np.abs(np.diag(t2.matrix) - [1.6, 2.5]).max() <= 1e-10
-    with pytest.raises(ValueError, match="oracle"):
-        from gconv.families import CoefficientFamily
-
-        anon = CoefficientFamily("anon", 1, 1.0, 1.0, "none",
-                                 lambda h, x: np.ones(np.shape(x)))
-        homogenized_tensor(anon)
 
 
 def _piecewise():

@@ -129,11 +129,13 @@ def test_eigen_homog_common_mode_fem_control():
     assert shift.max() <= rep.records[-1].abs_errors.max()
 
 
-def test_source_homog_osc1d_reference_norm():
+@pytest.mark.parametrize("source", ["const-source", "osc-source"])
+def test_source_homog_osc1d_reference_norm(source):
+    # the reference solves the limit problem, with the limit source f = 1
     cfg = ExperimentConfig(
         kind="source-homog", h_list=(4, 8, 16),
         family=make_builtin_family("osc1d", [2.0]),
-        source=make_builtin_family("const-source", [1.0]), windows=4)
+        source=make_builtin_family(source, [1.0]), windows=4)
     rep = run_source_homog(cfg)
     # nodal interpolation shifts the discrete norm by O(delta^2)
     exact_norm = (1.0 / (2 * SQRT3)) * math.sqrt(1.0 / 30.0)
