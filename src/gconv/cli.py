@@ -155,7 +155,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except ConvergenceError as exc:
-        print(f"gconv: numerical failure at stage 'eigensolver': {exc}",
+        print(f"gconv: numerical failure at stage '{exc.stage}': {exc}",
               file=sys.stderr)
         return 2
 

@@ -2,23 +2,27 @@
 
 The limit of a 1D periodic family is the harmonic mean of its profile; in
 2D the limit tensor is assembled from periodic cell problems: two corrector
-solves on the unit cell with constant-nullspace deflation.  These oracles
-make every convergence sweep checkable against an independent reference.
+solves on the unit cell, by CG preconditioned with a factored half-resolution
+companion.  These oracles make every convergence sweep checkable against an
+independent reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import assembly
 from .families import CoefficientFamily, PiecewiseCoefficient, check_resolution
-from .linalg import cholesky
+from .linalg import ConvergenceError, cholesky
 from .mesh import PERIODIC, build_rect_mesh, build_space
 
 CLOSED_FORM = "closed-form"
 CELL_PROBLEM = "cell-problem"
 MIN_QUAD_POINTS = 64
+CG_RTOL = 1e-12      # full-resolution corrector solves: relative residual
+CG_MAXITER = 500     # and the step budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,23 +80,33 @@ class _UnitCellField:
         pts = np.asarray(pts, dtype=float)
         out = np.asarray(self._field(pts), dtype=float)
         if out.shape == pts.shape[:-1]:
-            eye = np.eye(2)
-            out = out[..., None, None] * eye
+            out = out[..., None, None] * np.eye(2)
         return out
+
+
+def _prolongation(res: int) -> sparse.csr_matrix:
+    """Periodic P1 prolongation from the res/2 to the res grid: the meshes nest,
+    so fine node (i, j) averages coarse (i, j) // 2 and (i + 1, j + 1) // 2."""
+    m = res // 2
+    i, j = np.divmod(np.tile(np.arange(res * res), 2), res)
+    shift = np.repeat([0, 1], res * res)
+    cols = ((i + shift) // 2 % m) * m + (j + shift) // 2 % m
+    return sparse.csr_matrix((np.full(i.size, 0.5), (i * res + j, cols)))
 
 
 def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
     """Effective 2x2 tensor of a 1-periodic coefficient field on the unit cell.
 
-    Solves the two corrector problems div(A(y)(e_i + grad chi_i)) = 0 on the
-    periodic cell space.  The singular constant direction is deflated by
-    grounding one dof for the SPD solve and projecting the mean out of each
-    corrector afterwards.  ``profile`` maps points (..., 2) to scalars
-    (isotropic a(y) I) or to (..., 2, 2) matrices; a 2D coefficient family
-    may be passed directly (its unit-cell field at h = 1 is used).
+    Solves the corrector problems div(A(y)(e_i + grad chi_i)) = 0 on the
+    periodic cell space.  ``profile`` maps points (..., 2) to scalars
+    (isotropic a(y) I) or to (..., 2, 2) matrices, or is a 2D family.
 
-    The error estimate is a Richardson difference against a companion solve
-    at half resolution (nan when the resolution is too small to halve).
+    An even resolution >= 32 first solves a half-resolution companion by its
+    factor (one dof grounded); the tensors' difference is the error estimate,
+    nan without a companion.  The full-resolution correctors are solved by CG
+    on the singular stiffness, preconditioned by a two-grid cycle on that
+    factor; no fine dof is grounded and no mean is taken out of chi, as the
+    tensor reads only grad chi.  CG short of ``CG_RTOL`` raises ConvergenceError.
     """
     if isinstance(profile, CoefficientFamily):
         if profile.dim != 2:
@@ -100,50 +114,69 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
         field = _UnitCellField(lambda pts: profile.matrix_at(1, pts))
     else:
         field = _UnitCellField(profile)
-    check_resolution(1.0, 1.0 / cell_resolution,
-                     f"cell_problem_2d(resolution={cell_resolution})")
+    context = f"cell_problem_2d(resolution={cell_resolution})"
+    check_resolution(1.0, 1.0 / cell_resolution, context)
 
-    def solve_at(res):
-        mesh = build_rect_mesh(res, res, (0.0, 1.0, 0.0, 1.0))
-        space = build_space(mesh, PERIODIC)
+    def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
+        space = build_space(build_rect_mesh(res, res), PERIODIC)
         K = assembly.assemble_stiffness(space, field, h=1)
-        M = assembly.assemble_mass(space)
-        n = space.num_dofs
-        keep = np.arange(1, n)
-        K_red = K[keep][:, keep].tocsc()
-        factor = cholesky(K_red)
-
         dofs, measure, grads, pts, gw, _ = space.cell_data(2)
-        A = field.matrix_at(1, pts)                          # (nq, nc, 2, 2)
-        Abar = np.einsum("q,qcij->cij", gw, A)               # cell averages of A
-        ones = np.ones(n)
-        mass_total = float(ones @ (M @ ones))
+        Abar = np.einsum("q,qcij->cij", gw, field.matrix_at(1, pts))
+        # rhs[i, j] = -integral( A e_j . grad phi_i ); batched matmul beats einsum
+        local = -(grads @ Abar) * measure[:, None, None]
+        b = np.column_stack([np.bincount(dofs.ravel(), local[..., j].ravel(),
+                                         space.num_dofs) for j in range(2)])
+        b -= b.mean(axis=0)  # zero up to round-off; exactly zero keeps CG consistent
 
-        eff = np.zeros((2, 2))
-        for j in range(2):
-            ej = np.zeros(2)
-            ej[j] = 1.0
-            # rhs[i] = -integral( A e_j . grad phi_i )
-            Aej = Abar @ ej                                  # (nc, 2)
-            local = -np.einsum("cd,cid->ci", Aej, grads) * measure[:, None]
-            b = np.zeros(n)
-            valid = dofs >= 0
-            np.add.at(b, dofs[valid], local[valid])
-            chi = np.zeros(n)
-            chi[keep] = factor.solve(b[keep])
-            chi -= (ones @ (M @ chi)) / mass_total
-            grad_chi = assembly.cell_gradients(space, chi)   # (nc, 2)
-            flux = np.einsum("cde,ce->cd", Abar, ej + grad_chi)
-            eff[:, j] = np.einsum("cd,c->d", flux, measure)
-        return 0.5 * (eff + eff.T)
+        def tensor(chi):  # symmetrized integral of A (I + grad chi), chi (n, 2)
+            grad_chi = grads.transpose(0, 2, 1) @ chi[dofs]      # (nc, 2, 2)
+            eff = np.tensordot(measure, Abar @ (np.eye(2) + grad_chi), axes=1)
+            return 0.5 * (eff + eff.T)
 
-    eff = solve_at(cell_resolution)
-    if cell_resolution >= 32 and cell_resolution % 2 == 0:
-        coarse = solve_at(cell_resolution // 2)
-        est = float(np.max(np.abs(eff - coarse)))
-    else:
-        est = float("nan")
-    return HomogenizedTensor(eff, CELL_PROBLEM, est)
+        return K, b, tensor
+
+    refine = cell_resolution >= 32 and cell_resolution % 2 == 0
+    Kc, bc, tensor_c = level(cell_resolution // 2 if refine else cell_resolution)
+    factor = cholesky(Kc[1:, 1:].tocsc())
+
+    def coarse_solve(r):  # dof 0 grounded
+        return np.insert(factor.solve(r[1:]), 0, 0.0, axis=0)
+
+    eff_c = tensor_c(coarse_solve(bc))
+    if not refine:
+        return HomogenizedTensor(eff_c, CELL_PROBLEM, float("nan"))
+
+    K, b, tensor = level(cell_resolution)
+    P = _prolongation(cell_resolution)
+    jacobi = (2.0 / 3.0) / K.diagonal()
+
+    def two_grid(r):
+        r = r - r.mean()  # as for b: CG's recurred residual drifts off mean zero
+        x = jacobi * r
+        x += P @ coarse_solve(P.T @ (r - K @ x))
+        return x + jacobi * (r - K @ x)
+
+    chi = np.zeros_like(b)
+    for j in range(2):  # CG preconditioned by two_grid; a breakdown stops it
+        r = b[:, j].copy()
+        p = z = two_grid(r)
+        rz, bnorm, step = r @ z, np.linalg.norm(r), 0
+        while np.linalg.norm(r) > CG_RTOL * bnorm and rz > 0 and step < CG_MAXITER:
+            step += 1
+            q = K @ p
+            alpha = rz / (p @ q)
+            chi[:, j] += alpha * p
+            r -= alpha * q
+            z = two_grid(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        rel = np.linalg.norm(r) / (bnorm or 1.0)
+        if rel > CG_RTOL:
+            raise ConvergenceError(
+                f"{context}: corrector {j} CG stopped at step {step}, relative "
+                f"residual {rel:.3e} > {CG_RTOL:.1e}", "cell problem")
+    eff = tensor(chi)
+    return HomogenizedTensor(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
 
 
 def homogenized_tensor(family: CoefficientFamily, *, quad_points: int = 512,

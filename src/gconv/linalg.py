@@ -26,7 +26,11 @@ class NotPositiveDefiniteError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """The eigensolver did not reach its residual tolerance."""
+    """An iterative solver did not reach its tolerance; ``stage`` names it."""
+
+    def __init__(self, message: str, stage: str = "eigensolver"):
+        super().__init__(message)
+        self.stage = stage
 
 
 @dataclass(eq=False)

@@ -27,6 +27,7 @@ from .homogenize import homogenized_tensor
 from .linalg import ConvergenceError, cholesky, eig_smallest, residuals
 from .mesh import FeSpace, build_dirichlet_space
 from .variational import (
+    dirichlet_solves,
     div_curl_test,
     flux_weak_limit,
     liminf_check,
@@ -188,13 +189,11 @@ def interpolate_between(space_from: FeSpace, u: np.ndarray,
     """
     mesh = space_from.mesh
     coords = space_to.dof_coordinates()
-    if mesh.dimension == 1:
-        full = np.zeros(mesh.num_vertices)
-        full[space_from.dof_vertices] = u
-        return np.interp(coords, mesh.vertices, full)
-    _, nx, ny, x0, x1, y0, y1 = mesh.structure
     full = np.zeros(mesh.num_vertices)
     full[space_from.dof_vertices] = u
+    if mesh.dimension == 1:
+        return np.interp(coords, mesh.vertices, full)
+    _, nx, ny, x0, x1, y0, y1 = mesh.structure
     grid = full.reshape(nx + 1, ny + 1)
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny
@@ -373,13 +372,11 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     family, source = config.family, config.source
     dim = family.dim
     tensor = _limit_tensor(config)
-    space_ref, M_ref = _finest(config, dim)
-    K_ref = assembly.assemble_stiffness(space_ref,
-                                        ConstantMatrixCoefficient(tensor.matrix),
-                                        h=1, quad_order=config.quad_order)
-    b_ref = assembly.assemble_load(space_ref, source.limit_family(),
-                                   quad_order=config.quad_order)
-    u_star = cholesky(K_ref).solve(b_ref)
+    space_ref, _, solve_ref = dirichlet_solves(
+        family, source, config.points_per_period * max(config.h_list),
+        config.quad_order, tensor)
+    M_ref = assembly.assemble_mass(space_ref, quad_order=config.quad_order)
+    u_star = solve_ref(None)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
     edges = np.linspace(0.0, 1.0, config.windows + 1)
     ref_probes = _window_gradient(space_ref, u_star, edges, config.quad_order)
@@ -520,15 +517,15 @@ class DivCurlReport(Report):
 
 def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
     """Pair the discrete energy density against its homogenized limit."""
-    tensor = _limit_tensor(config)
+    solves = dirichlet_solves(config.family, config.source,
+                              config.points_per_period * max(config.h_list),
+                              config.quad_order, _limit_tensor(config))
     trace = div_curl_test(config.family, config.h_list, config.source,
-                          config.phi_support,
-                          points_per_period=config.points_per_period,
-                          quad_order=config.quad_order, limit_tensor=tensor)
+                          config.phi_support, quad_order=config.quad_order,
+                          solves=solves)
     flux = flux_weak_limit(config.family, max(config.h_list), config.source,
-                           config.windows,
-                           points_per_period=config.points_per_period,
-                           quad_order=config.quad_order, limit_tensor=tensor)
+                           config.windows, quad_order=config.quad_order,
+                           solves=solves)
     lead = min(3, len(config.h_list) - 1)
     hs = np.asarray(config.h_list[:lead], dtype=float)
     errs = np.asarray(trace.abs_errors[:lead])

@@ -8,6 +8,7 @@ or potential sequence itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import sparse
@@ -208,11 +209,22 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
     return space.interpolate(lambda x, y: tent(x))
 
 
-def _solve_dirichlet(space, family, source, h, quad_order=4):
-    """Solution of -div(A_h grad u) = f_h; limit families at h = 1 give u_star."""
-    K = assembly.assemble_stiffness(space, family, h=h, quad_order=quad_order)
-    b = assembly.assemble_load(space, source, h=h, quad_order=quad_order)
-    return cholesky(K).solve(b)
+def dirichlet_solves(family, source: SourceFamily, n: int, quad_order: int = 4,
+                     limit_tensor=None) -> tuple:
+    """(space, limit, u) on the n-cell Dirichlet space: ``limit`` is the limit
+    tensor (the family's oracle by default) as a coefficient, ``u(h)`` solves
+    -div(A_h grad u) = f_h once per h and ``u(None)`` is u_star."""
+    space = build_dirichlet_space(family.dim, n)
+    tensor = limit_tensor or homogenized_tensor(family)
+    limit = ConstantMatrixCoefficient(tensor.matrix)
+
+    @cache
+    def u(h):
+        fam, src, k = (family, source, h) if h else (limit, source.limit_family(), 1)
+        K = assembly.assemble_stiffness(space, fam, h=k, quad_order=quad_order)
+        return cholesky(K).solve(assembly.assemble_load(space, src, k, quad_order))
+
+    return space, limit, u
 
 
 def _energy_pairing(space, family, h, u, phi, quad_order=4):
@@ -228,30 +240,25 @@ def _energy_pairing(space, family, h, u, phi, quad_order=4):
 
 def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
                   points_per_period: int = 32, quad_order: int = 4,
-                  limit_tensor=None) -> PairingTrace:
+                  solves: tuple | None = None) -> PairingTrace:
     """Pairing trace integral(phi * (A_h grad u_h . grad u_h)) over an h ladder.
 
     For each h the Dirichlet problem is solved on the matched fine mesh and
     the energy density is paired against a fixed P1 bump phi; the limit is
     the same pairing built from the homogenized solution on the same mesh.
-    The trace errors must decay like 1/h.
+    The trace errors must decay like 1/h.  ``solves`` (``dirichlet_solves`` of
+    this problem and mesh) shares the solutions with ``flux_weak_limit``.
     """
     h_list = [int(h) for h in h_list]
-    space = build_dirichlet_space(coeff_family.dim, points_per_period * max(h_list))
+    space, limit, u = solves or dirichlet_solves(
+        coeff_family, source, points_per_period * max(h_list), quad_order)
     for h in h_list:
         check_resolution(coeff_family.feature_scale(h), space.mesh.max_cell_span(),
                          f"div_curl_test(h={h})")
     phi = interpolate_bump(space, phi_support)
-    if limit_tensor is None:
-        limit_tensor = homogenized_tensor(coeff_family)
-    limit_family = ConstantMatrixCoefficient(limit_tensor.matrix)
-    u_star = _solve_dirichlet(space, limit_family, source.limit_family(), 1,
-                              quad_order)
-    limit_pairing = _energy_pairing(space, limit_family, 1, u_star, phi, quad_order)
-    values = []
-    for h in h_list:
-        u_h = _solve_dirichlet(space, coeff_family, source, h, quad_order)
-        values.append(_energy_pairing(space, coeff_family, h, u_h, phi, quad_order))
+    limit_pairing = _energy_pairing(space, limit, 1, u(None), phi, quad_order)
+    values = [_energy_pairing(space, coeff_family, h, u(h), phi, quad_order)
+              for h in h_list]
     return _trace(h_list, values, limit_pairing)
 
 
@@ -268,30 +275,27 @@ class FluxWindowReport:
 
 def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
                     window_count: int, points_per_period: int = 32,
-                    quad_order: int = 4, limit_tensor=None) -> FluxWindowReport:
+                    quad_order: int = 4,
+                    solves: tuple | None = None) -> FluxWindowReport:
     """Window averages of the flux A_h grad u_h over strips of the domain.
 
     Weak convergence of the flux is tested against window indicators: as h
     grows the averages approach those of A grad u_star computed from the
     homogenized tensor on the same mesh.  Windows are strips in the first
-    coordinate; widths below the mesh resolution are refused.
+    coordinate; widths below the mesh resolution are refused.  ``solves``
+    is as in ``div_curl_test``.
     """
-    space = build_dirichlet_space(coeff_family.dim, points_per_period * h)
+    space, limit, u = solves or dirichlet_solves(
+        coeff_family, source, points_per_period * h, quad_order)
     width = 1.0 / window_count
     if width < space.mesh.max_cell_span() - 1e-14:
         raise ValueError(
             f"window width {width:.3e} is below the mesh resolution "
             f"{space.mesh.max_cell_span():.3e}"
         )
-    if limit_tensor is None:
-        limit_tensor = homogenized_tensor(coeff_family)
-    limit_family = ConstantMatrixCoefficient(limit_tensor.matrix)
-    u_h = _solve_dirichlet(space, coeff_family, source, h, quad_order)
-    u_star = _solve_dirichlet(space, limit_family, source.limit_family(), 1,
-                              quad_order)
     edges = np.linspace(0.0, 1.0, window_count + 1)
-    flux = _window_flux(space, coeff_family, h, u_h, edges, quad_order)
-    ref = _window_flux(space, limit_family, 1, u_star, edges, quad_order)
+    flux = _window_flux(space, coeff_family, h, u(h), edges, quad_order)
+    ref = _window_flux(space, limit, 1, u(None), edges, quad_order)
     err = np.linalg.norm(flux - ref, axis=1)
     return FluxWindowReport(int(h), edges, flux, ref, err)
 

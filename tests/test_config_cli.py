@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from gconv import sweep
+from gconv import homogenize, sweep
 from gconv.cli import main
 from gconv.config import (
     ConfigError,
@@ -183,6 +184,22 @@ def test_cli_unreachable_tolerance_fails_fast_naming_rung(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stage 'eigensolver': reference: " in err
     assert "worst residual" in err and "exceeds tol 1.0e-10" in err
+
+
+def test_cli_cell_problem_cg_failure_names_stage_and_resolution(tmp_path, capsys,
+                                                                 monkeypatch):
+    # an unreachable CG tolerance fails fast at the cell problem, not the
+    # eigensolver, with the resolution and the residual CG stopped at
+    monkeypatch.setattr(homogenize, "CG_RTOL", 1e-30)
+    cfg = _write(tmp_path, {"experiment": "homogenize", "cell_resolution": 32,
+                            "family": {"name": "laminate2d", "params": [1.0, 4.0]}})
+    t0 = time.perf_counter()
+    code = main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 <= 2.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage 'cell problem': cell_problem_2d(resolution=32): " in err
+    assert "relative residual" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("subcommand,kind", [("sweep-eigen", "eigen-homog"),

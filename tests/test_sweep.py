@@ -1,11 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gconv import __version__, assembly, sweep
-from gconv.config import ConfigError, validate_config
+from gconv import __version__, assembly, sweep, variational
+from gconv.config import (
+    ConfigError,
+    experiment_from_config,
+    load_config,
+    validate_config,
+)
 from gconv.families import make_builtin_family
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 from gconv.sweep import (
@@ -21,6 +27,7 @@ from gconv.sweep import (
     run_gamma,
     run_source_homog,
 )
+from gconv.variational import div_curl_test, flux_weak_limit
 
 SQRT3 = math.sqrt(3.0)
 
@@ -261,6 +268,31 @@ def test_divcurl_runner_envelope():
     rep = run_divcurl(cfg)
     assert rep.trace.abs_errors[-1] <= 3.0 * rep.envelope_prediction
     assert rep.flux_windows.abs_errors.max() <= 5e-3
+
+
+def test_divcurl_runner_factors_each_matrix_once(monkeypatch):
+    # the pairing trace and the flux windows share the top-rung space and its
+    # u_h and u_star: one factorization per rung plus the limit problem
+    calls = []
+    cholesky = variational.cholesky
+
+    def counting(K):
+        calls.append(K.shape)
+        return cholesky(K)
+
+    monkeypatch.setattr(variational, "cholesky", counting)
+    path = Path(__file__).resolve().parent.parent / "configs" / "a8_divcurl.json"
+    cfg = experiment_from_config(validate_config(load_config(path)))
+    rep = run_divcurl(cfg)
+    assert len(calls) == len(cfg.h_list) + 1 == 5
+    # the shared solves give what each diagnostic computes on its own
+    trace = div_curl_test(cfg.family, cfg.h_list, cfg.source, cfg.phi_support)
+    flux = flux_weak_limit(cfg.family, max(cfg.h_list), cfg.source, cfg.windows)
+    assert np.array_equal(rep.trace.values, trace.values)
+    assert rep.trace.limit == trace.limit
+    assert np.array_equal(rep.flux_windows.flux_averages, flux.flux_averages)
+    assert np.array_equal(rep.flux_windows.reference_averages,
+                          flux.reference_averages)
 
 
 def test_emit_csv_shape(tmp_path):
