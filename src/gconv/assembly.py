@@ -107,8 +107,7 @@ def strip_averages(space: FeSpace, values: np.ndarray, edges: np.ndarray,
     ``values`` broadcasts to (nq, nc, k); the result has shape (strips, k).
     """
     cd = space.cell_data(quad_order)
-    xq = cd.points if space.mesh.dimension == 1 else cd.points[..., 0]
-    bins = np.clip(np.searchsorted(edges, xq, side="right") - 1,
+    bins = np.clip(np.searchsorted(edges, cd.points[..., 0], side="right") - 1,
                    0, len(edges) - 2).ravel()
     w = cd.weights[:, None] * cd.measure[None, :]               # (nq, nc)
     weighted = w[..., None] * values

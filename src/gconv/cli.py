@@ -22,13 +22,8 @@ from .config import (
     schema_help,
     validate_config,
 )
-from .families import (
-    CoefficientFamily,
-    PotentialFamily,
-    ResolutionError,
-    validate_ellipticity,
-)
-from .linalg import ConvergenceError, NotPositiveDefiniteError
+from .families import CoefficientFamily, PotentialFamily, validate_ellipticity
+from .linalg import NumericalError
 from .sweep import EXPERIMENTS, emit_report
 
 
@@ -94,7 +89,7 @@ def _run_validate(args, effective) -> int:
                         f"max ratio {rep.max_norm_ratio:.6g} vs beta={rep.beta:.6g}"
                     )
         elif isinstance(fam, PotentialFamily):
-            x = np.linspace(0.0, 1.0, 4097)
+            x = np.linspace(0.0, 1.0, 4097)[:, None]
             for h in (1, 4, 16):
                 v = fam.values_at(h, x)
                 if np.any(v < -1e-12):
@@ -146,15 +141,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"gconv: config error: {exc}", file=sys.stderr)
         return 1
-    except ResolutionError as exc:
-        print(f"gconv: numerical failure at stage 'resolution check': {exc}",
-              file=sys.stderr)
-        return 2
-    except NotPositiveDefiniteError as exc:
-        print(f"gconv: numerical failure at stage 'factorization': {exc}",
-              file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
+    except NumericalError as exc:
         print(f"gconv: numerical failure at stage '{exc.stage}': {exc}",
               file=sys.stderr)
         return 2

@@ -56,9 +56,14 @@ FAMILY_CLASSES = {
 # a dict in place of a tag is a nested schema.
 REQUIRED = object()
 
-_FAMILY_SCHEMA = {
+# potentials and sources: a built-in name and its parameters
+_SEQUENCE_SCHEMA = {
     "name": ("str", REQUIRED, "built-in family identifier"),
     "params": ("float_list", [], "numeric family parameters"),
+}
+
+_FAMILY_SCHEMA = {
+    **_SEQUENCE_SCHEMA,
     "alpha": ("float", None, "declared ellipticity lower bound (default: derived)"),
     "beta": ("float", None, "declared upper bound (default: derived)"),
 }
@@ -82,8 +87,8 @@ SCHEMA = {
     "quad_order": ("int", 4, f"Gauss points per 1D cell, 1 to {MAX_QUAD_ORDER} "
                              "(2D: 1 or 2)"),
     "family": (_FAMILY_SCHEMA, None, "coefficient family spec"),
-    "potential": (_FAMILY_SCHEMA, None, "potential family spec"),
-    "source": (_FAMILY_SCHEMA, None, "source family spec"),
+    "potential": (_SEQUENCE_SCHEMA, None, "potential family spec"),
+    "source": (_SEQUENCE_SCHEMA, None, "source family spec"),
     "solver": (_SOLVER_SCHEMA, {}, "solver tolerances"),
     "output": (_OUTPUT_SCHEMA, {}, "report filenames"),
     "windows": ("int", 8, "strip count for weak-convergence probes"),
@@ -148,9 +153,11 @@ def validate_config(data: dict) -> dict:
             f"(choose from {', '.join(EXPERIMENTS)})"
         )
     experiment = EXPERIMENTS[kind]
-    for req in experiment.requires:
-        if effective.get(req) is None:
-            raise ConfigError(f"config key '{req}': required for experiment '{kind}'")
+    for key in FAMILY_CLASSES:
+        if effective[key] is None and key in experiment.requires:
+            raise ConfigError(f"config key '{key}': required for experiment '{kind}'")
+        if effective[key] is not None and key not in experiment.requires:
+            raise ConfigError(f"config key '{key}': experiment '{kind}' does not read it")
     hs = effective["h_list"]
     if hs != sorted(hs) or len(set(hs)) != len(hs):
         raise ConfigError("config key 'h_list': must be strictly ascending")

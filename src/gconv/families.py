@@ -15,14 +15,18 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import NumericalError
+
 RESOLUTION_POINTS = 16
 
 WEAK_STAR_LINF = "weak-star-Linf"
 WEAK_LP = "weak-Lp"
 
 
-class ResolutionError(RuntimeError):
+class ResolutionError(NumericalError):
     """A family was sampled below the points-per-feature rule."""
+
+    stage = "resolution check"
 
 
 def check_resolution(scale: float | None, spacing: float, context: str) -> None:
@@ -37,12 +41,17 @@ def check_resolution(scale: float | None, spacing: float, context: str) -> None:
         )
 
 
+def _first_coordinate(x) -> np.ndarray:
+    """The coordinate every built-in family reads, of points (..., dim)."""
+    return np.asarray(x, dtype=float)[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientFamily:
     """Symmetric elliptic coefficient sequence A_h(x) = a(h x) I with bounds alpha, beta.
 
     ``unit_profile`` is the 1-periodic profile a on the unit cell, read at
-    h x (the first coordinate in 2D) and by the homogenization oracles.
+    h x1 (x1 the first coordinate) and by the homogenization oracles.
     """
 
     name: str
@@ -58,10 +67,8 @@ class CoefficientFamily:
         return self.feature_fraction / h
 
     def values_at(self, h: int, x) -> np.ndarray:
-        """Isotropic multiplier a_h at sample points (first coordinate in 2D)."""
-        pts = np.asarray(x, dtype=float)
-        coord = pts if self.dim == 1 else pts[..., 0]
-        return np.asarray(self.unit_profile(h * coord), dtype=float)
+        """Isotropic multiplier a_h at sample points (..., dim)."""
+        return np.asarray(self.unit_profile(h * _first_coordinate(x)), dtype=float)
 
     def matrix_at(self, h: int, x) -> np.ndarray:
         """Full coefficient matrices a_h(x) * I with shape (..., dim, dim)."""
@@ -95,9 +102,7 @@ class ConstantMatrixCoefficient:
         return None
 
     def matrix_at(self, h: int, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        base = pts.shape if self.dim == 1 else pts.shape[:-1]
-        return np.broadcast_to(self.matrix, base + self.matrix.shape).copy()
+        return np.broadcast_to(self.matrix, np.shape(x)[:-1] + self.matrix.shape).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,15 +133,13 @@ class _Sequence:
     """Values f_h and the limit f of an h-indexed sequence of functions."""
 
     def values_at(self, h: int, x) -> np.ndarray:
-        return np.asarray(self.values(h, np.asarray(x, dtype=float)), dtype=float)
-
-    def limit_at(self, x) -> np.ndarray:
-        return np.asarray(self.limit(np.asarray(x, dtype=float)), dtype=float)
+        """f_h at sample points (..., dim)."""
+        return np.asarray(self.values(h, _first_coordinate(x)), dtype=float)
 
     def limit_family(self):
         """The limit as an h-independent family of the same class."""
         return replace(self, name=f"{self.name}-limit", feature_fraction=None,
-                       values=lambda h, x: self.limit_at(x))
+                       values=lambda h, x: self.limit(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,11 +353,10 @@ def validate_ellipticity(family, h: int, sample_count: int = 1000,
     beta = family.beta if beta is None else float(beta)
     rng = np.random.default_rng(seed)
     dim = family.dim
-    x = rng.uniform(0.0, 1.0, size=(sample_count, dim) if dim > 1 else sample_count)
+    x = rng.uniform(0.0, 1.0, size=(sample_count, dim))
     xi = rng.normal(size=(sample_count, dim))
     xi /= np.linalg.norm(xi, axis=1)[:, None]
-    A = family.matrix_at(h, x)
-    Axi = np.einsum("sij,sj->si", A.reshape(sample_count, dim, dim), xi)
+    Axi = np.einsum("sij,sj->si", family.matrix_at(h, x), xi)
     quot = np.einsum("si,si->s", xi, Axi)
     ratio = np.linalg.norm(Axi, axis=1)
     return EllipticityReport(

@@ -21,16 +21,26 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 
-class NotPositiveDefiniteError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical failure; ``stage`` names where, for the CLI's exit 2."""
+
+    stage = "numerics"
+
+    def __init__(self, message: str, stage: str | None = None):
+        super().__init__(message)
+        self.stage = stage or self.stage
+
+
+class NotPositiveDefiniteError(NumericalError):
     """Factorization hit a non-positive pivot (not positive definite)."""
 
+    stage = "factorization"
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver did not reach its tolerance; ``stage`` names it."""
 
-    def __init__(self, message: str, stage: str = "eigensolver"):
-        super().__init__(message)
-        self.stage = stage
+class ConvergenceError(NumericalError):
+    """An iterative solver did not reach its tolerance."""
+
+    stage = "eigensolver"
 
 
 @dataclass(eq=False)

@@ -11,7 +11,7 @@ space, on first use, and stored read-only on the space itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +35,14 @@ _TRI_CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
 class Mesh:
     """Simplicial mesh: vertex coordinates, connectivity, boundary flags.
 
-    ``structure`` records how the mesh was built:
-    ``("interval", n, x0, x1)`` or ``("rect", nx, ny, x0, x1, y0, y1)``.
-    Instances are immutable after construction.
+    ``structure`` records how the mesh was built: ``(cells, lower, upper)``,
+    the cells per axis and the lower and upper corners of the box; vertices
+    are the grid points in C order.  Instances are immutable after
+    construction.
     """
 
     dimension: int
-    vertices: np.ndarray   # (nv,) in 1D, (nv, 2) in 2D
+    vertices: np.ndarray   # (nv, dimension)
     cells: np.ndarray      # (nc, dimension + 1) vertex indices
     boundary: np.ndarray   # (nv,) bool
     structure: tuple
@@ -54,26 +55,22 @@ class Mesh:
     def num_cells(self) -> int:
         return self.cells.shape[0]
 
+    def edges(self) -> np.ndarray:
+        """Edge vectors from each cell's first vertex, shape (nc, dim, dim)."""
+        pts = self.vertices[self.cells]             # (nc, dim + 1, dim)
+        return pts[:, 1:] - pts[:, :1]
+
     def cell_measures(self) -> np.ndarray:
         """Length (1D) or area (2D) of every cell, all positive."""
+        e = self.edges()
         if self.dimension == 1:
-            x = self.vertices
-            return x[self.cells[:, 1]] - x[self.cells[:, 0]]
-        p0 = self.vertices[self.cells[:, 0]]
-        e1 = self.vertices[self.cells[:, 1]] - p0
-        e2 = self.vertices[self.cells[:, 2]] - p0
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+            return e[:, 0, 0]
+        return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
 
     def max_cell_span(self) -> float:
         """Largest per-axis extent of any cell (drives the resolution rule)."""
-        if self.dimension == 1:
-            return float(np.max(self.cell_measures()))
-        pts = self.vertices[self.cells]             # (nc, 3, 2)
-        spans = pts.max(axis=1) - pts.min(axis=1)   # (nc, 2)
-        return float(spans.max())
-
-    def domain_measure(self) -> float:
-        return float(np.sum(self.cell_measures()))
+        pts = self.vertices[self.cells]
+        return float((pts.max(axis=1) - pts.min(axis=1)).max())
 
 
 class CellData(NamedTuple):
@@ -82,7 +79,7 @@ class CellData(NamedTuple):
     dofs: np.ndarray      # (nc, dim + 1) dof of each local vertex, -1 if eliminated
     measure: np.ndarray   # (nc,) cell lengths or areas
     grads: np.ndarray     # (nc, dim + 1, dim) gradients of the local basis
-    points: np.ndarray    # (nq, nc[, 2]) physical quadrature points
+    points: np.ndarray    # (nq, nc, dim) physical quadrature points
     weights: np.ndarray   # (nq,) summing to one
     phi: np.ndarray       # (nq, dim + 1) local basis values at the points
 
@@ -136,11 +133,7 @@ class FeSpace:
         On Dirichlet spaces the boundary values of ``fn`` are discarded
         (the represented function is clamped to zero there).
         """
-        coords = self.dof_coordinates()
-        if self.mesh.dimension == 1:
-            vals = fn(coords)
-        else:
-            vals = fn(coords[:, 0], coords[:, 1])
+        vals = fn(*self.dof_coordinates().T)
         return np.asarray(vals, dtype=float).reshape(self.num_dofs)
 
     def cell_data(self, quad_order: int = 4) -> CellData:
@@ -152,7 +145,7 @@ class FeSpace:
         mesh = self.mesh
         if mesh.dimension == 1:
             gq, gw = np.polynomial.legendre.leggauss(max(1, quad_order))
-            ref, gw = 0.5 * (gq + 1.0), 0.5 * gw
+            ref, gw = 0.5 * (gq[:, None] + 1.0), 0.5 * gw
         elif quad_order <= 1:
             ref, gw = _TRI_CENTROID, np.array([1.0])
         else:
@@ -160,16 +153,12 @@ class FeSpace:
         geometry = self._geometry
         quadrature = self._quadratures.get(gw.size)  # point count names the rule
         if quadrature is None:
-            x0 = mesh.vertices[mesh.cells[:, 0]]
-            if mesh.dimension == 1:
-                pts = x0[None, :] + ref[:, None] * geometry[1][None, :]
-                phi = np.column_stack([1.0 - ref, ref])
-            else:
-                e1 = mesh.vertices[mesh.cells[:, 1]] - x0
-                e2 = mesh.vertices[mesh.cells[:, 2]] - x0
-                pts = (x0[None, :, :] + ref[:, 0][:, None, None] * e1[None, :, :]
-                       + ref[:, 1][:, None, None] * e2[None, :, :])
-                phi = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
+            # (x0 + r0 e1) + r1 e2 and (1 - r0) - r1: the order fixes the last bit
+            edges = mesh.edges()
+            pts = mesh.vertices[mesh.cells[:, 0]][None]
+            for k in range(mesh.dimension):
+                pts = pts + ref[:, k, None, None] * edges[None, :, k]
+            phi = np.column_stack([reduce(np.subtract, ref.T, 1.0), ref])
             quadrature = self._quadratures[gw.size] = _read_only(pts, gw, phi)
         return CellData(*geometry, *quadrature)
 
@@ -182,19 +171,17 @@ class FeSpace:
         """Quadrature-independent cell data: dof map, measures, P1 gradients."""
         mesh = self.mesh
         measure = mesh.cell_measures()
+        grads = np.empty((mesh.num_cells, mesh.dimension + 1, mesh.dimension))
         if mesh.dimension == 1:
-            grads = np.stack([-1.0 / measure, 1.0 / measure], axis=1)[:, :, None]
-            return _read_only(self.dof_of_vertex[mesh.cells], measure, grads)
-        p0 = mesh.vertices[mesh.cells[:, 0]]
-        e1 = mesh.vertices[mesh.cells[:, 1]] - p0
-        e2 = mesh.vertices[mesh.cells[:, 2]] - p0
-        det = 2.0 * measure   # exact: the measure is half the determinant
-        grads = np.empty((mesh.num_cells, 3, 2))
-        grads[:, 1, 0] = e2[:, 1] / det
-        grads[:, 1, 1] = -e2[:, 0] / det
-        grads[:, 2, 0] = -e1[:, 1] / det
-        grads[:, 2, 1] = e1[:, 0] / det
-        grads[:, 0] = -grads[:, 1] - grads[:, 2]
+            grads[:, 1, 0] = 1.0 / measure
+        else:
+            e = mesh.edges()
+            det = 2.0 * measure   # exact: the measure is half the determinant
+            grads[:, 1, 0] = e[:, 1, 1] / det
+            grads[:, 1, 1] = -e[:, 1, 0] / det
+            grads[:, 2, 0] = -e[:, 0, 1] / det
+            grads[:, 2, 1] = e[:, 0, 0] / det
+        grads[:, 0] = -grads[:, 1:].sum(axis=1)
         return _read_only(self.dof_of_vertex[mesh.cells], measure, grads)
 
     @cached_property
@@ -233,11 +220,11 @@ def build_interval_mesh(n_cells: int, interval=(0.0, 1.0)) -> Mesh:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     if not x1 > x0:
         raise ValueError(f"degenerate interval [{x0}, {x1}]")
-    verts = np.linspace(x0, x1, n_cells + 1)
+    verts = np.linspace(x0, x1, n_cells + 1)[:, None]
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
     boundary = np.zeros(n_cells + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
-    return Mesh(1, verts, cells, boundary, ("interval", n_cells, x0, x1))
+    return Mesh(1, verts, cells, boundary, ((n_cells,), (x0,), (x1,)))
 
 
 def build_rect_mesh(nx: int, ny: int, rect=(0.0, 1.0, 0.0, 1.0)) -> Mesh:
@@ -272,7 +259,7 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 1.0, 0.0, 1.0)) -> Mesh:
     gi = np.repeat(np.arange(nx + 1), ny + 1)
     gj = np.tile(np.arange(ny + 1), nx + 1)
     boundary = (gi == 0) | (gi == nx) | (gj == 0) | (gj == ny)
-    return Mesh(2, verts, cells, boundary, ("rect", nx, ny, x0, x1, y0, y1))
+    return Mesh(2, verts, cells, boundary, ((nx, ny), (x0, y0), (x1, y1)))
 
 
 def build_space(mesh: Mesh, rule: str = DIRICHLET) -> FeSpace:
@@ -280,30 +267,20 @@ def build_space(mesh: Mesh, rule: str = DIRICHLET) -> FeSpace:
 
     ``dirichlet-zero`` assigns dofs to interior vertices only (conforming
     zero-trace subspace); ``periodic`` identifies opposite-face vertices of
-    the structured cell, leaving ``n`` (1D) or ``nx*ny`` (2D) dofs.
+    the structured box, leaving one dof per cell of the grid.
     """
-    nv = mesh.num_vertices
-    dof_of_vertex = np.full(nv, -1, dtype=np.int64)
     if rule == DIRICHLET:
+        dof_of_vertex = np.full(mesh.num_vertices, -1, dtype=np.int64)
         interior = np.flatnonzero(~mesh.boundary)
         dof_of_vertex[interior] = np.arange(interior.size)
         return FeSpace(mesh, rule, dof_of_vertex, interior)
     if rule == PERIODIC:
-        kind = mesh.structure[0]
-        if kind == "interval":
-            n = mesh.structure[1]
-            dof_of_vertex[:n] = np.arange(n)
-            dof_of_vertex[n] = 0
-            return FeSpace(mesh, rule, dof_of_vertex, np.arange(n))
-        if kind == "rect":
-            nx, ny = mesh.structure[1], mesh.structure[2]
-            gi = np.repeat(np.arange(nx + 1), ny + 1)
-            gj = np.tile(np.arange(ny + 1), nx + 1)
-            dof_of_vertex[:] = (gi % nx) * ny + (gj % ny)
-            reps = np.flatnonzero((gi < nx) & (gj < ny))
-            order = np.argsort(dof_of_vertex[reps])
-            return FeSpace(mesh, rule, dof_of_vertex, reps[order])
-        raise ValueError(f"periodic rule unsupported on '{kind}' mesh")
+        cells = mesh.structure[0]
+        grid = np.unravel_index(np.arange(mesh.num_vertices), [n + 1 for n in cells])
+        dof_of_vertex = np.ravel_multi_index(grid, cells, mode="wrap")
+        # each dof's first vertex is its grid point below the upper faces
+        reps = np.unique(dof_of_vertex, return_index=True)[1]
+        return FeSpace(mesh, rule, dof_of_vertex, reps)
     raise ValueError(f"unknown boundary rule '{rule}'")
 
 

@@ -42,7 +42,7 @@ class Experiment:
 
     subcommand: str
     summary: str       # one-line help of the subcommand
-    requires: tuple    # config keys the kind cannot run without
+    requires: tuple    # family-valued config keys the kind reads, all required
     runner: str        # name of the run_* function of this module
     outputs: tuple     # default (CSV, JSON) report names; no CSV when None
     ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
@@ -192,8 +192,8 @@ def interpolate_between(space_from: FeSpace, u: np.ndarray,
     full = np.zeros(mesh.num_vertices)
     full[space_from.dof_vertices] = u
     if mesh.dimension == 1:
-        return np.interp(coords, mesh.vertices, full)
-    _, nx, ny, x0, x1, y0, y1 = mesh.structure
+        return np.interp(coords[:, 0], mesh.vertices[:, 0], full)
+    (nx, ny), (x0, y0), (x1, y1) = mesh.structure
     grid = full.reshape(nx + 1, ny + 1)
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny

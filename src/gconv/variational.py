@@ -182,10 +182,7 @@ def recovery_check(space: FeSpace, base: sparse.spmatrix,
     trace |F_h(u) - F(u)| over the ladder must decay toward zero.
     """
     a, b = (float(u_affine[0]), float(u_affine[1]))
-    if space.mesh.dimension == 1:
-        u = space.interpolate(lambda x: a * x + b)
-    else:
-        u = space.interpolate(lambda x, y: a * x + b)
+    u = space.interpolate(lambda x, *_: a * x + b)
     f_limit = float(u @ (base @ u) + u @ (ladder.limit @ u))
     values = [float(u @ (base @ u) + u @ (vmat @ u)) for vmat in ladder.matrices]
     return _trace(ladder.h_values, values, f_limit)
@@ -204,9 +201,7 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
         down = (x1 - x) / (x1 - mid)
         return np.clip(np.minimum(up, down), 0.0, None)
 
-    if space.mesh.dimension == 1:
-        return space.interpolate(tent)
-    return space.interpolate(lambda x, y: tent(x))
+    return space.interpolate(lambda x, *_: tent(x))
 
 
 def dirichlet_solves(family, source: SourceFamily, n: int, quad_order: int = 4,

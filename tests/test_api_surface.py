@@ -3,12 +3,15 @@
 A public module-level function or class of ``src/gconv`` must be named in
 another module of the package, in its own module outside its definition, or
 in the acceptance suite.  What only the other unit tests reach is not API.
+The same holds for the public methods and properties of every class.
 
 A use is resolved to the module that defines it: a bare name counts for the
 module it was imported from (or its own module), and an attribute counts only
 on a name bound to a package module (``assembly.assemble_mass``), so a method
 of the same name on an unrelated object is no use.  A string constant counts
 for its own module, because the experiment registry names its runners.
+Methods are matched by name alone: any attribute, or string constant, of
+that name outside the method's own body is a use.
 """
 import ast
 from pathlib import Path
@@ -67,3 +70,33 @@ def test_public_definitions_are_reached():
                     and (stem, node.name) not in _uses(tree, stem, skip=node)):
                 unreached.append(f"{stem}.{node.name}")
     assert not unreached, f"public but reached only by unit tests: {unreached}"
+
+
+def _attribute_names(tree, skip) -> set:
+    """Attribute names and string constants under ``tree``, outside ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_public_methods_are_reached():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    unreached = []
+    for stem, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and not any(node.name in _attribute_names(t, node)
+                                    for t in [acceptance, *trees.values()])):
+                    unreached.append(f"{stem}.{cls.name}.{node.name}")
+    assert not unreached, f"public methods reached only by unit tests: {unreached}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gconv import assembly
 from gconv.families import (
@@ -48,7 +50,7 @@ def test_spike_mass_support_locality():
     # spike at h=4 lives on [0, 1/4]: rows of dofs beyond it are empty
     sp = build_space(build_interval_mesh(64), DIRICHLET)
     V = assembly.assemble_mass(sp, make_builtin_family("spike-potential", [2.0]), h=4)
-    coords = sp.dof_coordinates()
+    coords = sp.dof_coordinates()[:, 0]
     outside = coords > 0.25 + 1.0 / 64 + 1e-12
     assert np.abs(V.toarray()[outside]).max() == 0.0
     inside = coords < 0.25 - 1.0 / 64
@@ -70,7 +72,7 @@ def test_load_affine_source(quarter_space):
 
     src = SourceFamily(name="x", values=lambda h, x: x, limit=lambda x: x)
     b = assembly.assemble_load(quarter_space, src)
-    assert np.allclose(b, 0.25 * quarter_space.dof_coordinates(), atol=1e-16)
+    assert np.allclose(b, 0.25 * quarter_space.dof_coordinates()[:, 0], atol=1e-16)
 
 
 def test_bitwise_symmetry():
@@ -78,9 +80,8 @@ def test_bitwise_symmetry():
     # exactly symmetric and equals, bit for bit, the same assembly on a fresh
     # space, so no assembly leaks state into the next through the space's
     # cached data, which callers cannot write to.
-    radial = SourceFamily(
-        name="1+|x|^2", limit=lambda x: x,
-        values=lambda h, x: 1.0 + np.square(x).reshape(*x.shape[:2], -1).sum(-1))
+    radial = SourceFamily(name="1+x^2", limit=lambda x: x,
+                          values=lambda h, x: 1.0 + np.square(x))
     lam = make_builtin_family("laminate2d", [1.0, 4.0])
     cases = [
         (lambda: build_space(build_interval_mesh(256), DIRICHLET),
@@ -121,7 +122,7 @@ def test_periodic_mass_row_sums_reproduce_measure():
     ):
         M = assembly.assemble_mass(sp)
         ones = np.ones(sp.num_dofs)
-        measure = sp.mesh.domain_measure()
+        measure = sp.mesh.cell_measures().sum()
         assert abs(ones @ (M @ ones) - measure) <= 1e-12 * measure
 
 
@@ -189,3 +190,31 @@ def test_quadrature_order_one_triangle_rule():
     K2 = assembly.assemble_stiffness(sp, unit, quad_order=2)
     # constant coefficients: the centroid rule already integrates exactly
     assert np.allclose(K1.toarray(), K2.toarray(), atol=1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cells=st.one_of(st.tuples(st.integers(2, 512)),
+                       st.tuples(st.integers(2, 32), st.integers(2, 32))),
+       rule=st.sampled_from([DIRICHLET, PERIODIC]))
+def test_grid_invariants_property(cells, rule):
+    dim = len(cells)
+    mesh = build_interval_mesh(*cells) if dim == 1 else build_rect_mesh(*cells)
+    sp = build_space(mesh, rule)
+    corners = mesh.vertices[mesh.cells]                  # (nc, dim + 1, dim)
+    for quad_order in (1, 4):  # every quadrature point lies in its cell's box
+        pts = sp.cell_data(quad_order).points            # (nq, nc, dim)
+        assert pts.shape[1:] == (mesh.num_cells, dim)
+        assert np.all(pts >= corners.min(axis=1)) and np.all(pts <= corners.max(axis=1))
+    assert mesh.max_cell_span() == pytest.approx(1.0 / min(cells), rel=1e-12)
+    K = assembly.assemble_stiffness(sp, ConstantMatrixCoefficient(np.eye(dim)))
+    M = assembly.assemble_mass(sp)
+    for mat in (K, M):
+        assert np.array_equal(mat.toarray(), mat.T.toarray())
+    if rule == PERIODIC:
+        assert sp.num_dofs == np.prod(cells)
+        grid = sp.dof_of_vertex.reshape([n + 1 for n in cells])
+        for axis in range(dim):  # opposite faces share their dofs
+            assert np.array_equal(np.take(grid, 0, axis), np.take(grid, -1, axis))
+        ones = np.ones(sp.num_dofs)
+        assert np.abs(K @ ones).max() <= 1e-12 * abs(K).max()
+        assert ones @ (M @ ones) == pytest.approx(1.0, rel=1e-12)

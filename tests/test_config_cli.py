@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gconv import homogenize, sweep
+from gconv import homogenize, linalg, sweep
 from gconv.cli import main
 from gconv.config import (
     ConfigError,
@@ -161,7 +161,20 @@ def test_cli_resolution_failure_exit_2(tmp_path, capsys):
                  "--set", "points_per_period=16"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "resolution" in err
+    assert "gconv: numerical failure at stage 'resolution check': " in err
+
+
+def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linalg, "splu", singular)
+    cfg = _write(tmp_path, _minimal())
+    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("gconv: numerical failure at stage 'factorization': not positive "
+            "definite: Factor is exactly singular") in err
+    assert "Traceback" not in err
 
 
 def test_cli_eigensolver_failure_exit_2(tmp_path, capsys):
@@ -238,6 +251,40 @@ def test_cli_family_of_wrong_class_exit_1(tmp_path, capsys, key, name,
         err = capsys.readouterr().err
         assert f"config key '{key}': '{name}' is a" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand,kind,key,spec", [
+    ("sweep-eigen", "eigen-homog", "potential", {"name": "sin2-potential"}),
+    ("sweep-eigen", "eigen-homog", "source", {"name": "const-source"}),
+    ("sweep-potential", "eigen-potential", "family", {"name": "osc1d"}),
+    ("gamma-check", "gamma", "source", {"name": "osc-source"}),
+    ("homogenize", "homogenize", "potential", {"name": "const-potential"}),
+])
+def test_cli_unread_family_key_exit_1(tmp_path, capsys, subcommand, kind, key, spec):
+    # a family the experiment never reads would be echoed as if it were used
+    doc = _minimal(kind, **{key: spec})
+    message = f"config key '{key}': experiment '{kind}' does not read it"
+    with pytest.raises(ConfigError, match=message):
+        validate_config(doc)
+    cfg = _write(tmp_path, doc)
+    for argv in ([subcommand, "--out", str(tmp_path / "out")], ["validate"]):
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config,key", [("a5_sin2.json", "potential"),
+                                        ("a9_source.json", "source")])
+def test_sequence_specs_take_only_name_and_params(capsys, config, key):
+    # only a coefficient family declares ellipticity bounds
+    doc = json.loads((CONFIGS / config).read_text())
+    assert set(validate_config(doc)[key]) == {"name", "params"}
+    for bound in ("alpha", "beta"):
+        with pytest.raises(ConfigError, match=f"'{key}.{bound}': unknown key"):
+            validate_config({**doc, key: {**doc[key], bound: 1.0}})
+        assert main(["validate", "--config", str(CONFIGS / config),
+                     "--set", f"{key}.{bound}=-5"]) == 1
+        assert f"override key '{key}.{bound}': unknown key" in capsys.readouterr().err
 
 
 _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},

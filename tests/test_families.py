@@ -34,7 +34,7 @@ def _tent_third(x):  # periodic, peak at 1/3: exact in P1 on 3 * 2^k cells
 def test_osc1d_bounds():
     fam = make_builtin_family("osc1d", [2.0])
     assert fam.alpha == 1.0 and fam.beta == 3.0
-    x = np.linspace(0, 1, 1000)
+    x = np.linspace(0, 1, 1000)[:, None]
     vals = fam.values_at(3, x)
     assert vals.min() >= 1.0 and vals.max() <= 3.0
 
@@ -42,20 +42,20 @@ def test_osc1d_bounds():
 def test_spike_l2_norm():
     # p = 2, h = 4: amplitude 2 on [0, 1/4], so the L2 norm is exactly 1
     fam = make_builtin_family("spike-potential", [2.0])
-    x = np.linspace(0, 0.25, 1001)[:-1]
+    x = np.linspace(0, 0.25, 1001)[:-1, None]
     assert np.allclose(fam.values_at(4, x), 2.0)
-    assert fam.values_at(4, np.array([0.3, 0.9])).max() == 0.0
-    nodes = (np.arange(4096) + 0.5) / 4096
+    assert fam.values_at(4, np.array([[0.3], [0.9]])).max() == 0.0
+    nodes = ((np.arange(4096) + 0.5) / 4096)[:, None]
     l2 = np.sqrt(np.mean(fam.values_at(4, nodes) ** 2))
     assert abs(l2 - 1.0) <= 1e-12
 
 
 def test_sin2_range_and_limit():
     fam = make_builtin_family("sin2-potential")
-    x = np.linspace(0, 1, 513)
+    x = np.linspace(0, 1, 513)[:, None]
     v = fam.values_at(7, x)
-    assert v.min() >= 0.0 and v.max() <= 1.0
-    assert np.allclose(fam.limit_at(x), 0.5)
+    assert v.shape == (513,) and v.min() >= 0.0 and v.max() <= 1.0
+    assert np.allclose(fam.limit_family().values_at(1, x), 0.5)
 
 
 def test_unknown_family_rejected():
@@ -165,7 +165,8 @@ def test_piecewise_rejects_overlap():
 
 def test_osc_source_strong_convergence():
     fam = make_builtin_family("osc-source", [1.0])
-    x = np.linspace(0, 1, 2049)
+    x = np.linspace(0, 1, 2049)[:, None]
+    limit = fam.limit_family().values_at(1, x)
     for h in (4, 16, 64):
-        dev = np.abs(fam.values_at(h, x) - fam.limit_at(x)).max()
+        dev = np.abs(fam.values_at(h, x) - limit).max()
         assert dev <= 1.0 / h + 1e-15

@@ -81,8 +81,8 @@ def test_interpolate_between_1d_nested_exact():
     u = coarse.interpolate(lambda x: x * (1 - x))
     v = interpolate_between(coarse, u, fine)
     # piecewise-linear on the coarse mesh, reproduced exactly on nested nodes
-    xs = fine.dof_coordinates()
-    expected = np.interp(xs, coarse.mesh.vertices,
+    xs = fine.dof_coordinates()[:, 0]
+    expected = np.interp(xs, coarse.mesh.vertices[:, 0],
                          np.concatenate([[0], u, [0]]))
     assert np.allclose(v, expected, atol=1e-15)
 

@@ -250,7 +250,7 @@ def test_flux_weak_limit_refuses_thin_windows():
 def test_interpolate_bump_shape(fine_setup):
     sp, _, _ = fine_setup
     phi = interpolate_bump(sp, (0.25, 0.75))
-    coords = sp.dof_coordinates()
+    coords = sp.dof_coordinates()[:, 0]
     assert phi.max() <= 1.0 + 1e-12
     assert np.abs(phi[(coords < 0.25) | (coords > 0.75)]).max() == 0.0
     mid = np.argmin(np.abs(coords - 0.5))
