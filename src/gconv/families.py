@@ -1,9 +1,10 @@
 """Coefficient, potential and source sequences indexed by a frequency h.
 
-Built-in families realize the canonical settings of periodic homogenization
-(oscillation at frequency h) plus a concentration family for the weakly but
-not uniformly convergent potential regime.  Every family carries what its
-limit oracle reads (a unit-cell profile, or an analytic limit), and
+Built-in families, one ``BUILTINS`` entry each, realize the canonical settings
+of periodic homogenization (oscillation at frequency h) plus a concentration
+family for the weakly but not uniformly convergent potential regime.  Every
+callable a family holds reads points (..., dim).  Every family carries what
+its limit oracle reads (a unit-cell profile, or an analytic limit), and
 oscillatory families expose the length of their finest feature so numerical
 consumers can refuse to sample below RESOLUTION_POINTS points per feature
 instead of silently aliasing.
@@ -46,12 +47,22 @@ def _first_coordinate(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[..., 0]
 
 
+class _Oscillating:
+    """A sequence whose finest feature, of length feature_fraction / h, shrinks with h."""
+
+    def feature_scale(self, h: int) -> float | None:
+        if self.feature_fraction is None:
+            return None
+        return self.feature_fraction / h
+
+
 @dataclass(frozen=True, eq=False)
-class CoefficientFamily:
+class CoefficientFamily(_Oscillating):
     """Symmetric elliptic coefficient sequence A_h(x) = a(h x) I with bounds alpha, beta.
 
-    ``unit_profile`` is the 1-periodic profile a on the unit cell, read at
-    h x1 (x1 the first coordinate) and by the homogenization oracles.
+    ``unit_profile`` is the 1-periodic profile a on the unit cell: it reads
+    points (..., dim), h x here and unit-cell points in the homogenization
+    oracles.
     """
 
     name: str
@@ -61,14 +72,9 @@ class CoefficientFamily:
     unit_profile: Callable[[np.ndarray], np.ndarray]
     feature_fraction: float | None = None   # finest feature = fraction / h
 
-    def feature_scale(self, h: int) -> float | None:
-        if self.feature_fraction is None:
-            return None
-        return self.feature_fraction / h
-
     def values_at(self, h: int, x) -> np.ndarray:
         """Isotropic multiplier a_h at sample points (..., dim)."""
-        return np.asarray(self.unit_profile(h * _first_coordinate(x)), dtype=float)
+        return np.asarray(self.unit_profile(h * np.asarray(x, dtype=float)), dtype=float)
 
     def matrix_at(self, h: int, x) -> np.ndarray:
         """Full coefficient matrices a_h(x) * I with shape (..., dim, dim)."""
@@ -129,12 +135,12 @@ class PiecewiseCoefficient:
                 raise ValueError("piecewise composition is 1D only")
 
 
-class _Sequence:
+class _Sequence(_Oscillating):
     """Values f_h and the limit f of an h-indexed sequence of functions."""
 
     def values_at(self, h: int, x) -> np.ndarray:
         """f_h at sample points (..., dim)."""
-        return np.asarray(self.values(h, _first_coordinate(x)), dtype=float)
+        return np.asarray(self.values(h, x), dtype=float)
 
     def limit_family(self):
         """The limit as an h-independent family of the same class."""
@@ -156,11 +162,6 @@ class PotentialFamily(_Sequence):
     limit: Callable[[np.ndarray], np.ndarray]
     feature_fraction: float | None = None
 
-    def feature_scale(self, h: int) -> float | None:
-        if self.feature_fraction is None:
-            return None
-        return self.feature_fraction / h
-
 
 @dataclass(frozen=True, eq=False)
 class SourceFamily(_Sequence):
@@ -172,146 +173,104 @@ class SourceFamily(_Sequence):
     feature_fraction: float | None = None
 
     def feature_scale(self, h: int) -> float | None:
-        if self.feature_fraction is None:
-            return None
         return self.feature_fraction  # fixed-scale oscillation, h-independent
 
 
-def _two_phase_profile(p1: float, p2: float):
-    def profile(y):
-        y = np.asarray(y, dtype=float)
-        return np.where(np.mod(y, 1.0) < 0.5, p1, p2)
-
-    return profile
+def _constant(c: float):
+    """A profile, values or limit equal to c at its last argument, points (..., dim)."""
+    return lambda *args: np.full(np.shape(args[-1])[:-1], c, dtype=float)
 
 
-def _sin_profile(offset: float):
-    def profile(y):
-        return offset + np.sin(2.0 * np.pi * np.asarray(y, dtype=float))
+def _sinusoid(name: str, dim: int):
+    def build(offset=2.0):
+        if offset <= 1.0:
+            raise ValueError(f"{name} offset must exceed 1 for alpha > 0, got {offset}")
+        return CoefficientFamily(name, dim, offset - 1.0, offset + 1.0, lambda y: (
+            offset + np.sin(2.0 * np.pi * _first_coordinate(y))), 1.0)
+    return build
 
-    return profile
+
+def _two_phase(name: str, dim: int):
+    def build(p1=1.0, p2=4.0):
+        if min(p1, p2) <= 0.0:
+            raise ValueError(f"{name} phases must be positive, got {p1}, {p2}")
+        return CoefficientFamily(name, dim, min(p1, p2), max(p1, p2), lambda y: (
+            np.where(np.mod(_first_coordinate(y), 1.0) < 0.5, p1, p2)), 1.0)
+    return build
 
 
-BUILTIN_NAMES = (
-    "osc1d",
-    "twophase1d",
-    "laminate2d",
-    "const",
-    "sin2-potential",
-    "spike-potential",
-    "const-potential",
-    "const-source",
-    "osc-source",
-)
+def _const(c=1.0):
+    if c <= 0.0:
+        raise ValueError(f"const coefficient must be positive, got {c}")
+    return CoefficientFamily("const", 1, c, c, _constant(c))
+
+
+def _sin2_potential():
+    # sin^2(2 pi h x) is 1/(2h)-periodic; its weak* limit is the mean 1/2.
+    return PotentialFamily("sin2-potential", WEAK_STAR_LINF, lambda h, x: (
+        np.sin(2.0 * np.pi * h * _first_coordinate(x)) ** 2), _constant(0.5), 0.5)
+
+
+def _spike_potential(p=2.0):
+    if p < 2.0:
+        raise ValueError(f"spike-potential exponent must satisfy p >= 2, got {p}")
+
+    def values(h, x):
+        x = _first_coordinate(x)
+        return np.where((x >= 0.0) & (x <= 1.0 / h), float(h) ** (1.0 / p), 0.0)
+
+    return PotentialFamily("spike-potential", WEAK_LP, values, _constant(0.0), 1.0)
+
+
+def _const_potential(c=1.0):
+    if c < 0.0:
+        raise ValueError(f"const-potential must be nonnegative, got {c}")
+    return PotentialFamily("const-potential", WEAK_STAR_LINF, _constant(c), _constant(c))
+
+
+def _const_source(c=1.0):
+    return SourceFamily("const-source", _constant(c), _constant(c))
+
+
+def _osc_source(c=1.0):
+    return SourceFamily("osc-source", lambda h, x: (
+        c + np.sin(2.0 * np.pi * _first_coordinate(x)) / h), _constant(c), 1.0)
+
+
+# name -> (builder, the most parameters it takes); the builder's own
+# defaults fill in the parameters a list leaves out
+BUILTINS = {
+    "osc1d": (_sinusoid("osc1d", 1), 1),
+    "twophase1d": (_two_phase("twophase1d", 1), 2),
+    # the osc1d profile [b], or the twophase1d profile [p, q]
+    "laminate2d": (lambda *p: (_two_phase if len(p) == 2 else _sinusoid)(
+        "laminate2d", 2)(*p), 2),
+    "const": (_const, 1),
+    "sin2-potential": (_sin2_potential, 0),
+    "spike-potential": (_spike_potential, 1),
+    "const-potential": (_const_potential, 1),
+    "const-source": (_const_source, 1),
+    "osc-source": (_osc_source, 1),
+}
 
 
 def make_builtin_family(name: str, params=()):
     """Construct a built-in family from its identifier and numeric parameters.
 
-    Raises ``ValueError`` for unknown names or parameters that violate the
-    required bounds (ellipticity alpha > 0, nonnegative potentials).
+    Raises ``ValueError`` for unknown names, for parameters that are not
+    finite or more than the family takes, and for parameters that violate
+    the required bounds (ellipticity alpha > 0, nonnegative potentials).
     """
+    if name not in BUILTINS:
+        raise ValueError(f"unknown family '{name}' (choose from {', '.join(BUILTINS)})")
+    build, most = BUILTINS[name]
     params = [float(p) for p in params]
-
-    if name == "osc1d":
-        offset = params[0] if params else 2.0
-        if offset <= 1.0:
-            raise ValueError(f"osc1d offset must exceed 1 for alpha > 0, got {offset}")
-        profile = _sin_profile(offset)
-        return CoefficientFamily(
-            name="osc1d", dim=1, alpha=offset - 1.0, beta=offset + 1.0,
-            unit_profile=profile, feature_fraction=1.0,
-        )
-
-    if name == "twophase1d":
-        p1, p2 = (params + [1.0, 4.0])[:2] if params else (1.0, 4.0)
-        if min(p1, p2) <= 0.0:
-            raise ValueError(f"twophase1d phases must be positive, got {p1}, {p2}")
-        profile = _two_phase_profile(p1, p2)
-        return CoefficientFamily(
-            name="twophase1d", dim=1, alpha=min(p1, p2), beta=max(p1, p2),
-            unit_profile=profile, feature_fraction=1.0,
-        )
-
-    if name == "laminate2d":
-        if len(params) >= 2:
-            p1, p2 = params[0], params[1]
-            if min(p1, p2) <= 0.0:
-                raise ValueError(f"laminate2d phases must be positive, got {p1}, {p2}")
-            profile = _two_phase_profile(p1, p2)
-            alpha, beta = min(p1, p2), max(p1, p2)
-        else:
-            offset = params[0] if params else 2.0
-            if offset <= 1.0:
-                raise ValueError(f"laminate2d offset must exceed 1, got {offset}")
-            profile = _sin_profile(offset)
-            alpha, beta = offset - 1.0, offset + 1.0
-        return CoefficientFamily(
-            name="laminate2d", dim=2, alpha=alpha, beta=beta,
-            unit_profile=profile, feature_fraction=1.0,
-        )
-
-    if name == "const":
-        c = params[0] if params else 1.0
-        if c <= 0.0:
-            raise ValueError(f"const coefficient must be positive, got {c}")
-        return CoefficientFamily(
-            name="const", dim=1, alpha=c, beta=c,
-            unit_profile=lambda y: np.full(np.shape(y), c, dtype=float),
-            feature_fraction=None,
-        )
-
-    if name == "sin2-potential":
-        # sin^2(2 pi h x) is 1/(2h)-periodic; its weak* limit is the mean 1/2.
-        return PotentialFamily(
-            name="sin2-potential", convergence=WEAK_STAR_LINF,
-            values=lambda h, x: np.sin(2.0 * np.pi * h * x) ** 2,
-            limit=lambda x: np.full(np.shape(x), 0.5, dtype=float),
-            feature_fraction=0.5,
-        )
-
-    if name == "spike-potential":
-        p = params[0] if params else 2.0
-        if p < 2.0:
-            raise ValueError(f"spike-potential exponent must satisfy p >= 2, got {p}")
-        return PotentialFamily(
-            name="spike-potential", convergence=WEAK_LP,
-            values=lambda h, x: np.where(
-                (x >= 0.0) & (x <= 1.0 / h), float(h) ** (1.0 / p), 0.0
-            ),
-            limit=lambda x: np.zeros(np.shape(x), dtype=float),
-            feature_fraction=1.0,
-        )
-
-    if name == "const-potential":
-        c = params[0] if params else 1.0
-        if c < 0.0:
-            raise ValueError(f"const-potential must be nonnegative, got {c}")
-        return PotentialFamily(
-            name="const-potential", convergence=WEAK_STAR_LINF,
-            values=lambda h, x: np.full(np.shape(x), c, dtype=float),
-            limit=lambda x: np.full(np.shape(x), c, dtype=float),
-            feature_fraction=None,
-        )
-
-    if name == "const-source":
-        c = params[0] if params else 1.0
-        return SourceFamily(
-            name="const-source",
-            values=lambda h, x: np.full(np.shape(x), c, dtype=float),
-            limit=lambda x: np.full(np.shape(x), c, dtype=float),
-        )
-
-    if name == "osc-source":
-        c = params[0] if params else 1.0
-        return SourceFamily(
-            name="osc-source",
-            values=lambda h, x: c + np.sin(2.0 * np.pi * x) / h,
-            limit=lambda x: np.full(np.shape(x), c, dtype=float),
-            feature_fraction=1.0,
-        )
-
-    raise ValueError(f"unknown family '{name}' (choose from {', '.join(BUILTIN_NAMES)})")
+    if not np.all(np.isfinite(params)):  # NaN passes every builder's bound check
+        raise ValueError(f"'{name}' parameters must be finite, got {params}")
+    if len(params) > most:
+        takes = f"at most {most} parameter{'s' * (most > 1)}" if most else "no parameters"
+        raise ValueError(f"'{name}' takes {takes}, got {len(params)}")
+    return build(*params)
 
 
 def piecewise_coefficient(pieces) -> PiecewiseCoefficient:
@@ -341,27 +300,22 @@ class EllipticityReport:
 def validate_ellipticity(family, h: int, sample_count: int = 1000,
                          seed: int = 0, alpha: float | None = None,
                          beta: float | None = None) -> EllipticityReport:
-    """Sample random points and directions against the declared bounds.
+    """Sample random points against the declared bounds.
 
-    Reports the worst-case Rayleigh quotient xi.A xi / |xi|^2 and operator
-    norm ratio |A xi| / |xi|; the report fails when either leaves the
-    declared [alpha, beta] band by more than 1e-12.
+    A coefficient family is a_h I, so at a point both the Rayleigh quotient
+    xi.A xi / |xi|^2 and the operator norm ratio |A xi| / |xi| equal a_h in
+    every direction xi.  Reports their worst case over the samples; the
+    report fails when either leaves the declared [alpha, beta] band by more
+    than 1e-12.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     alpha = family.alpha if alpha is None else float(alpha)
     beta = family.beta if beta is None else float(beta)
     rng = np.random.default_rng(seed)
-    dim = family.dim
-    x = rng.uniform(0.0, 1.0, size=(sample_count, dim))
-    xi = rng.normal(size=(sample_count, dim))
-    xi /= np.linalg.norm(xi, axis=1)[:, None]
-    Axi = np.einsum("sij,sj->si", family.matrix_at(h, x), xi)
-    quot = np.einsum("si,si->s", xi, Axi)
-    ratio = np.linalg.norm(Axi, axis=1)
+    a = family.values_at(h, rng.uniform(0.0, 1.0, size=(sample_count, family.dim)))
     return EllipticityReport(
         family=family.name, h=h, samples=sample_count,
-        min_quotient=float(quot.min()), max_norm_ratio=float(ratio.max()),
+        min_quotient=float(a.min()), max_norm_ratio=float(a.max()),
         alpha=alpha, beta=beta,
     )
-

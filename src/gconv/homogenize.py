@@ -37,6 +37,7 @@ class HomogenizedTensor:
 def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
     """Limit coefficient (integral of 1/a over one period)^-1 of a 1D profile.
 
+    ``profile`` reads points (..., 1), as a family's ``unit_profile`` does.
     The error estimate comes from one quadrature refinement: the value is
     computed at ``quad_points`` and ``2 * quad_points`` subintervals and the
     finer value is returned.
@@ -55,7 +56,9 @@ def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
         offsets = np.arange(n) * width
         nodes = (offsets[:, None] + width * gq[None, :]).ravel()
         weights = np.tile(width * gw, n)
-        a = np.asarray(profile(nodes), dtype=float)
+        a = np.asarray(profile(nodes[:, None]), dtype=float)
+        if a.shape != nodes.shape:  # (n, 1) would broadcast against the weights
+            raise ValueError(f"profile maps points (n, 1) to shape {a.shape}, not (n,)")
         if np.any(a <= 0.0):
             raise ValueError("profile is not positive on the unit cell")
         return 1.0 / float(np.sum(weights / a))
@@ -63,25 +66,6 @@ def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
     coarse = value(quad_points)
     fine = value(2 * quad_points)
     return HomogenizedTensor(np.array([[fine]]), CLOSED_FORM, abs(fine - coarse))
-
-
-class _UnitCellField:
-    """Adapter presenting a unit-cell matrix field as an assembly coefficient."""
-
-    name = "unit-cell-profile"
-
-    def __init__(self, field):
-        self._field = field
-
-    def feature_scale(self, h: int) -> float:
-        return 1.0  # one period per unit cell
-
-    def matrix_at(self, h: int, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        out = np.asarray(self._field(pts), dtype=float)
-        if out.shape == pts.shape[:-1]:
-            out = out[..., None, None] * np.eye(2)
-        return out
 
 
 def _prolongation(res: int) -> sparse.csr_matrix:
@@ -98,8 +82,8 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
     """Effective 2x2 tensor of a 1-periodic coefficient field on the unit cell.
 
     Solves the corrector problems div(A(y)(e_i + grad chi_i)) = 0 on the
-    periodic cell space.  ``profile`` maps points (..., 2) to scalars
-    (isotropic a(y) I) or to (..., 2, 2) matrices, or is a 2D family.
+    periodic cell space.  ``profile`` is a 2D coefficient family, or a
+    callable mapping points (..., 2) to a(y), taken as the family a(y) I.
 
     An even resolution >= 32 first solves a half-resolution companion by its
     factor (one dof grounded); the tensors' difference is the error estimate,
@@ -108,20 +92,18 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
     factor; no fine dof is grounded and no mean is taken out of chi, as the
     tensor reads only grad chi.  CG short of ``CG_RTOL`` raises ConvergenceError.
     """
-    if isinstance(profile, CoefficientFamily):
-        if profile.dim != 2:
-            raise ValueError("cell_problem_2d needs a 2D family")
-        field = _UnitCellField(lambda pts: profile.matrix_at(1, pts))
-    else:
-        field = _UnitCellField(profile)
+    family = profile if isinstance(profile, CoefficientFamily) else CoefficientFamily(
+        "unit-cell-profile", 2, float("nan"), float("nan"), profile, 1.0)
+    if family.dim != 2:
+        raise ValueError("cell_problem_2d needs a 2D family")
     context = f"cell_problem_2d(resolution={cell_resolution})"
     check_resolution(1.0, 1.0 / cell_resolution, context)
 
     def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
         space = build_space(build_rect_mesh(res, res), PERIODIC)
-        K = assembly.assemble_stiffness(space, field, h=1)
+        K = assembly.assemble_stiffness(space, family, h=1)
         dofs, measure, grads, pts, gw, _ = space.cell_data(2)
-        Abar = np.einsum("q,qcij->cij", gw, field.matrix_at(1, pts))
+        Abar = np.einsum("q,qcij->cij", gw, family.matrix_at(1, pts))
         # rhs[i, j] = -integral( A e_j . grad phi_i ); batched matmul beats einsum
         local = -(grads @ Abar) * measure[:, None, None]
         b = np.column_stack([np.bincount(dofs.ravel(), local[..., j].ravel(),

@@ -15,6 +15,7 @@ documents (the effective config echoed for reproducibility).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -426,9 +427,13 @@ def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
     potential, q = config.potential, config.quad_order
     unit = ConstantMatrixCoefficient(np.eye(1))
 
+    @functools.cache  # the reference and the top rung share the finest space
+    def unit_stiffness(space):
+        return assembly.assemble_stiffness(space, unit, h=1, quad_order=q)
+
     def operator(space, weight, h):
-        K0 = assembly.assemble_stiffness(space, unit, h=1, quad_order=q)
-        return (K0 + assembly.assemble_mass(space, weight, h=h, quad_order=q)).tocsr()
+        return (unit_stiffness(space)
+                + assembly.assemble_mass(space, weight, h=h, quad_order=q)).tocsr()
 
     limit = potential.limit_family()
     return _eigen_ladder(

@@ -70,7 +70,7 @@ def test_load_zero_source(quarter_space):
 def test_load_affine_source(quarter_space):
     from gconv.families import SourceFamily
 
-    src = SourceFamily(name="x", values=lambda h, x: x, limit=lambda x: x)
+    src = SourceFamily(name="x", values=lambda h, x: x[..., 0], limit=lambda x: x[..., 0])
     b = assembly.assemble_load(quarter_space, src)
     assert np.allclose(b, 0.25 * quarter_space.dof_coordinates()[:, 0], atol=1e-16)
 
@@ -80,8 +80,8 @@ def test_bitwise_symmetry():
     # exactly symmetric and equals, bit for bit, the same assembly on a fresh
     # space, so no assembly leaks state into the next through the space's
     # cached data, which callers cannot write to.
-    radial = SourceFamily(name="1+x^2", limit=lambda x: x,
-                          values=lambda h, x: 1.0 + np.square(x))
+    radial = SourceFamily(name="1+|x|^2", limit=lambda x: 1.0 + np.sum(x**2, axis=-1),
+                          values=lambda h, x: 1.0 + np.sum(x**2, axis=-1))
     lam = make_builtin_family("laminate2d", [1.0, 4.0])
     cases = [
         (lambda: build_space(build_interval_mesh(256), DIRICHLET),

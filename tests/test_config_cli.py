@@ -320,11 +320,27 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     ("sweep-eigen", "eigen-homog", {"quad_order": 0}, "quad_order"),
     ("gamma-check", "gamma", {"quad_order": -3}, "quad_order"),
     ("divcurl", "divcurl", {"quad_order": 17, **_DIVCURL}, "quad_order"),
+    # more parameters than the family reads: the report would echo them as used
+    ("sweep-potential", "eigen-potential",
+     {"potential": {"name": "sin2-potential", "params": [5.0]}}, "potential"),
+    ("sweep-eigen", "eigen-homog",
+     {"family": {"name": "osc1d", "params": [2.0, 99.0]}}, "family"),
+    ("homogenize", "homogenize",
+     {"family": {"name": "laminate2d", "params": [1.0, 4.0, 7.0]}}, "family"),
+    ("sweep-source", "source-homog",
+     {"source": {"name": "const-source", "params": [1.0, 2.0, 3.0]}}, "source"),
+    # NaN passes every bound check and ends in a traceback at assembly
+    ("sweep-eigen", "eigen-homog",
+     {"family": {"name": "osc1d", "params": [math.nan]}}, "family"),
+    ("sweep-potential", "eigen-potential",
+     {"potential": {"name": "spike-potential", "params": [math.nan]}}, "potential"),
 ], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
         "phi-empty", "quad-points", "cell-resolution", "eigen-count",
         "targets", "seed", "eig-tol-zero", "eig-tol-negative", "eig-tol-nan",
         "perturbation-negative", "perturbation-nan", "quad-order-zero",
-        "quad-order-negative", "quad-order-above-cap"])
+        "quad-order-negative", "quad-order-above-cap", "params-sin2",
+        "params-osc1d", "params-laminate2d", "params-const-source",
+        "params-nan-family", "params-nan-potential"])
 def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):
     cfg = _write(tmp_path, _minimal(kind, **extra))
     for argv in ([subcommand, "--out", str(tmp_path)], ["validate"]):
@@ -333,6 +349,15 @@ def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key)
         assert f"config key '{key}'" in err
         assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_unread_parameter_names_family_and_count(tmp_path, capsys):
+    argv = ["--config", str(CONFIGS / "a5_sin2.json"), "--set", "potential.params=[5]"]
+    for sub in (["validate"], ["sweep-potential", "--out", str(tmp_path)]):
+        assert main(sub + argv) == 1
+        assert ("config key 'potential': 'sin2-potential' takes no parameters, got 1"
+                in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
 
 
 def test_null_only_where_the_default_is_null():

@@ -1,9 +1,17 @@
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gconv import assembly
 from gconv.families import (
+    BUILTINS,
     CoefficientFamily,
+    PotentialFamily,
     ResolutionError,
     make_builtin_family,
     piecewise_coefficient,
@@ -59,8 +67,73 @@ def test_sin2_range_and_limit():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError, match="unknown family"):
+    with pytest.raises(ValueError, match="unknown family") as err:
         make_builtin_family("fractal1d")
+    assert f"(choose from {', '.join(BUILTINS)})" in str(err.value)
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("sin2-potential", [5.0], "'sin2-potential' takes no parameters, got 1"),
+    ("osc1d", [2.0, 99.0], "'osc1d' takes at most 1 parameter, got 2"),
+    ("laminate2d", [1.0, 4.0, 7.0], "'laminate2d' takes at most 2 parameters, got 3"),
+    ("const-source", [1.0, 2.0, 3.0], "'const-source' takes at most 1 parameter, got 3"),
+])
+def test_extra_params_rejected(name, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_builtin_family(name, params)
+
+
+def test_missing_params_take_the_builder_defaults():
+    two = make_builtin_family("twophase1d", [3.0])
+    assert (two.alpha, two.beta) == (3.0, 4.0)
+    x = np.array([[0.25], [0.75]])
+    assert np.array_equal(two.values_at(1, x), [3.0, 4.0])
+    # laminate2d takes the osc1d profile [b] or the twophase1d profile [p, q]
+    for params, osc in (([], "osc1d"), ([3.0], "osc1d"), ([1.0, 4.0], "twophase1d")):
+        lam = make_builtin_family("laminate2d", params)
+        ref = make_builtin_family(osc, params)
+        assert (lam.dim, lam.alpha, lam.beta) == (2, ref.alpha, ref.beta)
+        pts = np.array([[0.1, 0.9], [0.6, 0.2]])
+        assert np.array_equal(lam.values_at(3, pts), ref.values_at(3, pts[:, :1]))
+    with pytest.raises(ValueError, match="laminate2d offset must exceed 1 for alpha > 0"):
+        make_builtin_family("laminate2d", [1.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_catalog_families_read_whole_points(data):
+    name = data.draw(st.sampled_from(list(BUILTINS)), label="name")
+    most = BUILTINS[name][1]
+    params = data.draw(st.lists(st.floats(2.0, 6.0), max_size=most), label="params")
+    fam = make_builtin_family(name, params)
+    h = data.draw(st.integers(1, 64), label="h")
+    dim = getattr(fam, "dim", 1)  # potentials and sources are 1D
+    x = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=dim,
+                                             max_size=dim), min_size=1, max_size=50),
+                           label="x"))
+    v = fam.values_at(h, x)
+    assert v.shape == (len(x),) and np.all(np.isfinite(v))
+    alone = [fam.values_at(h, point) for point in x]  # one point (dim,) each
+    np.testing.assert_allclose(v, alone, rtol=1e-14, atol=0.0)
+    if isinstance(fam, CoefficientFamily):
+        assert np.all(v >= fam.alpha - 1e-12) and np.all(v <= fam.beta + 1e-12)
+    else:
+        limit = fam.limit_family().values_at(h, x)
+        assert limit.shape == (len(x),)
+        if isinstance(fam, PotentialFamily):
+            assert np.all(v >= 0.0) and np.all(limit >= 0.0)
+    with pytest.raises(ValueError, match="takes"):
+        make_builtin_family(name, [3.0] * (most + 1))
+
+
+def test_readme_table_lists_the_catalog():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Built-in families"))
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]))
+    # the name cell of each row below the header and its rule
+    names = [re.match(r"\|\s*`([^`\s]+)`", row).group(1) for row in rows[2:]]
+    assert sorted(names) == sorted(BUILTINS)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -94,7 +167,7 @@ def test_validate_ellipticity_osc1d():
 def test_validate_ellipticity_detects_violation():
     bad = CoefficientFamily(
         name="bad", dim=1, alpha=1.0, beta=2.0,
-        unit_profile=lambda y: np.sin(2 * np.pi * y),  # crosses zero
+        unit_profile=lambda y: np.sin(2 * np.pi * y[..., 0]),  # crosses zero
         feature_fraction=1.0,
     )
     rep = validate_ellipticity(bad, 3, 5000, seed=1)

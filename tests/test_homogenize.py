@@ -8,13 +8,13 @@ from scipy.sparse.linalg import splu
 
 from gconv import assembly
 from gconv.families import (
+    CoefficientFamily,
     ConstantMatrixCoefficient,
     make_builtin_family,
     piecewise_coefficient,
 )
 from gconv.homogenize import (
     _prolongation,
-    _UnitCellField,
     cell_problem_2d,
     harmonic_mean_1d,
     homogenized_tensor,
@@ -48,17 +48,23 @@ def test_harmonic_mean_constant():
 
 def test_harmonic_mean_rejects_coarse_quadrature():
     with pytest.raises(ValueError):
-        harmonic_mean_1d(lambda y: 2.0 + np.sin(2 * np.pi * y), 32)
+        harmonic_mean_1d(lambda y: 2.0 + np.sin(2 * np.pi * y[..., 0]), 32)
+
+
+def test_harmonic_mean_rejects_values_that_keep_the_point_axis():
+    # values (n, 1) would broadcast against the (n,) weights to an (n, n) sum
+    with pytest.raises(ValueError, match=r"shape \(1024, 1\), not \(n,\)"):
+        harmonic_mean_1d(lambda y: np.full(y.shape, 2.0), 256)
 
 
 def test_harmonic_mean_rejects_sign_crossing_profile():
     with pytest.raises(ValueError, match="not positive"):
-        harmonic_mean_1d(lambda y: np.sin(2 * np.pi * y), 128)
+        harmonic_mean_1d(lambda y: np.sin(2 * np.pi * y[..., 0]), 128)
 
 
 def test_harmonic_below_arithmetic():
     def arithmetic_mean(profile):  # midpoint rule over one period
-        return float(np.mean(profile((np.arange(4096) + 0.5) / 4096)))
+        return float(np.mean(profile(((np.arange(4096) + 0.5) / 4096)[:, None])))
 
     for name, params in [("osc1d", [2.0]), ("twophase1d", [1.0, 4.0])]:
         fam = make_builtin_family(name, params)
@@ -134,12 +140,12 @@ def _checkerboard(pts):  # contrast 100
 
 def _direct_tensor(profile, res):
     """Cell tensor from one grounded SuperLU solve per corrector at res."""
-    field = _UnitCellField(profile)
+    family = CoefficientFamily("unit-cell-profile", 2, math.nan, math.nan, profile, 1.0)
     space = build_space(build_rect_mesh(res, res), PERIODIC)
-    K = assembly.assemble_stiffness(space, field).tocsc()
+    K = assembly.assemble_stiffness(space, family).tocsc()
     lu = splu(K[1:, 1:], permc_spec="MMD_AT_PLUS_A")
     dofs, measure, grads, pts, gw, _ = space.cell_data(2)
-    Abar = np.einsum("q,qcij->cij", gw, field.matrix_at(1, pts))
+    Abar = np.einsum("q,qcij->cij", gw, family.matrix_at(1, pts))
     eff = np.zeros((2, 2))
     for j in range(2):
         b = np.zeros(space.num_dofs)

@@ -210,18 +210,22 @@ def test_gamma_runner_all_pass():
     assert rep.recovery.abs_errors[-1] <= 1e-2 * abs(rep.recovery.limit) + 1e-10
 
 
-@pytest.fixture
-def mass_calls(monkeypatch):
-    """Arguments of every ``assemble_mass`` call the test makes."""
+def _count_calls(monkeypatch, name):
+    """Arguments of every ``assembly.<name>`` call the test makes from here on."""
     calls = []
-    assemble_mass = assembly.assemble_mass
+    original = getattr(assembly, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return assemble_mass(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(assembly, "assemble_mass", counting)
+    monkeypatch.setattr(assembly, name, counting)
     return calls
+
+
+@pytest.fixture
+def mass_calls(monkeypatch):
+    return _count_calls(monkeypatch, "assemble_mass")
 
 
 def test_gamma_runner_assembles_each_potential_once(mass_calls):
@@ -242,6 +246,17 @@ def test_potential_sweep_shares_the_finest_mass(mass_calls):
                            eigen_count=2)
     run_eigen_potential(cfg)
     assert len(mass_calls) == 2 * len(cfg.h_list) + 1
+
+
+def test_potential_sweep_builds_each_unit_stiffness_once(monkeypatch):
+    # one K0 per distinct space: the reference and the top rung share the
+    # finest space, so a5's five rungs need five, not six
+    path = Path(__file__).resolve().parent.parent / "configs" / "a5_sin2.json"
+    cfg = experiment_from_config(validate_config(load_config(path)))
+    calls = _count_calls(monkeypatch, "assemble_stiffness")
+    run_eigen_potential(cfg)
+    assert len(calls) == len(cfg.h_list) == 5
+    assert len({id(args[0]) for args in calls}) == 5
 
 
 def test_potential_sweep_interpolates_each_vector_once(monkeypatch):
