@@ -22,14 +22,13 @@ from .families import check_resolution
 from .mesh import FeSpace
 
 
-def _check_family_resolution(space: FeSpace, family, h: int, context: str) -> None:
-    scale = family.feature_scale(h) if family is not None else None
-    check_resolution(scale, space.mesh.max_cell_span(), context)
-
-
-def _require_dofs(space: FeSpace) -> None:
+def _check(space: FeSpace, caller: str, family, h: int) -> None:
+    """Refuse a space without dofs, then a family sampled below the resolution rule."""
     if space.num_dofs == 0:
         raise ValueError("space has no degrees of freedom")
+    scale = family.feature_scale(h) if family is not None else None
+    check_resolution(scale, space.mesh.max_cell_span(),
+                     f"{caller}({getattr(family, 'name', 'unit')}, h={h})")
 
 
 def _fill(space: FeSpace, local: np.ndarray) -> sparse.csr_matrix:
@@ -40,6 +39,12 @@ def _fill(space: FeSpace, local: np.ndarray) -> sparse.csr_matrix:
                              shape=(space.num_dofs, space.num_dofs))
 
 
+def cell_means(space: FeSpace, family, h: int = 1, quad_order: int = 4) -> np.ndarray:
+    """Cell averages of the coefficient matrices A_h, shape (nc, dim, dim)."""
+    cd = space.cell_data(quad_order)
+    return np.einsum("q,qcij->cij", cd.weights, family.matrix_at(h, cd.points))
+
+
 def assemble_stiffness(space: FeSpace, family, h: int = 1,
                        quad_order: int = 4) -> sparse.csr_matrix:
     """Stiffness matrix K[i,j] = integral(A_h grad(phi_j) . grad(phi_i)).
@@ -47,14 +52,10 @@ def assemble_stiffness(space: FeSpace, family, h: int = 1,
     Symmetric positive definite on Dirichlet spaces; on periodic spaces the
     kernel is the constant vector.
     """
-    _require_dofs(space)
-    _check_family_resolution(space, family, h,
-                             f"assemble_stiffness({getattr(family, 'name', '?')}, h={h})")
-    cd = space.cell_data(quad_order)
-    A = family.matrix_at(h, cd.points)               # (nq, nc, d, d)
-    Abar = np.einsum("q,qcij->cij", cd.weights, A)   # mean over the cell
-    GA = np.einsum("cik,ckl->cil", cd.grads, Abar)   # (nc, nd, d)
-    local = np.einsum("cil,cjl->cij", GA, cd.grads) * cd.measure[:, None, None]
+    _check(space, "assemble_stiffness", family, h)
+    _, measure, grads = space.cell_data(quad_order)[:3]
+    GA = np.einsum("cik,ckl->cil", grads, cell_means(space, family, h, quad_order))
+    local = np.einsum("cil,cjl->cij", GA, grads) * measure[:, None, None]
     return _fill(space, local)
 
 
@@ -65,14 +66,9 @@ def assemble_mass(space: FeSpace, weight=None, h: int = 1,
     ``weight=None`` gives the plain mass matrix; a potential family gives
     the discrete multiplicative-perturbation matrix at index h.
     """
-    _require_dofs(space)
-    _check_family_resolution(space, weight, h,
-                             f"assemble_mass({getattr(weight, 'name', 'unit')}, h={h})")
+    _check(space, "assemble_mass", weight, h)
     cd = space.cell_data(quad_order)
-    if weight is None:
-        w = np.ones(cd.points.shape[:2])
-    else:
-        w = weight.values_at(h, cd.points)
+    w = np.ones(cd.points.shape[:2]) if weight is None else weight.values_at(h, cd.points)
     local = (np.einsum("q,qc,qi,qj->cij", cd.weights, w, cd.phi, cd.phi)
              * cd.measure[:, None, None])
     return _fill(space, local)
@@ -81,9 +77,7 @@ def assemble_mass(space: FeSpace, weight=None, h: int = 1,
 def assemble_load(space: FeSpace, source, h: int = 1,
                   quad_order: int = 4) -> np.ndarray:
     """Load vector b[i] = integral(f_h phi_i)."""
-    _require_dofs(space)
-    _check_family_resolution(space, source, h,
-                             f"assemble_load({getattr(source, 'name', '?')}, h={h})")
+    _check(space, "assemble_load", source, h)
     cd = space.cell_data(quad_order)
     f = source.values_at(h, cd.points)
     local = np.einsum("q,qc,qi->ci", cd.weights, f, cd.phi) * cd.measure[:, None]

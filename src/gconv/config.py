@@ -156,7 +156,8 @@ def validate_config(data: dict) -> dict:
     for key in FAMILY_CLASSES:
         if effective[key] is None and key in experiment.requires:
             raise ConfigError(f"config key '{key}': required for experiment '{kind}'")
-        if effective[key] is not None and key not in experiment.requires:
+        if (effective[key] is not None
+                and key not in experiment.requires + experiment.optional):
             raise ConfigError(f"config key '{key}': experiment '{kind}' does not read it")
     hs = effective["h_list"]
     if hs != sorted(hs) or len(set(hs)) != len(hs):
@@ -176,11 +177,10 @@ def validate_config(data: dict) -> dict:
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
     dim = getattr(family, "dim", 1)
-    if "source" in experiment.requires and dim != 1:
-        raise ConfigError(
-            f"config key 'source': built-in sources are 1D, but family "
-            f"'{family.name}' is {dim}D"
-        )
+    for key in ("potential", "source"):
+        if families[key] is not None and dim != 1:
+            raise ConfigError(f"config key '{key}': built-in {key}s are 1D, but "
+                              f"family '{family.name}' is {dim}D")
     ppp = effective["points_per_period"]
     n = ppp * hs[-1]
     if experiment.ladder and n ** dim > MAX_DOFS:
@@ -293,6 +293,7 @@ def schema_help(kind: str | None = None) -> str:
 
     walk(SCHEMA, "")
     if kind:
-        lines.append("required for this subcommand: "
-                     + ", ".join(EXPERIMENTS[kind].requires))
+        experiment = EXPERIMENTS[kind]
+        lines.append("required for this subcommand: " + ", ".join(experiment.requires)
+                     + "".join(f"; optional: {key}" for key in experiment.optional))
     return "\n".join(lines)

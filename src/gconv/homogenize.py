@@ -9,6 +9,7 @@ independent reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -101,9 +102,13 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
 
     def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
         space = build_space(build_rect_mesh(res, res), PERIODIC)
-        K = assembly.assemble_stiffness(space, family, h=1)
-        dofs, measure, grads, pts, gw, _ = space.cell_data(2)
-        Abar = np.einsum("q,qcij->cij", gw, family.matrix_at(1, pts))
+        dofs, measure, grads, pts = space.cell_data(2)[:4]
+        # the level's one evaluation of the field, read by the stiffness and the means
+        A = family.matrix_at(1, pts)
+        field = SimpleNamespace(name=family.name, feature_scale=family.feature_scale,
+                                matrix_at=lambda h, x: A)
+        K = assembly.assemble_stiffness(space, field)
+        Abar = assembly.cell_means(space, field)
         # rhs[i, j] = -integral( A e_j . grad phi_i ); batched matmul beats einsum
         local = -(grads @ Abar) * measure[:, None, None]
         b = np.column_stack([np.bincount(dofs.ravel(), local[..., j].ravel(),

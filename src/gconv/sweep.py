@@ -43,9 +43,10 @@ class Experiment:
 
     subcommand: str
     summary: str       # one-line help of the subcommand
-    requires: tuple    # family-valued config keys the kind reads, all required
+    requires: tuple    # family-valued config keys the kind needs
     runner: str        # name of the run_* function of this module
     outputs: tuple     # default (CSV, JSON) report names; no CSV when None
+    optional: tuple = ()  # family-valued config keys the kind also reads
     ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
     strip_rung: int | None = None  # h_list index of the mesh cut into strips
 
@@ -53,14 +54,14 @@ class Experiment:
 EXPERIMENTS = {
     "eigen-homog": Experiment(
         "sweep-eigen", "eigenvalue sweep of an oscillating pencil vs its limit",
-        ("family",), "run_eigen_homog", ("report.csv", "report.json")),
+        ("family",), "run_eigen_homog", ("report.csv", "report.json"), ("potential",)),
     "source-homog": Experiment(
         "sweep-source", "Dirichlet source sweep vs the homogenized solution",
         ("family", "source"), "run_source_homog", ("report.csv", "report.json"),
         strip_rung=0),
     "eigen-potential": Experiment(
         "sweep-potential", "spectral sweep of a perturbed operator K0 + V_h",
-        ("potential",), "run_eigen_potential", ("report.csv", "report.json")),
+        ("potential",), "run_eigen_potential", ("report.csv", "report.json"), ("family",)),
     "gamma": Experiment(
         "gamma-check", "liminf sampling and affine recovery traces",
         ("potential",), "run_gamma", ("recovery_trace.csv", "gamma.json")),
@@ -85,7 +86,7 @@ class ExperimentConfig:
     eig_tol: float = 1e-10
     quad_order: int = 4
     seed: int = 0
-    family: object = None          # coefficient family, when the kind needs one
+    family: object = None          # these three: None when the config omits them
     potential: object = None
     source: object = None
     windows: int = 8
@@ -283,6 +284,9 @@ def fit_rate(h_values, errors) -> RateFit:
                    int(np.count_nonzero(usable)), excluded)
 
 
+UNIT = ConstantMatrixCoefficient(np.eye(1))  # the coefficient of K0 = -Laplacian
+
+
 def _limit_tensor(config: ExperimentConfig):
     return homogenized_tensor(config.family, quad_points=config.quad_points,
                               cell_resolution=config.cell_resolution)
@@ -303,16 +307,14 @@ def _rung_space(config: ExperimentConfig, dim: int, h: int,
 
 
 def _eigen_ladder(config: ExperimentConfig, kind: str, dim: int,
-                  limit_operator, rung_operator, meta: dict,
-                  limit_residuals: bool = False) -> SweepReport:
-    """The rung loop of both eigen sweeps, each operator paired with the unit mass.
+                  limit_operator, rung_operator, meta: dict) -> SweepReport:
+    """The rung loop of the eigen sweep, each operator paired with the unit mass.
 
     ``limit_operator(space)`` gives the reference eigenpairs on the finest
     space, ``rung_operator(space, h)`` those of rung h on its own space.  Each
-    rung's eigenvectors are interpolated onto the finest space once; with
-    ``limit_residuals`` they are also scored there as eigenpairs of the limit
-    operator.
-    """
+    rung's eigenvectors are interpolated onto the finest space once; when no
+    coefficient oscillates (no ``family``) they are also scored there as
+    eigenpairs of the limit operator."""
     def eigenpairs(rung, K, M):
         try:
             return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
@@ -333,7 +335,7 @@ def _eigen_ladder(config: ExperimentConfig, kind: str, dim: int,
                              for x in eig.vectors.T])
         vec_err = eigenvector_errors(X, ref.vectors, M_ref, ref.values)
         limit_res = None
-        if limit_residuals:
+        if config.family is None:
             # contiguous columns: the dot products of a strided column round
             # differently in the last bit
             limit_res = residuals(H_ref, M_ref, eig.values, np.asfortranarray(X))
@@ -350,18 +352,44 @@ def _eigen_ladder(config: ExperimentConfig, kind: str, dim: int,
                        dict(config.echo))
 
 
+def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
+    """Sweep of H_h = -div(A_h grad) + V_h against -div(A* grad) + V, with A*
+    the family's limit tensor and V the potential's declared limit.  Without a
+    family the stiffness is K0 at every h; without a potential there is no V."""
+    family, potential, q = config.family, config.potential, config.quad_order
+    coefficient, limit, limit_weight, meta = family or UNIT, UNIT, None, {}
+    if family is not None:
+        tensor = _limit_tensor(config)
+        limit = ConstantMatrixCoefficient(tensor.matrix)
+        meta = {"tensor": tensor.matrix, "provenance": tensor.provenance,
+                "tensor_est_error": tensor.est_error}
+    if potential is not None:
+        limit_weight = potential.limit_family()
+        meta.update(potential=potential.name, convergence_class=potential.convergence)
+
+    @functools.cache  # the reference and the top rung share the finest space
+    def unit_stiffness(space):
+        return assembly.assemble_stiffness(space, UNIT, quad_order=q)
+
+    def operator(space, coefficient, weight, h):
+        K = (unit_stiffness(space) if coefficient is UNIT
+             else assembly.assemble_stiffness(space, coefficient, h=h, quad_order=q))
+        return K if weight is None else (
+            K + assembly.assemble_mass(space, weight, h=h, quad_order=q)).tocsr()
+
+    return _eigen_ladder(config, kind, coefficient.dim,
+                         lambda space: operator(space, limit, limit_weight, 1),
+                         lambda space, h: operator(space, coefficient, potential, h),
+                         meta)
+
+
+# two names of one sweep, each bound by its callers: defs, so a tracer wraps each once
 def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
-    """Eigenvalue sweep of the oscillating pencil against its homogenized limit."""
-    family, q = config.family, config.quad_order
-    tensor = _limit_tensor(config)
-    limit = ConstantMatrixCoefficient(tensor.matrix)
-    return _eigen_ladder(
-        config, "eigen-homog", family.dim,
-        lambda space: assembly.assemble_stiffness(space, limit, h=1, quad_order=q),
-        lambda space, h: assembly.assemble_stiffness(space, family, h=h,
-                                                     quad_order=q),
-        {"tensor": tensor.matrix, "provenance": tensor.provenance,
-         "tensor_est_error": tensor.est_error})
+    return _eigen_sweep(config, "eigen-homog")
+
+
+def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
+    return _eigen_sweep(config, "eigen-potential")
 
 
 def run_source_homog(config: ExperimentConfig) -> SweepReport:
@@ -371,7 +399,6 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     window averages of the first gradient component, the weak-H1 probes.
     """
     family, source = config.family, config.source
-    dim = family.dim
     tensor = _limit_tensor(config)
     space_ref, _, solve_ref = dirichlet_solves(
         family, source, config.points_per_period * max(config.h_list),
@@ -385,7 +412,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
 
     def one(h):
         t0 = time.perf_counter()
-        space = _rung_space(config, dim, h, space_ref)
+        space = _rung_space(config, family.dim, h, space_ref)
         K = assembly.assemble_stiffness(space, family, h=h,
                                         quad_order=config.quad_order)
         b = assembly.assemble_load(space, source, h=h,
@@ -416,33 +443,6 @@ def _window_gradient(space, u, edges, quad_order):
     """Strip averages of the first gradient component (weak-H1 probes)."""
     grad = assembly.cell_gradients(space, u)[None, :, :1]       # (1, nc, 1)
     return assembly.strip_averages(space, grad, edges, quad_order)[:, 0]
-
-
-def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
-    """Spectral sweep of the perturbed operator K0 + V_h against K0 + V.
-
-    Also records, per h, the residual of each converged eigenpair in the
-    limit problem on the finest mesh, which must decay with h.
-    """
-    potential, q = config.potential, config.quad_order
-    unit = ConstantMatrixCoefficient(np.eye(1))
-
-    @functools.cache  # the reference and the top rung share the finest space
-    def unit_stiffness(space):
-        return assembly.assemble_stiffness(space, unit, h=1, quad_order=q)
-
-    def operator(space, weight, h):
-        return (unit_stiffness(space)
-                + assembly.assemble_mass(space, weight, h=h, quad_order=q)).tocsr()
-
-    limit = potential.limit_family()
-    return _eigen_ladder(
-        config, "eigen-potential", 1,
-        lambda space: operator(space, limit, 1),
-        lambda space, h: operator(space, potential, h),
-        {"potential": potential.name,
-         "convergence_class": potential.convergence},
-        limit_residuals=True)
 
 
 @dataclass(eq=False)
@@ -488,8 +488,7 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
     """Sample the liminf inequality and trace the affine recovery sequence."""
     potential = config.potential
     space, M = _finest(config, 1)
-    K0 = assembly.assemble_stiffness(space, ConstantMatrixCoefficient(np.eye(1)),
-                                     h=1, quad_order=config.quad_order)
+    K0 = assembly.assemble_stiffness(space, UNIT, h=1, quad_order=config.quad_order)
     ladder = potential_ladder(space, potential, config.h_list, config.quad_order)
     rng = np.random.default_rng(config.seed)
     margins = np.empty(config.targets)

@@ -115,6 +115,10 @@ def test_schema_help_lists_keys_and_defaults():
                 "family.name", "output.csv", "seed"):
         assert key in text
     assert "default" in text
+    assert text.endswith("required for this subcommand: family; optional: potential")
+    assert schema_help("eigen-potential").endswith(
+        "required for this subcommand: potential; optional: family")
+    assert schema_help("gamma").endswith("required for this subcommand: potential")
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -254,14 +258,15 @@ def test_cli_family_of_wrong_class_exit_1(tmp_path, capsys, key, name,
 
 
 @pytest.mark.parametrize("subcommand,kind,key,spec", [
-    ("sweep-eigen", "eigen-homog", "potential", {"name": "sin2-potential"}),
     ("sweep-eigen", "eigen-homog", "source", {"name": "const-source"}),
-    ("sweep-potential", "eigen-potential", "family", {"name": "osc1d"}),
     ("gamma-check", "gamma", "source", {"name": "osc-source"}),
     ("homogenize", "homogenize", "potential", {"name": "const-potential"}),
-])
+    ("sweep-potential", "eigen-potential", "source", {"name": "const-source"}),
+], ids=["sweep-eigen-eigen-homog-source-spec1", "gamma-check-gamma-source-spec3",
+        "homogenize-homogenize-potential-spec4", "sweep-potential-source"])
 def test_cli_unread_family_key_exit_1(tmp_path, capsys, subcommand, kind, key, spec):
-    # a family the experiment never reads would be echoed as if it were used
+    # a family the experiment never reads would be echoed as if it were used;
+    # the eigen operator -div(A_h grad) + V_h reads no source
     doc = _minimal(kind, **{key: spec})
     message = f"config key '{key}': experiment '{kind}' does not read it"
     with pytest.raises(ConfigError, match=message):
@@ -270,6 +275,31 @@ def test_cli_unread_family_key_exit_1(tmp_path, capsys, subcommand, kind, key, s
     for argv in ([subcommand, "--out", str(tmp_path / "out")], ["validate"]):
         assert main(argv + ["--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,key,spec", [
+    ("eigen-homog", "potential", {"name": "sin2-potential"}),
+    ("eigen-potential", "family", {"name": "osc1d", "params": [2.0]}),
+])
+def test_eigen_kinds_read_the_other_operator_key(tmp_path, capsys, kind, key, spec):
+    # -div(A_h grad) + V_h: each eigen kind needs one key and may take the other
+    doc = _minimal(kind, **{key: spec})
+    assert getattr(experiment_from_config(validate_config(doc)), key).name == spec["name"]
+    assert main(["validate", "--config", str(_write(tmp_path, doc))]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
+def test_cli_potential_with_2d_family_exit_1(tmp_path, capsys):
+    # built-in potentials are 1D; a 2D family must not reach the assembly
+    cfg = _write(tmp_path, _minimal("eigen-potential",
+                                    family={"name": "laminate2d", "params": [1.0, 4.0]}))
+    for argv in (["sweep-potential", "--out", str(tmp_path / "out")], ["validate"]):
+        assert main(argv + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert ("config key 'potential': built-in potentials are 1D, but family "
+                "'laminate2d' is 2D") in err
+        assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -460,6 +490,7 @@ def test_cli_help_lists_config_keys():
     assert proc.returncode == 0
     for key in ("h_list", "points_per_period", "solver.eig_tol", "family.name"):
         assert key in proc.stdout
+    assert "required for this subcommand: family; optional: potential" in proc.stdout
 
 
 def _drop_wall_clock(obj):

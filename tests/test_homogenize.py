@@ -232,6 +232,22 @@ def test_cell_problem_two_grid_property(half, coef):
     assert np.abs(t.matrix - ref).max() <= TWO_GRID_REL_TOL * np.abs(ref).max()
 
 
+def test_cell_problem_evaluates_the_coefficient_once_per_level(monkeypatch):
+    # each level's stiffness, corrector right-hand sides and tensor map read
+    # one evaluation of the field: the half-resolution companion's and the
+    # full resolution's
+    shapes = []
+    matrix_at = CoefficientFamily.matrix_at
+
+    def counting(self, h, x):
+        shapes.append(np.shape(x))
+        return matrix_at(self, h, x)
+
+    monkeypatch.setattr(CoefficientFamily, "matrix_at", counting)
+    cell_problem_2d(make_builtin_family("laminate2d", [1.0, 4.0]), 32)
+    assert shapes == [(3, 2 * 16 * 16, 2), (3, 2 * 32 * 32, 2)]
+
+
 def test_cell_problem_resolution_rule():
     fam = make_builtin_family("laminate2d", [1.0, 4.0])
     with pytest.raises(Exception, match="spacing"):

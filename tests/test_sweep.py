@@ -12,7 +12,7 @@ from gconv.config import (
     load_config,
     validate_config,
 )
-from gconv.families import make_builtin_family
+from gconv.families import ConstantMatrixCoefficient, make_builtin_family
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 from gconv.sweep import (
     CLUSTER_GAP,
@@ -257,6 +257,58 @@ def test_potential_sweep_builds_each_unit_stiffness_once(monkeypatch):
     run_eigen_potential(cfg)
     assert len(calls) == len(cfg.h_list) == 5
     assert len({id(args[0]) for args in calls}) == 5
+
+
+def test_eigen_homog_sweep_assembles_no_potential(monkeypatch, mass_calls):
+    # without a potential: the limit stiffness and one per rung, and only the
+    # unit masses (the finest one shared by the top rung)
+    cfg = _eigen_cfg(h_list=(4, 8, 16))
+    stiffness_calls = _count_calls(monkeypatch, "assemble_stiffness")
+    run_eigen_homog(cfg)
+    assert len(stiffness_calls) == len(cfg.h_list) + 1
+    assert isinstance(stiffness_calls[0][1], ConstantMatrixCoefficient)
+    assert all(args[1] is cfg.family for args in stiffness_calls[1:])
+    assert len(mass_calls) == len(cfg.h_list)
+    assert all(len(args) == 1 for args in mass_calls)  # no weight
+
+
+def test_unit_family_with_potential_is_the_potential_sweep():
+    # const [1] has the limit 1, so K(const) + V_h is K0 + V_h up to round-off
+    potential = make_builtin_family("sin2-potential")
+    both = run_eigen_homog(_eigen_cfg(family=make_builtin_family("const", [1.0]),
+                                      potential=potential))
+    alone = run_eigen_potential(ExperimentConfig(
+        kind="eigen-potential", h_list=(4, 8, 16), potential=potential,
+        eigen_count=2))
+    assert both.reference_meta["potential"] == "sin2-potential"
+    assert both.reference_meta["tensor"][0, 0] == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(both.reference, alone.reference, rtol=1e-12, atol=0)
+    for rec, rec_alone in zip(both.records, alone.records, strict=True):
+        np.testing.assert_allclose(rec.values, rec_alone.values, rtol=1e-12, atol=0)
+
+
+def test_potential_raises_every_rung_eigenvalue():
+    # min-max: V_h >= 0 and not zero, so every eigenvalue strictly grows
+    bare = run_eigen_homog(_eigen_cfg(eigen_count=3))
+    bumped = run_eigen_homog(_eigen_cfg(
+        eigen_count=3, potential=make_builtin_family("sin2-potential")))
+    assert np.all(bumped.reference > bare.reference)
+    for rec, rec_bare in zip(bumped.records, bare.records, strict=True):
+        assert np.all(rec.values > rec_bare.values)
+
+
+def test_combined_config_converges_by_a3_rule():
+    # osc1d and sin2 oscillate together: top rung within 2e-2 and the max-rel
+    # envelope non-increasing up to a factor 1.2, as A3 asks of osc1d alone
+    path = Path(__file__).resolve().parent.parent / "configs" / "a5_osc1d_sin2.json"
+    cfg = experiment_from_config(validate_config(load_config(path)))
+    assert cfg.family.name == "osc1d" and cfg.potential.name == "sin2-potential"
+    rep = run_eigen_homog(cfg)
+    max_rel = [float(rec.rel_errors.max()) for rec in rep.records]
+    assert max_rel[-1] <= 2e-2
+    assert all(b <= 1.2 * a for a, b in zip(max_rel, max_rel[1:]))
+    assert all(rec.residuals.max() <= cfg.eig_tol for rec in rep.records)
+    assert set(rep.reference_meta) >= {"tensor", "potential", "convergence_class"}
 
 
 def test_potential_sweep_interpolates_each_vector_once(monkeypatch):
