@@ -10,21 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, sweep
-from .config import (
-    ConfigError,
-    apply_overrides,
-    build_family,
-    experiment_from_config,
-    load_config,
-    schema_help,
-    validate_config,
-)
-from .families import CoefficientFamily, PotentialFamily, validate_ellipticity
+from .config import ConfigError, apply_overrides, load_config, schema_help, validate_config
 from .linalg import NumericalError
-from .sweep import EXPERIMENTS, emit_report
+from .sweep import EXPERIMENTS, ExperimentConfig, emit_report
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -54,71 +43,52 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_effective(args):
-    raw = load_config(args.config)
-    raw = apply_overrides(raw, args.overrides)
-    effective = validate_config(raw)
-    if args.kind is not None and effective["experiment"] != args.kind:
-        raise ConfigError(
-            f"config key 'experiment': '{effective['experiment']}' does not "
-            f"match subcommand '{args.subcommand}' (expected '{args.kind}')"
-        )
-    return effective
+def _load(args) -> ExperimentConfig:
+    config = validate_config(apply_overrides(load_config(args.config), args.overrides))
+    if args.kind is not None and config.kind != args.kind:
+        raise ConfigError(f"config key 'experiment': '{config.kind}' does not match "
+                          f"subcommand '{args.subcommand}' (expected '{args.kind}')")
+    return config
 
 
-def _run_validate(args, effective) -> int:
+def _run_validate(args, config: ExperimentConfig) -> int:
+    """Compare the declared ellipticity bounds with the family's exact ones."""
+    family = config.family
     problems = []
-    checked = []
-    for key in ("family", "potential", "source"):
-        spec = effective.get(key)
-        if spec is None:
-            continue
-        fam = build_family(spec, key)
-        if isinstance(fam, CoefficientFamily):
-            alpha = spec.get("alpha")
-            beta = spec.get("beta")
-            for h in (1, 4, 16):
-                rep = validate_ellipticity(fam, h, sample_count=2000,
-                                           seed=effective["seed"],
-                                           alpha=alpha, beta=beta)
-                checked.append(rep)
-                if not rep.passed:
-                    problems.append(
-                        f"config key '{key}': ellipticity bound violated at h={h}: "
-                        f"min quotient {rep.min_quotient:.6g} vs alpha={rep.alpha:.6g}, "
-                        f"max ratio {rep.max_norm_ratio:.6g} vs beta={rep.beta:.6g}"
-                    )
-        elif isinstance(fam, PotentialFamily):
-            x = np.linspace(0.0, 1.0, 4097)[:, None]
-            for h in (1, 4, 16):
-                v = fam.values_at(h, x)
-                if np.any(v < -1e-12):
-                    problems.append(
-                        f"config key '{key}': potential takes negative values at h={h}"
-                    )
-    for rep in checked if args.verbose else []:
-        print(f"  {rep.family} h={rep.h}: quotient in [{rep.min_quotient:.6g}, "
-              f"{rep.max_norm_ratio:.6g}], declared [{rep.alpha:.6g}, {rep.beta:.6g}]")
+    if family is not None:
+        spec = config.echo["family"]
+        alpha = family.alpha if spec["alpha"] is None else spec["alpha"]
+        beta = family.beta if spec["beta"] is None else spec["beta"]
+        if args.verbose:
+            print(f"  {family.name}: exact bounds [{family.alpha!r}, {family.beta!r}], "
+                  f"declared [{alpha!r}, {beta!r}]")
+        slack = 1e-12  # round-off in a declared bound
+        if not alpha <= family.alpha + slack:  # a NaN fails too
+            problems.append(f"ellipticity bound alpha={alpha!r} exceeds the family's "
+                            f"exact least value {family.alpha!r}")
+        if not family.beta <= beta + slack:
+            problems.append(f"ellipticity bound beta={beta!r} is below the family's "
+                            f"exact greatest value {family.beta!r}")
     if problems:
         for msg in problems:
-            print(f"gconv validate: {msg}", file=sys.stderr)
+            print(f"gconv validate: config key 'family': {msg}", file=sys.stderr)
         return 1
     print(f"gconv validate: config ok ({args.config})")
     return 0
 
 
-def _run_experiment(args, effective) -> int:
+def _run_experiment(args, config: ExperimentConfig) -> int:
     """Run the config's experiment, write its reports, map its outcome."""
-    experiment = EXPERIMENTS[args.kind]
+    experiment = EXPERIMENTS[config.kind]
     # looked up per call, so a wrapped runner in the sweep module is the one run
     runner = getattr(sweep, experiment.runner)
-    report = runner(experiment_from_config(effective))
+    report = runner(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for fmt, default in zip(("csv", "json"), experiment.outputs):
         if default is not None:
-            paths.append(out / (effective["output"][fmt] or default))
+            paths.append(out / (config.echo["output"][fmt] or default))
             emit_report(report, fmt, paths[-1])
     if args.verbose:
         for line in report.lines():
@@ -134,10 +104,10 @@ def _run_experiment(args, effective) -> int:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        effective = _load_effective(args)
+        config = _load(args)
         if args.kind is None:
-            return _run_validate(args, effective)
-        return _run_experiment(args, effective)
+            return _run_validate(args, config)
+        return _run_experiment(args, config)
     except ConfigError as exc:
         print(f"gconv: config error: {exc}", file=sys.stderr)
         return 1

@@ -143,8 +143,12 @@ def _validate_level(data, schema, prefix):
     return out
 
 
-def validate_config(data: dict) -> dict:
-    """Validate a raw config dict, fill defaults, return the effective config."""
+def validate_config(data: dict) -> ExperimentConfig:
+    """Check a raw config dict and build the experiment it describes.
+
+    Defaults are filled; the effective config is the result's ``echo``, and
+    the families built for the checks are the ones the run uses.
+    """
     effective = _validate_level(data, SCHEMA, "")
     kind = effective["experiment"]
     if kind not in EXPERIMENTS:
@@ -196,7 +200,11 @@ def validate_config(data: dict) -> dict:
     if rung is not None and effective["windows"] > ppp * hs[rung]:
         raise ConfigError(f"config key 'windows': must be <= {ppp * hs[rung]}, "
                           f"the cells of the h={hs[rung]} mesh")
-    return effective
+    names = {f.name for f in fields(ExperimentConfig)} - set(FAMILY_CLASSES)
+    flat = {key: tuple(value) if isinstance(value, list) else value
+            for key, value in effective.items() if key in names}
+    return ExperimentConfig(kind=kind, eig_tol=effective["solver"]["eig_tol"],
+                            echo=effective, **flat, **families)
 
 
 def load_config(path) -> dict:
@@ -213,7 +221,10 @@ def load_config(path) -> dict:
 
 
 def apply_overrides(data: dict, overrides) -> dict:
-    """Apply ``key.path=value`` overrides; values parse as JSON, else strings."""
+    """Apply ``key.path=value`` overrides; values parse as JSON, else strings.
+
+    ``validate_config`` checks the keys and values they set.
+    """
     data = copy.deepcopy(data)
     for item in overrides:
         if "=" not in item:
@@ -224,24 +235,14 @@ def apply_overrides(data: dict, overrides) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = data
-        parts = path.split(".")
-        schema = SCHEMA
-        for i, part in enumerate(parts[:-1]):
-            if part not in schema:
-                raise ConfigError(f"override key '{'.'.join(parts[: i + 1])}': unknown key")
-            tag = schema[part][0]
-            if not isinstance(tag, dict):
-                raise ConfigError(f"override key '{path}': '{part}' is not an object")
-            schema = tag
+        *parents, leaf = path.split(".")
+        for part in parents:
             if node.get(part) is None:  # null starts a fresh object, as absence does
                 node[part] = {}
             node = node[part]
             if not isinstance(node, dict):
                 raise ConfigError(f"override key '{path}': config key '{part}' "
                                   f"holds {node!r}, not an object")
-        leaf = parts[-1]
-        if leaf not in schema:
-            raise ConfigError(f"override key '{path}': unknown key")
         node[leaf] = value
     return data
 
@@ -265,17 +266,6 @@ def build_family(spec: dict, key: str):
             f"expected a {expected.__name__}"
         )
     return fam
-
-
-def experiment_from_config(effective: dict) -> ExperimentConfig:
-    """Assemble the typed experiment description from an effective config."""
-    names = {f.name for f in fields(ExperimentConfig)} - set(FAMILY_CLASSES)
-    flat = {key: tuple(value) if isinstance(value, list) else value
-            for key, value in effective.items() if key in names}
-    families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
-    return ExperimentConfig(kind=effective["experiment"],
-                            eig_tol=effective["solver"]["eig_tol"], echo=effective,
-                            **flat, **families)
 
 
 def schema_help(kind: str | None = None) -> str:

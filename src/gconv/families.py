@@ -60,9 +60,10 @@ class _Oscillating:
 class CoefficientFamily(_Oscillating):
     """Symmetric elliptic coefficient sequence A_h(x) = a(h x) I with bounds alpha, beta.
 
-    ``unit_profile`` is the 1-periodic profile a on the unit cell: it reads
-    points (..., dim), h x here and unit-cell points in the homogenization
-    oracles.
+    ``alpha`` and ``beta`` are the least and greatest values of a, not only
+    bounds on it.  ``unit_profile`` is the 1-periodic profile a on the unit
+    cell: it reads points (..., dim), h x here and unit-cell points in the
+    homogenization oracles.
     """
 
     name: str
@@ -276,46 +277,3 @@ def make_builtin_family(name: str, params=()):
 def piecewise_coefficient(pieces) -> PiecewiseCoefficient:
     """Glue 1D coefficient families on disjoint subintervals."""
     return PiecewiseCoefficient(tuple(((float(a), float(b)), fam) for (a, b), fam in pieces))
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    """Sampled check of the uniform bounds alpha, beta of a coefficient family."""
-
-    family: str
-    h: int
-    samples: int
-    min_quotient: float
-    max_norm_ratio: float
-    alpha: float
-    beta: float
-
-    @property
-    def passed(self) -> bool:
-        slack = 1e-12
-        return (self.min_quotient >= self.alpha - slack
-                and self.max_norm_ratio <= self.beta + slack)
-
-
-def validate_ellipticity(family, h: int, sample_count: int = 1000,
-                         seed: int = 0, alpha: float | None = None,
-                         beta: float | None = None) -> EllipticityReport:
-    """Sample random points against the declared bounds.
-
-    A coefficient family is a_h I, so at a point both the Rayleigh quotient
-    xi.A xi / |xi|^2 and the operator norm ratio |A xi| / |xi| equal a_h in
-    every direction xi.  Reports their worst case over the samples; the
-    report fails when either leaves the declared [alpha, beta] band by more
-    than 1e-12.
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    alpha = family.alpha if alpha is None else float(alpha)
-    beta = family.beta if beta is None else float(beta)
-    rng = np.random.default_rng(seed)
-    a = family.values_at(h, rng.uniform(0.0, 1.0, size=(sample_count, family.dim)))
-    return EllipticityReport(
-        family=family.name, h=h, samples=sample_count,
-        min_quotient=float(a.min()), max_norm_ratio=float(a.max()),
-        alpha=alpha, beta=beta,
-    )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -77,7 +78,7 @@ EXPERIMENTS = {
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One experiment run, built from a config ``validate_config`` accepted."""
+    """One experiment run, as ``config.validate_config`` builds it from a config."""
 
     kind: str
     h_list: tuple
@@ -171,14 +172,17 @@ class SweepReport(Report):
 
 
 def _jsonify(obj):
+    """``obj`` as strict JSON values: arrays become lists, NaN and inf null."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonify(obj.tolist())
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -596,7 +600,7 @@ def emit_report(report: Report, fmt: str, path) -> None:
         doc = {"kind": report.kind, "tool_version": __version__,
                "config": report.config_echo, **report.body()}
         with open(path, "w") as fh:
-            json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
+            json.dump(_jsonify(doc), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return
     raise ValueError(f"unknown report format '{fmt}'")

@@ -9,13 +9,7 @@ import pytest
 
 from gconv import homogenize, linalg, sweep
 from gconv.cli import main
-from gconv.config import (
-    ConfigError,
-    apply_overrides,
-    experiment_from_config,
-    schema_help,
-    validate_config,
-)
+from gconv.config import ConfigError, apply_overrides, schema_help, validate_config
 from gconv.linalg import ConvergenceError
 from gconv.sweep import EXPERIMENTS
 
@@ -36,7 +30,7 @@ def _minimal(kind="eigen-homog", **extra):
 
 
 def test_validate_fills_defaults():
-    eff = validate_config(_minimal())
+    eff = validate_config(_minimal()).echo
     assert eff["points_per_period"] == 32
     assert eff["solver"]["eig_tol"] == 1e-10
     assert eff["seed"] == 0
@@ -72,19 +66,20 @@ def test_h_list_must_ascend():
 
 def test_overrides_dotted_paths():
     doc = apply_overrides(_minimal(), ["solver.eig_tol=1e-8", "eigen_count=5"])
-    eff = validate_config(doc)
+    eff = validate_config(doc).echo
     assert eff["solver"]["eig_tol"] == 1e-8
     assert eff["eigen_count"] == 5
 
 
 def test_overrides_json_values():
     doc = apply_overrides(_minimal(), ["h_list=[4,8,16]"])
-    assert validate_config(doc)["h_list"] == [4, 8, 16]
+    assert validate_config(doc).echo["h_list"] == [4, 8, 16]
 
 
 def test_overrides_reject_unknown_and_type():
-    with pytest.raises(ConfigError, match="'solver.cg_tol'"):
-        apply_overrides(_minimal(), ["solver.cg_tol=1e-8"])
+    doc = apply_overrides(_minimal(), ["solver.cg_tol=1e-8"])
+    with pytest.raises(ConfigError, match="'solver.cg_tol': unknown key"):
+        validate_config(doc)
     doc = apply_overrides(_minimal(), ["eigen_count=banana"])
     with pytest.raises(ConfigError, match="'eigen_count'"):
         validate_config(doc)
@@ -93,7 +88,7 @@ def test_overrides_reject_unknown_and_type():
 def test_override_through_null_or_non_object(tmp_path, capsys):
     # a null on the path starts a fresh object, as an absent key does
     doc = apply_overrides(_minimal(solver=None), ["solver.eig_tol=1e-8"])
-    assert validate_config(doc)["solver"] == {"eig_tol": 1e-8}
+    assert validate_config(doc).echo["solver"] == {"eig_tol": 1e-8}
     for solver, code in ((None, 0), (5, 1)):
         cfg = _write(tmp_path, _minimal(solver=solver))
         assert main(["validate", "--config", str(cfg),
@@ -103,8 +98,8 @@ def test_override_through_null_or_non_object(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_experiment_from_config_builds_families():
-    exp = experiment_from_config(validate_config(_minimal()))
+def test_validate_config_builds_families():
+    exp = validate_config(_minimal())
     assert exp.family.name == "osc1d"
     assert exp.kind == "eigen-homog"
 
@@ -285,7 +280,7 @@ def test_cli_unread_family_key_exit_1(tmp_path, capsys, subcommand, kind, key, s
 def test_eigen_kinds_read_the_other_operator_key(tmp_path, capsys, kind, key, spec):
     # -div(A_h grad) + V_h: each eigen kind needs one key and may take the other
     doc = _minimal(kind, **{key: spec})
-    assert getattr(experiment_from_config(validate_config(doc)), key).name == spec["name"]
+    assert getattr(validate_config(doc), key).name == spec["name"]
     assert main(["validate", "--config", str(_write(tmp_path, doc))]) == 0
     assert "config ok" in capsys.readouterr().out
 
@@ -308,13 +303,13 @@ def test_cli_potential_with_2d_family_exit_1(tmp_path, capsys):
 def test_sequence_specs_take_only_name_and_params(capsys, config, key):
     # only a coefficient family declares ellipticity bounds
     doc = json.loads((CONFIGS / config).read_text())
-    assert set(validate_config(doc)[key]) == {"name", "params"}
+    assert set(validate_config(doc).echo[key]) == {"name", "params"}
     for bound in ("alpha", "beta"):
         with pytest.raises(ConfigError, match=f"'{key}.{bound}': unknown key"):
             validate_config({**doc, key: {**doc[key], bound: 1.0}})
         assert main(["validate", "--config", str(CONFIGS / config),
                      "--set", f"{key}.{bound}=-5"]) == 1
-        assert f"override key '{key}.{bound}': unknown key" in capsys.readouterr().err
+        assert f"config key '{key}.{bound}': unknown key" in capsys.readouterr().err
 
 
 _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
@@ -397,7 +392,7 @@ def test_null_only_where_the_default_is_null():
     with pytest.raises(ConfigError, match="'solver.eig_tol': expected float"):
         validate_config(_minimal(solver={"eig_tol": None}))
     eff = validate_config(_minimal(potential=None, source=None,
-                                   output={"csv": None}))
+                                   output={"csv": None})).echo
     assert eff["potential"] is None and eff["source"] is None
     assert eff["output"] == {"csv": None, "json": None}
     with pytest.raises(ConfigError, match="'family': required"):
@@ -415,6 +410,54 @@ def test_cli_validate_bad_alpha_exit_1(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "ellipticity bound" in err and "alpha" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("alpha", "1.0000001",
+     "ellipticity bound alpha=1.0000001 exceeds the family's exact least value 1.0"),
+    ("beta", "2.9999999",
+     "ellipticity bound beta=2.9999999 is below the family's exact greatest value 3.0"),
+])
+def test_cli_validate_compares_exact_bounds(capsys, key, value, message):
+    # osc1d [2] takes the values 1 and 3: a bound off by 1e-7 is wrong
+    code = main(["validate", "--config", str(CONFIGS / "a3_osc1d.json"),
+                 "--set", f"family.{key}={value}"])
+    assert code == 1
+    assert f"gconv validate: config key 'family': {message}" in capsys.readouterr().err
+
+
+def test_cli_validate_verbose_prints_one_line_per_family(capsys):
+    assert main(["validate", "-v", "--config", str(CONFIGS / "a4_laminate.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "bounds" in line] == [
+        "  laminate2d: exact bounds [1.0, 4.0], declared [1.0, 4.0]"]
+
+
+def test_cli_validate_potential_without_family_ok(capsys):
+    # no coefficient family, so no bounds to compare (test_cli_validate_good_config
+    # covers a family without declared bounds)
+    assert main(["validate", "--config", str(CONFIGS / "a5_sin2.json")]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("subcommand,config,override,report", [
+    # fewer than 3 rungs: no rate fit
+    ("sweep-eigen", "a3_osc1d.json", "h_list=[4,8]", "a3_osc1d.json"),
+    # an odd resolution has no half-resolution companion: no est_error
+    ("homogenize", "a4_laminate.json", "cell_resolution=17", "a4_laminate.json"),
+])
+def test_cli_json_reports_are_strict(tmp_path, subcommand, config, override, report):
+    assert main([subcommand, "--config", str(CONFIGS / config), "--out", str(tmp_path),
+                 "--set", override]) == 0
+    doc = json.loads((tmp_path / report).read_text(), parse_constant=_reject_constant)
+    if subcommand == "sweep-eigen":
+        assert doc["rates"][0]["slope"] is None and doc["rates"][0]["intercept"] is None
+    else:
+        assert doc["est_error"] is None
 
 
 def test_cli_homogenize_laminate(tmp_path):

@@ -15,7 +15,6 @@ from gconv.families import (
     ResolutionError,
     make_builtin_family,
     piecewise_coefficient,
-    validate_ellipticity,
 )
 from gconv.mesh import PERIODIC, build_interval_mesh, build_space
 
@@ -149,37 +148,38 @@ def test_bad_params_rejected(name, params):
         make_builtin_family(name, params)
 
 
-def test_validate_ellipticity_const():
-    fam = make_builtin_family("const", [2.5])
-    rep = validate_ellipticity(fam, 1, 200, seed=3)
-    assert abs(rep.min_quotient - 2.5) <= 1e-12
-    assert abs(rep.max_norm_ratio - 2.5) <= 1e-12
-    assert rep.passed
+COEFFICIENTS = ["osc1d", "twophase1d", "laminate2d", "const"]
 
 
-def test_validate_ellipticity_osc1d():
-    fam = make_builtin_family("osc1d", [2.0])
-    rep = validate_ellipticity(fam, 5, 10_000, seed=0)
-    assert rep.min_quotient >= 1.0 and rep.max_norm_ratio <= 3.0
-    assert rep.passed
-
-
-def test_validate_ellipticity_detects_violation():
-    bad = CoefficientFamily(
-        name="bad", dim=1, alpha=1.0, beta=2.0,
-        unit_profile=lambda y: np.sin(2 * np.pi * y[..., 0]),  # crosses zero
-        feature_fraction=1.0,
-    )
-    rep = validate_ellipticity(bad, 3, 5000, seed=1)
-    assert not rep.passed
-
-
-@pytest.mark.parametrize("name", ["osc1d", "twophase1d", "laminate2d", "const"])
+@pytest.mark.parametrize("name", COEFFICIENTS)
 def test_builtins_elliptic_across_ladder(name):
     fam = make_builtin_family(name)
     for h in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        rep = validate_ellipticity(fam, h, 1000, seed=h)
-        assert rep.passed, f"{name} failed at h={h}"
+        x = np.random.default_rng(h).uniform(0.0, 1.0, size=(1000, fam.dim))
+        a = fam.values_at(h, x)
+        assert a.min() >= fam.alpha - 1e-12, f"{name} below alpha at h={h}"
+        assert a.max() <= fam.beta + 1e-12, f"{name} above beta at h={h}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_builtin_bounds_are_exact(data):
+    # gconv validate compares declared bounds with alpha and beta, so each
+    # must be a value the coefficient takes, not only a bound on it
+    name = data.draw(st.sampled_from(COEFFICIENTS), label="name")
+    params = {"osc1d": st.lists(st.floats(1.001, 10.0), max_size=1),
+              "twophase1d": st.lists(st.floats(0.01, 10.0), max_size=2),
+              # the osc1d form [b] and the twophase1d form [p, q]
+              "laminate2d": st.one_of(st.lists(st.floats(1.001, 10.0), max_size=1),
+                                      st.lists(st.floats(0.01, 10.0), min_size=2,
+                                               max_size=2)),
+              "const": st.lists(st.floats(0.01, 10.0), max_size=1)}[name]
+    fam = make_builtin_family(name, data.draw(params, label="params"))
+    # x1 = 1/4 and 3/4 are the extremes of the sinusoid, one in each phase
+    x1 = np.linspace(0.0, 1.0, 17)
+    x = np.stack([x1] + [np.full_like(x1, 0.3)] * (fam.dim - 1), axis=-1)
+    a = fam.values_at(1, x)
+    assert abs(a.min() - fam.alpha) <= 1e-12 and abs(a.max() - fam.beta) <= 1e-12
 
 
 def test_weak_limit_sin2_constant_test_function():

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from gconv import __version__, assembly, sweep, variational
-from gconv.config import (
-    ConfigError,
-    experiment_from_config,
-    load_config,
-    validate_config,
-)
+from gconv.config import ConfigError, load_config, validate_config
 from gconv.families import ConstantMatrixCoefficient, make_builtin_family
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 from gconv.sweep import (
@@ -252,7 +247,7 @@ def test_potential_sweep_builds_each_unit_stiffness_once(monkeypatch):
     # one K0 per distinct space: the reference and the top rung share the
     # finest space, so a5's five rungs need five, not six
     path = Path(__file__).resolve().parent.parent / "configs" / "a5_sin2.json"
-    cfg = experiment_from_config(validate_config(load_config(path)))
+    cfg = validate_config(load_config(path))
     calls = _count_calls(monkeypatch, "assemble_stiffness")
     run_eigen_potential(cfg)
     assert len(calls) == len(cfg.h_list) == 5
@@ -301,7 +296,7 @@ def test_combined_config_converges_by_a3_rule():
     # osc1d and sin2 oscillate together: top rung within 2e-2 and the max-rel
     # envelope non-increasing up to a factor 1.2, as A3 asks of osc1d alone
     path = Path(__file__).resolve().parent.parent / "configs" / "a5_osc1d_sin2.json"
-    cfg = experiment_from_config(validate_config(load_config(path)))
+    cfg = validate_config(load_config(path))
     assert cfg.family.name == "osc1d" and cfg.potential.name == "sin2-potential"
     rep = run_eigen_homog(cfg)
     max_rel = [float(rec.rel_errors.max()) for rec in rep.records]
@@ -349,7 +344,7 @@ def test_divcurl_runner_factors_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(variational, "cholesky", counting)
     path = Path(__file__).resolve().parent.parent / "configs" / "a8_divcurl.json"
-    cfg = experiment_from_config(validate_config(load_config(path)))
+    cfg = validate_config(load_config(path))
     rep = run_divcurl(cfg)
     assert len(calls) == len(cfg.h_list) + 1 == 5
     # the shared solves give what each diagnostic computes on its own
