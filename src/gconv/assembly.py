@@ -27,7 +27,7 @@ def _check(space: FeSpace, caller: str, family, h: int) -> None:
     if space.num_dofs == 0:
         raise ValueError("space has no degrees of freedom")
     scale = family.feature_scale(h) if family is not None else None
-    check_resolution(scale, space.mesh.max_cell_span(),
+    check_resolution(scale, space.mesh.max_cell_span,
                      f"{caller}({getattr(family, 'name', 'unit')}, h={h})")
 
 
@@ -54,9 +54,12 @@ def assemble_stiffness(space: FeSpace, family, h: int = 1,
     """
     _check(space, "assemble_stiffness", family, h)
     _, measure, grads = space.cell_data(quad_order)[:3]
-    GA = np.einsum("cik,ckl->cil", grads, cell_means(space, family, h, quad_order))
-    local = np.einsum("cil,cjl->cij", GA, grads) * measure[:, None, None]
-    return _fill(space, local)
+    A = cell_means(space, family, h, quad_order)
+    # grads A grads^T, one product per small axis: np.matmul is as fast, but
+    # BLAS kernels with fused multiply-add change the last bits
+    GA = sum(grads[:, :, k, None] * A[:, None, k] for k in range(A.shape[-1]))
+    local = sum(GA[:, :, None, l] * grads[:, None, :, l] for l in range(A.shape[-1]))
+    return _fill(space, local * measure[:, None, None])
 
 
 def assemble_mass(space: FeSpace, weight=None, h: int = 1,

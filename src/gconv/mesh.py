@@ -60,17 +60,15 @@ class Mesh:
         pts = self.vertices[self.cells]             # (nc, dim + 1, dim)
         return pts[:, 1:] - pts[:, :1]
 
-    def cell_measures(self) -> np.ndarray:
-        """Length (1D) or area (2D) of every cell, all positive."""
-        e = self.edges()
-        if self.dimension == 1:
-            return e[:, 0, 0]
-        return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-
+    @cached_property
     def max_cell_span(self) -> float:
-        """Largest per-axis extent of any cell (drives the resolution rule)."""
-        pts = self.vertices[self.cells]
-        return float((pts.max(axis=1) - pts.min(axis=1)).max())
+        """Largest per-axis extent of any cell (drives the resolution rule).
+
+        A cell spans one step of every grid axis, so this is the largest
+        step between the axes' grid points, the same bits as the cell corners.
+        """
+        return max(float(np.diff(np.linspace(lo, up, n + 1)).max())
+                   for n, lo, up in zip(*self.structure))
 
 
 class CellData(NamedTuple):
@@ -170,12 +168,13 @@ class FeSpace:
     def _geometry(self):
         """Quadrature-independent cell data: dof map, measures, P1 gradients."""
         mesh = self.mesh
-        measure = mesh.cell_measures()
+        e = mesh.edges()
         grads = np.empty((mesh.num_cells, mesh.dimension + 1, mesh.dimension))
         if mesh.dimension == 1:
+            measure = e[:, 0, 0]
             grads[:, 1, 0] = 1.0 / measure
         else:
-            e = mesh.edges()
+            measure = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
             det = 2.0 * measure   # exact: the measure is half the determinant
             grads[:, 1, 0] = e[:, 1, 1] / det
             grads[:, 1, 1] = -e[:, 1, 0] / det
@@ -188,29 +187,36 @@ class FeSpace:
     def pattern(self) -> SymmetricPattern:
         """Symmetric CSR pattern of this space's P1 matrices (see SymmetricPattern)."""
         dofs = self._geometry[0]
-        nc, nd = dofs.shape
+        nd = dofs.shape[1]
         n = self.num_dofs
-        cell_base = np.arange(nc) * (nd * nd)
-        keys, src = [], []
+        parts = []   # int32 (rows, cols, local entry) of every orientation
         for i in range(nd):
             for j in range(i, nd):
-                keep = (dofs[:, i] >= 0) & (dofs[:, j] >= 0)
-                r, c = dofs[keep, i], dofs[keep, j]
-                keys.append(r * n + c)
-                src.append(cell_base[keep] + (i * nd + j))
+                cell = np.flatnonzero((dofs[:, i] >= 0) & (dofs[:, j] >= 0))
+                r, c = dofs[cell, i].astype(np.int32), dofs[cell, j].astype(np.int32)
+                s = (cell * (nd * nd) + (i * nd + j)).astype(np.int32)
+                parts.append((r, c, s))
                 if i != j:
-                    keys.append(c * n + r)
-                    src.append(src[-1])
-        key = np.concatenate(keys)
+                    parts.append((c, r, s))
+        # each temporary goes once used: this build sets the peak memory of
+        # a large periodic cell problem
+        rows, cols, src = zip(*parts)
+        del parts, cell, r, c, s
+        key = np.concatenate(rows, dtype=np.int64)
+        key *= n
+        key += np.concatenate(cols)
+        del rows, cols
         order = np.argsort(key, kind="stable")
+        gather = np.concatenate(src)[order]
+        del src
         key = key[order]
+        del order
         starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        ukey = key[starts]
+        key = key[starts]
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(ukey // n, minlength=n), out=indptr[1:])
-        gather = np.concatenate(src)[order].astype(np.int32)
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
         return SymmetricPattern(*_read_only(gather, starts.astype(np.int32),
-                                            (ukey % n).astype(np.int32), indptr))
+                                            (key % n).astype(np.int32), indptr))
 
 
 def build_interval_mesh(n_cells: int, interval=(0.0, 1.0)) -> Mesh:

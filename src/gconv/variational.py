@@ -248,7 +248,7 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     space, limit, u = solves or dirichlet_solves(
         coeff_family, source, points_per_period * max(h_list), quad_order)
     for h in h_list:
-        check_resolution(coeff_family.feature_scale(h), space.mesh.max_cell_span(),
+        check_resolution(coeff_family.feature_scale(h), space.mesh.max_cell_span,
                          f"div_curl_test(h={h})")
     phi = interpolate_bump(space, phi_support)
     limit_pairing = _energy_pairing(space, limit, 1, u(None), phi, quad_order)
@@ -283,10 +283,10 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
     space, limit, u = solves or dirichlet_solves(
         coeff_family, source, points_per_period * h, quad_order)
     width = 1.0 / window_count
-    if width < space.mesh.max_cell_span() - 1e-14:
+    if width < space.mesh.max_cell_span - 1e-14:
         raise ValueError(
             f"window width {width:.3e} is below the mesh resolution "
-            f"{space.mesh.max_cell_span():.3e}"
+            f"{space.mesh.max_cell_span:.3e}"
         )
     edges = np.linspace(0.0, 1.0, window_count + 1)
     flux = _window_flux(space, coeff_family, h, u(h), edges, quad_order)

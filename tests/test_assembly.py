@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from gconv import assembly
 from gconv.families import (
@@ -122,7 +125,8 @@ def test_periodic_mass_row_sums_reproduce_measure():
     ):
         M = assembly.assemble_mass(sp)
         ones = np.ones(sp.num_dofs)
-        measure = sp.mesh.cell_measures().sum()
+        _, lower, upper = sp.mesh.structure
+        measure = np.prod(np.subtract(upper, lower))
         assert abs(ones @ (M @ ones) - measure) <= 1e-12 * measure
 
 
@@ -195,21 +199,47 @@ def test_quadrature_order_one_triangle_rule():
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(cells=st.one_of(st.tuples(st.integers(2, 512)),
                        st.tuples(st.integers(2, 32), st.integers(2, 32))),
+       lower=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       extent=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
        rule=st.sampled_from([DIRICHLET, PERIODIC]))
-def test_grid_invariants_property(cells, rule):
+def test_grid_invariants_property(cells, lower, extent, rule):
     dim = len(cells)
-    mesh = build_interval_mesh(*cells) if dim == 1 else build_rect_mesh(*cells)
+    box = [v for lo, ext in zip(lower[:dim], extent) for v in (lo, lo + ext)]
+    mesh = build_interval_mesh(*cells, box) if dim == 1 else build_rect_mesh(*cells, box)
     sp = build_space(mesh, rule)
     corners = mesh.vertices[mesh.cells]                  # (nc, dim + 1, dim)
     for quad_order in (1, 4):  # every quadrature point lies in its cell's box
         pts = sp.cell_data(quad_order).points            # (nq, nc, dim)
         assert pts.shape[1:] == (mesh.num_cells, dim)
         assert np.all(pts >= corners.min(axis=1)) and np.all(pts <= corners.max(axis=1))
-    assert mesh.max_cell_span() == pytest.approx(1.0 / min(cells), rel=1e-12)
+    assert mesh.max_cell_span == (corners.max(axis=1) - corners.min(axis=1)).max()
     K = assembly.assemble_stiffness(sp, ConstantMatrixCoefficient(np.eye(dim)))
     M = assembly.assemble_mass(sp)
     for mat in (K, M):
         assert np.array_equal(mat.toarray(), mat.T.toarray())
+    # on a full SPD field the local stiffness is the einsum contraction's
+    # arithmetic, bit for bit
+    cd = sp.cell_data()
+    rng = np.random.default_rng(sp.num_dofs)
+    B = rng.normal(size=(*cd.points.shape[:2], dim, dim))
+    A = B @ np.swapaxes(B, -1, -2) + np.eye(dim)
+    Ka = assembly.assemble_stiffness(sp, SimpleNamespace(
+        name="random", feature_scale=lambda h: None, matrix_at=lambda h, x: A))
+    GA = np.einsum("cik,ckl->cil", cd.grads, np.einsum("q,qcij->cij", cd.weights, A))
+    local = np.einsum("cil,cjl->cij", GA, cd.grads) * cd.measure[:, None, None]
+    data = np.add.reduceat(local.ravel()[sp.pattern.gather], sp.pattern.starts)
+    assert Ka.data.tobytes() == data.tobytes()
+    # the cached pattern scatters like scipy's COO sum of the same local matrices
+    w = rng.uniform(0.5, 2.0, size=cd.points.shape[:2])
+    Mw = assembly.assemble_mass(sp, SourceFamily(name="random", values=lambda h, x: w,
+                                                 limit=lambda x: w))
+    local = np.einsum("qc,qi,qj->cij", cd.weights[:, None] * w * cd.measure, cd.phi, cd.phi)
+    rows, cols = np.broadcast_arrays(cd.dofs[:, :, None], cd.dofs[:, None, :])
+    keep = (rows >= 0) & (cols >= 0)
+    ref = sparse.coo_matrix((local[keep], (rows[keep], cols[keep])),
+                            shape=Mw.shape).tocsr()
+    assert np.array_equal(Mw.indices, ref.indices) and np.array_equal(Mw.indptr, ref.indptr)
+    np.testing.assert_allclose(Mw.data, ref.data, rtol=1e-14, atol=0.0)
     if rule == PERIODIC:
         assert sp.num_dofs == np.prod(cells)
         grid = sp.dof_of_vertex.reshape([n + 1 for n in cells])
@@ -217,4 +247,4 @@ def test_grid_invariants_property(cells, rule):
             assert np.array_equal(np.take(grid, 0, axis), np.take(grid, -1, axis))
         ones = np.ones(sp.num_dofs)
         assert np.abs(K @ ones).max() <= 1e-12 * abs(K).max()
-        assert ones @ (M @ ones) == pytest.approx(1.0, rel=1e-12)
+        assert ones @ (M @ ones) == pytest.approx(np.prod(extent[:dim]), rel=1e-12)

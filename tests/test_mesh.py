@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,13 @@ def test_interval_mesh_single_cell():
     assert m.boundary.all()
 
 
+def _cell_measures(mesh):
+    return build_space(mesh, DIRICHLET).cell_data().measure
+
+
 def test_interval_mesh_scaled():
     m = build_interval_mesh(8, (0.0, 2.0))
-    assert np.allclose(m.cell_measures(), 0.25)
+    assert np.allclose(_cell_measures(m), 0.25)
 
 
 @pytest.mark.parametrize("n_cells", [0, -3])
@@ -51,7 +57,7 @@ def test_rect_mesh_counts():
 def test_rect_mesh_single_square():
     m = build_rect_mesh(1, 1)
     assert m.num_cells == 2
-    assert np.allclose(m.cell_measures(), 0.5)
+    assert np.allclose(_cell_measures(m), 0.5)
 
 
 def test_rect_mesh_rejects_degenerate():
@@ -65,9 +71,9 @@ def test_rect_mesh_rejects_degenerate():
     (build_rect_mesh, (3, 5, (0.0, 2.0, 0.0, 1.0)), 2.0),
 ])
 def test_cell_measures_sum_to_domain(builder, args, measure):
-    m = builder(*args)
-    assert abs(m.cell_measures().sum() - measure) <= 1e-12 * measure
-    assert np.all(m.cell_measures() > 0)
+    cell_measures = _cell_measures(builder(*args))
+    assert abs(cell_measures.sum() - measure) <= 1e-12 * measure
+    assert np.all(cell_measures > 0)
 
 
 def test_every_vertex_referenced():
@@ -98,7 +104,7 @@ def test_periodic_identification_idempotent():
     reps = sp.dof_vertices
     assert np.array_equal(sp.dof_of_vertex[reps], np.arange(sp.num_dofs))
     # identification preserves cell measures
-    assert abs(sp.mesh.cell_measures().sum() - 1.0) <= 1e-12
+    assert abs(sp.cell_data().measure.sum() - 1.0) <= 1e-12
 
 
 def test_unknown_rule_rejected():
@@ -110,3 +116,17 @@ def test_interpolate_nodal_values():
     sp = build_space(build_interval_mesh(8), DIRICHLET)
     u = sp.interpolate(lambda x: x**2)
     assert np.allclose(u, sp.dof_coordinates()[:, 0] ** 2)
+
+
+def test_pattern_build_peak_memory():
+    # the pattern build sets the peak memory of a large periodic cell
+    # problem; numpy reports its array buffers to tracemalloc
+    sp = build_space(build_rect_mesh(128, 128), PERIODIC)
+    sp.cell_data()   # the geometry it reads is built before, and kept
+    tracemalloc.start()
+    try:
+        pattern = sp.pattern
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * sum(a.nbytes for a in pattern)
