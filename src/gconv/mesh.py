@@ -86,10 +86,12 @@ class SymmetricPattern(NamedTuple):
     """CSR pattern of the global matrices plus the order that fills it.
 
     ``local.ravel()[gather]`` lists the upper-triangle local entries of
-    every cell, off-diagonal ones twice (as (row, col) and mirrored), stably
-    sorted by global (row, col); ``np.add.reduceat`` over ``starts`` sums
-    them.  Both orientations of an entry sum the same values in the same
-    order, so the global matrix is symmetric bit for bit.
+    every cell, off-diagonal ones twice (as (row, col) and mirrored, side by
+    side per cell), stably sorted by global (row, col); ``np.add.reduceat``
+    over ``starts`` sums them.  Both orientations of an entry sum the same
+    values in the same order, so the global matrix is symmetric bit for bit,
+    also where one local pair of a cell maps a dof pair both ways round (a
+    periodic axis of 2 cells).
     """
 
     gather: np.ndarray    # int32 indices into local.ravel()
@@ -189,25 +191,26 @@ class FeSpace:
         dofs = self._geometry[0]
         nd = dofs.shape[1]
         n = self.num_dofs
-        parts = []   # int32 (rows, cols, local entry) of every orientation
-        for i in range(nd):
-            for j in range(i, nd):
-                cell = np.flatnonzero((dofs[:, i] >= 0) & (dofs[:, j] >= 0))
-                r, c = dofs[cell, i].astype(np.int32), dofs[cell, j].astype(np.int32)
-                s = (cell * (nd * nd) + (i * nd + j)).astype(np.int32)
-                parts.append((r, c, s))
-                if i != j:
-                    parts.append((c, r, s))
-        # each temporary goes once used: this build sets the peak memory of
-        # a large periodic cell problem
-        rows, cols, src = zip(*parts)
-        del parts, cell, r, c, s
-        key = np.concatenate(rows, dtype=np.int64)
-        key *= n
-        key += np.concatenate(cols)
-        del rows, cols
+        kept = dofs >= 0
+        pairs = [(i, j) for i in range(nd) for j in range(i, nd)]
+        sizes = [(1 + (i != j)) * np.count_nonzero(kept[:, i] & kept[:, j])
+                 for i, j in pairs]
+        # sort key row * n + col and local entry of every orientation, each
+        # cell's two side by side, filled in place: this build sets the peak
+        # memory of a large periodic cell problem, so each temporary goes once used
+        key = np.empty(sum(sizes), dtype=np.int64)
+        src = np.empty(sum(sizes), dtype=np.int32)
+        at = 0
+        for (i, j), size in zip(pairs, sizes):
+            cell = np.flatnonzero(kept[:, i] & kept[:, j])
+            r, c, step = dofs[cell, i], dofs[cell, j], 1 + (i != j)
+            for k, (a, b) in enumerate([(r, c), (c, r)][:step]):
+                key[at + k:at + size:step] = a * n + b
+                src[at + k:at + size:step] = cell * (nd * nd) + (i * nd + j)
+            at += size
+        del kept, cell, r, c, a, b
         order = np.argsort(key, kind="stable")
-        gather = np.concatenate(src)[order]
+        gather = src[order]
         del src
         key = key[order]
         del order

@@ -26,15 +26,17 @@ import numpy as np
 from . import __version__, assembly
 from .families import ConstantMatrixCoefficient
 from .homogenize import homogenized_tensor
-from .linalg import ConvergenceError, cholesky, eig_smallest, residuals
+from .linalg import ConvergenceError, eig_smallest, residuals
 from .mesh import FeSpace, build_dirichlet_space
 from .variational import (
+    dirichlet_solve,
     dirichlet_solves,
     div_curl_test,
     flux_weak_limit,
     liminf_check,
     potential_ladder,
     recovery_check,
+    window_flux,
 )
 
 
@@ -154,8 +156,12 @@ class SweepReport(Report):
     records: list
     reference: np.ndarray
     reference_meta: dict
-    rates: list
     config_echo: dict
+    rates: list = field(init=False)  # one fit_rate of the abs errors per mode
+
+    def __post_init__(self):
+        self.rates = [fit_rate(self.h_values, errs)
+                      for errs in zip(*(rec.abs_errors for rec in self.records))]
 
     def table(self):
         """CSV header and rows: one row per h and mode k (1-based for
@@ -271,21 +277,19 @@ def eigenvector_errors(interp: np.ndarray, vectors_ref: np.ndarray,
 
 
 def fit_rate(h_values, errors) -> RateFit:
-    """Slope of log(error) vs log(1/h): errors c/h^p fit to slope p."""
+    """Slope of log(error) vs log(1/h): errors c/h^p fit to slope p.
+
+    Nonpositive errors are excluded; with fewer than 3 left the fit is NaN."""
     h_values = np.asarray(h_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     usable = errors > 0.0
-    excluded = tuple(int(h) for h in h_values[~usable])
-    if np.count_nonzero(usable) < 3:
-        raise ValueError(
-            f"fit_rate needs >= 3 points with positive errors, "
-            f"got {int(np.count_nonzero(usable))}"
-        )
+    if np.count_nonzero(usable) < 3:  # no rate: every h is left out
+        return RateFit(math.nan, math.nan, 0, tuple(int(h) for h in h_values))
     x = np.log(1.0 / h_values[usable])
     y = np.log(errors[usable])
     slope, intercept = np.polyfit(x, y, 1)
-    return RateFit(float(slope), float(intercept),
-                   int(np.count_nonzero(usable)), excluded)
+    return RateFit(float(slope), float(intercept), int(np.count_nonzero(usable)),
+                   tuple(int(h) for h in h_values[~usable]))
 
 
 UNIT = ConstantMatrixCoefficient(np.eye(1))  # the coefficient of K0 = -Laplacian
@@ -310,56 +314,16 @@ def _rung_space(config: ExperimentConfig, dim: int, h: int,
     return build_dirichlet_space(dim, config.points_per_period * h)
 
 
-def _eigen_ladder(config: ExperimentConfig, kind: str, dim: int,
-                  limit_operator, rung_operator, meta: dict) -> SweepReport:
-    """The rung loop of the eigen sweep, each operator paired with the unit mass.
-
-    ``limit_operator(space)`` gives the reference eigenpairs on the finest
-    space, ``rung_operator(space, h)`` those of rung h on its own space.  Each
-    rung's eigenvectors are interpolated onto the finest space once; when no
-    coefficient oscillates (no ``family``) they are also scored there as
-    eigenpairs of the limit operator."""
-    def eigenpairs(rung, K, M):
-        try:
-            return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{rung}: {exc}") from exc
-
-    space_ref, M_ref = _finest(config, dim)
-    H_ref = limit_operator(space_ref)
-    ref = eigenpairs("reference", H_ref, M_ref)
-    records = []
-    for h in config.h_list:
-        t0 = time.perf_counter()
-        space = _rung_space(config, dim, h, space_ref)
-        M = (M_ref if space is space_ref
-             else assembly.assemble_mass(space, quad_order=config.quad_order))
-        eig = eigenpairs(f"h={h}", rung_operator(space, h), M)
-        X = np.column_stack([interpolate_between(space, x, space_ref)
-                             for x in eig.vectors.T])
-        vec_err = eigenvector_errors(X, ref.vectors, M_ref, ref.values)
-        limit_res = None
-        if config.family is None:
-            # contiguous columns: the dot products of a strided column round
-            # differently in the last bit
-            limit_res = residuals(H_ref, M_ref, eig.values, np.asfortranarray(X))
-        abs_err = np.abs(eig.values - ref.values)
-        records.append(SweepRecord(
-            h=h, values=eig.values, abs_errors=abs_err,
-            rel_errors=abs_err / np.abs(ref.values),
-            residuals=eig.residuals, vector_errors=vec_err,
-            limit_residuals=limit_res, wall_clock=time.perf_counter() - t0,
-        ))
-    rates = _rates_per_mode(config.h_list, records, config.eigen_count)
-    meta = {**meta, "finest_cells": config.points_per_period * max(config.h_list)}
-    return SweepReport(kind, config.h_list, records, ref.values, meta, rates,
-                       dict(config.echo))
-
-
 def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
     """Sweep of H_h = -div(A_h grad) + V_h against -div(A* grad) + V, with A*
     the family's limit tensor and V the potential's declared limit.  Without a
-    family the stiffness is K0 at every h; without a potential there is no V."""
+    family the stiffness is K0 at every h; without a potential there is no V.
+
+    Every operator is paired with the unit mass of its space; the reference
+    eigenpairs live on the finest space.  Each rung's eigenvectors are
+    interpolated onto the finest space once; when no coefficient oscillates
+    (no ``family``) they are also scored there as eigenpairs of the limit
+    operator."""
     family, potential, q = config.family, config.potential, config.quad_order
     coefficient, limit, limit_weight, meta = family or UNIT, UNIT, None, {}
     if family is not None:
@@ -381,10 +345,39 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
         return K if weight is None else (
             K + assembly.assemble_mass(space, weight, h=h, quad_order=q)).tocsr()
 
-    return _eigen_ladder(config, kind, coefficient.dim,
-                         lambda space: operator(space, limit, limit_weight, 1),
-                         lambda space, h: operator(space, coefficient, potential, h),
-                         meta)
+    def eigenpairs(rung, K, M):
+        try:
+            return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{rung}: {exc}") from exc
+
+    space_ref, M_ref = _finest(config, coefficient.dim)
+    H_ref = operator(space_ref, limit, limit_weight, 1)
+    ref = eigenpairs("reference", H_ref, M_ref)
+    records = []
+    for h in config.h_list:
+        t0 = time.perf_counter()
+        space = _rung_space(config, coefficient.dim, h, space_ref)
+        M = M_ref if space is space_ref else assembly.assemble_mass(space, quad_order=q)
+        eig = eigenpairs(f"h={h}", operator(space, coefficient, potential, h), M)
+        X = np.column_stack([interpolate_between(space, x, space_ref)
+                             for x in eig.vectors.T])
+        vec_err = eigenvector_errors(X, ref.vectors, M_ref, ref.values)
+        limit_res = None
+        if family is None:
+            # contiguous columns: the dot products of a strided column round
+            # differently in the last bit
+            limit_res = residuals(H_ref, M_ref, eig.values, np.asfortranarray(X))
+        abs_err = np.abs(eig.values - ref.values)
+        records.append(SweepRecord(
+            h=h, values=eig.values, abs_errors=abs_err,
+            rel_errors=abs_err / np.abs(ref.values),
+            residuals=eig.residuals, vector_errors=vec_err,
+            limit_residuals=limit_res, wall_clock=time.perf_counter() - t0,
+        ))
+    meta["finest_cells"] = config.points_per_period * max(config.h_list)
+    return SweepReport(kind, config.h_list, records, ref.values, meta,
+                       dict(config.echo))
 
 
 # two names of one sweep, each bound by its callers: defs, so a tracer wraps each once
@@ -402,51 +395,39 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     Record values hold the L2 distance to the reference (mode 0) followed by
     window averages of the first gradient component, the weak-H1 probes.
     """
-    family, source = config.family, config.source
+    family, source, q = config.family, config.source, config.quad_order
     tensor = _limit_tensor(config)
-    space_ref, _, solve_ref = dirichlet_solves(
-        family, source, config.points_per_period * max(config.h_list),
-        config.quad_order, tensor)
-    M_ref = assembly.assemble_mass(space_ref, quad_order=config.quad_order)
-    u_star = solve_ref(None)
+    space_ref, M_ref = _finest(config, family.dim)
+    u_star = dirichlet_solve(space_ref, ConstantMatrixCoefficient(tensor.matrix),
+                             source.limit_family(), 1, q)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
     edges = np.linspace(0.0, 1.0, config.windows + 1)
-    ref_probes = _window_gradient(space_ref, u_star, edges, config.quad_order)
-    reference = np.concatenate([[0.0], ref_probes])
+    identity = ConstantMatrixCoefficient(np.eye(family.dim))
 
-    def one(h):
+    def probes(space, u):  # strip averages of the first gradient component
+        return window_flux(space, identity, 1, u, edges, q)[:, 0]
+
+    ref_probes = probes(space_ref, u_star)
+    reference = np.concatenate([[0.0], ref_probes])
+    records = []
+    for h in config.h_list:
         t0 = time.perf_counter()
         space = _rung_space(config, family.dim, h, space_ref)
-        K = assembly.assemble_stiffness(space, family, h=h,
-                                        quad_order=config.quad_order)
-        b = assembly.assemble_load(space, source, h=h,
-                                   quad_order=config.quad_order)
-        u_h = cholesky(K).solve(b)
-        u_on_ref = interpolate_between(space, u_h, space_ref)
-        diff = u_on_ref - u_star
+        u_h = dirichlet_solve(space, family, source, h, q)
+        diff = interpolate_between(space, u_h, space_ref) - u_star
         l2_err = float(np.sqrt(max(diff @ (M_ref @ diff), 0.0)))
-        probes = _window_gradient(space, u_h, edges, config.quad_order)
-        values = np.concatenate([[l2_err], probes])
+        values = np.concatenate([[l2_err], probes(space, u_h)])
         abs_err = np.abs(values - reference)
         rel = np.empty_like(abs_err)
         rel[0] = l2_err / ref_norm
         denom = np.where(np.abs(ref_probes) > 0, np.abs(ref_probes), 1.0)
         rel[1:] = abs_err[1:] / denom
-        return SweepRecord(h=h, values=values, abs_errors=abs_err,
-                           rel_errors=rel, wall_clock=time.perf_counter() - t0)
-
-    records = [one(h) for h in config.h_list]
-    rates = _rates_per_mode(config.h_list, records, config.windows + 1)
+        records.append(SweepRecord(h=h, values=values, abs_errors=abs_err,
+                                   rel_errors=rel, wall_clock=time.perf_counter() - t0))
     meta = {"tensor": tensor.matrix, "provenance": tensor.provenance,
             "reference_l2_norm": ref_norm, "window_edges": edges}
     return SweepReport("source-homog", config.h_list, records, reference,
-                       meta, rates, dict(config.echo))
-
-
-def _window_gradient(space, u, edges, quad_order):
-    """Strip averages of the first gradient component (weak-H1 probes)."""
-    grad = assembly.cell_gradients(space, u)[None, :, :1]       # (1, nc, 1)
-    return assembly.strip_averages(space, grad, edges, quad_order)[:, 0]
+                       meta, dict(config.echo))
 
 
 @dataclass(eq=False)
@@ -544,18 +525,6 @@ def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
     else:
         prediction = float("nan")
     return DivCurlReport("divcurl", trace, flux, prediction, dict(config.echo))
-
-
-def _rates_per_mode(h_values, records, n_modes):
-    rates = []
-    for mode in range(n_modes):
-        errs = np.array([rec.abs_errors[mode] for rec in records])
-        try:
-            rates.append(fit_rate(h_values, errs))
-        except ValueError:
-            rates.append(RateFit(float("nan"), float("nan"), 0,
-                                 tuple(int(h) for h in h_values)))
-    return rates
 
 
 @dataclass(eq=False)

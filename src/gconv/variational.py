@@ -204,6 +204,13 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
     return space.interpolate(lambda x, *_: tent(x))
 
 
+def dirichlet_solve(space: FeSpace, coefficient, source: SourceFamily, h: int,
+                    quad_order: int = 4) -> np.ndarray:
+    """u solving -div(A_h grad u) = f_h on a Dirichlet space: assemble, factor, solve."""
+    K = assembly.assemble_stiffness(space, coefficient, h=h, quad_order=quad_order)
+    return cholesky(K).solve(assembly.assemble_load(space, source, h, quad_order))
+
+
 def dirichlet_solves(family, source: SourceFamily, n: int, quad_order: int = 4,
                      limit_tensor=None) -> tuple:
     """(space, limit, u) on the n-cell Dirichlet space: ``limit`` is the limit
@@ -216,8 +223,7 @@ def dirichlet_solves(family, source: SourceFamily, n: int, quad_order: int = 4,
     @cache
     def u(h):
         fam, src, k = (family, source, h) if h else (limit, source.limit_family(), 1)
-        K = assembly.assemble_stiffness(space, fam, h=k, quad_order=quad_order)
-        return cholesky(K).solve(assembly.assemble_load(space, src, k, quad_order))
+        return dirichlet_solve(space, fam, src, k, quad_order)
 
     return space, limit, u
 
@@ -289,14 +295,15 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
             f"{space.mesh.max_cell_span:.3e}"
         )
     edges = np.linspace(0.0, 1.0, window_count + 1)
-    flux = _window_flux(space, coeff_family, h, u(h), edges, quad_order)
-    ref = _window_flux(space, limit, 1, u(None), edges, quad_order)
+    flux = window_flux(space, coeff_family, h, u(h), edges, quad_order)
+    ref = window_flux(space, limit, 1, u(None), edges, quad_order)
     err = np.linalg.norm(flux - ref, axis=1)
     return FluxWindowReport(int(h), edges, flux, ref, err)
 
 
-def _window_flux(space, family, h, u, edges, quad_order):
-    """Per-strip averages of A_h grad u, binned by quadrature point."""
+def window_flux(space, family, h, u, edges, quad_order):
+    """Per-strip averages of A_h grad u, binned by quadrature point; with the
+    identity coefficient, of grad u (the weak-H1 probes of the source sweep)."""
     grad_u = assembly.cell_gradients(space, u)                  # (nc, d)
     A = family.matrix_at(h, space.cell_data(quad_order).points)  # (nq, nc, d, d)
     flux_q = np.einsum("qcde,ce->qcd", A, grad_u)               # (nq, nc, d)

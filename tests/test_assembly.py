@@ -92,6 +92,18 @@ def test_bitwise_symmetry():
         (lambda: build_space(build_rect_mesh(24, 24), DIRICHLET), lam, 1),
         (lambda: build_space(build_rect_mesh(24, 24), PERIODIC), lam, 1),
     ]
+
+    def spd(h, x):  # a full SPD field, the same on every call
+        B = np.random.default_rng(7).normal(size=(*x.shape, x.shape[-1]))
+        return B @ np.swapaxes(B, -1, -2) + np.eye(x.shape[-1])
+
+    # a periodic axis of 2 cells maps one local pair onto a dof pair both
+    # ways round, so both orientations of an entry gather the same cells
+    for cells in ((2,), (2, 5), (2, 2), (5, 2)):
+        mesh = build_interval_mesh if len(cells) == 1 else build_rect_mesh
+        cases.append((lambda mesh=mesh, cells=cells: build_space(mesh(*cells), PERIODIC),
+                      SimpleNamespace(name="spd", feature_scale=lambda h: None,
+                                      matrix_at=spd), 1))
     for build, coeff, h in cases:
         steps = [lambda sp: assembly.assemble_mass(sp),
                  lambda sp: assembly.assemble_mass(sp, radial),

@@ -48,8 +48,11 @@ def test_fit_rate_excludes_nonpositive():
 
 
 def test_fit_rate_needs_three_points():
-    with pytest.raises(ValueError, match=">= 3"):
-        fit_rate([4, 8, 16], [1.0, 0.0, 0.0])
+    # below 3 positive errors there is no rate: the NaN fit reports write as null
+    fit = fit_rate([4, 8, 16], [1.0, 0.0, 0.0])
+    assert math.isnan(fit.slope) and math.isnan(fit.intercept)
+    assert fit.n_used == 0
+    assert fit.excluded == (4, 8, 16)
 
 
 def test_config_validation():
@@ -355,6 +358,25 @@ def test_divcurl_runner_factors_each_matrix_once(monkeypatch):
     assert np.array_equal(rep.flux_windows.flux_averages, flux.flux_averages)
     assert np.array_equal(rep.flux_windows.reference_averages,
                           flux.reference_averages)
+
+
+def test_source_runner_factors_through_the_dirichlet_solve(monkeypatch):
+    # every rung and the reference u_star go through variational.dirichlet_solve:
+    # one factorization each, the top rung on the finest space
+    calls = []
+    cholesky = variational.cholesky
+
+    def counting(K):
+        calls.append(K.shape)
+        return cholesky(K)
+
+    monkeypatch.setattr(variational, "cholesky", counting)
+    path = Path(__file__).resolve().parent.parent / "configs" / "a9_source.json"
+    cfg = validate_config(load_config(path))
+    run_source_homog(cfg)
+    assert len(calls) == len(cfg.h_list) + 1 == 6
+    finest = cfg.points_per_period * max(cfg.h_list) - 1
+    assert calls.count((finest, finest)) == 2
 
 
 def test_emit_csv_shape(tmp_path):
