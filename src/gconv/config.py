@@ -22,16 +22,13 @@ from .homogenize import MIN_QUAD_POINTS
 from .sweep import EXPERIMENTS, ExperimentConfig
 
 MAX_DOFS = 1_000_000
-# the 1D rule builds a dense matrix of this order; 16 points integrate degree 31
-MAX_QUAD_ORDER = 16
 
 # least value of each numeric top-level key
 MINIMA = {
     "seed": 0,
-    "targets": 0,
+    "targets": 1,
     "points_per_period": 16,
     "eigen_count": 1,
-    "quad_order": 1,
     "windows": 1,
     "quad_points": MIN_QUAD_POINTS,
     "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
@@ -84,8 +81,6 @@ SCHEMA = {
     "h_list": ("int_list", [4, 8, 16, 32, 64], "ascending frequency ladder"),
     "points_per_period": ("int", 32, "mesh points per oscillation period (>= 16)"),
     "eigen_count": ("int", 3, "number of eigenpairs per rung"),
-    "quad_order": ("int", 4, f"Gauss points per 1D cell, 1 to {MAX_QUAD_ORDER} "
-                             "(2D: 1 or 2)"),
     "family": (_FAMILY_SCHEMA, None, "coefficient family spec"),
     "potential": (_SEQUENCE_SCHEMA, None, "potential family spec"),
     "source": (_SEQUENCE_SCHEMA, None, "source family spec"),
@@ -171,13 +166,19 @@ def validate_config(data: dict) -> ExperimentConfig:
     for key, least in MINIMA.items():
         if not effective[key] >= least:  # a NaN fails too
             raise ConfigError(f"config key '{key}': must be >= {least}")
-    if effective["quad_order"] > MAX_QUAD_ORDER:
-        raise ConfigError(f"config key 'quad_order': must be <= {MAX_QUAD_ORDER}")
+    dofs = effective["cell_resolution"] ** 2  # the limit oracle's budget
+    if dofs > MAX_DOFS:
+        raise ConfigError(f"config key 'cell_resolution': cell problem of {dofs} "
+                          f"dofs exceeds the budget of {MAX_DOFS}")
+    if effective["quad_points"] > MAX_DOFS:
+        raise ConfigError(f"config key 'quad_points': must be <= {MAX_DOFS}")
     if not effective["solver"]["eig_tol"] > 0:
         raise ConfigError("config key 'solver.eig_tol': must be > 0")
     a, b = effective["phi_support"]
-    if not a < b:
-        raise ConfigError("config key 'phi_support': must be [a, b] with a < b")
+    width = 2.0 / (effective["points_per_period"] * hs[-1])  # two finest cells
+    if not (0.0 <= a and b <= 1.0 and b - a >= width):  # a NaN fails too
+        raise ConfigError(f"config key 'phi_support': must be [a, b] with 0 <= a, "
+                          f"b <= 1 and b - a >= {width:g}, two cells of the finest mesh")
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
     dim = getattr(family, "dim", 1)

@@ -88,9 +88,12 @@ class CoefficientFamily(_Oscillating):
 
 @dataclass(frozen=True, eq=False)
 class ConstantMatrixCoefficient:
-    """Fixed symmetric matrix coefficient (the homogenized-limit pencil)."""
+    """Fixed symmetric matrix coefficient: a constant pencil, or the G-limit
+    A* an oracle returns, with where it came from and its error estimate."""
 
     matrix: np.ndarray
+    provenance: str = "exact"
+    est_error: float = 0.0
     name: str = "const-matrix"
 
     def __post_init__(self):

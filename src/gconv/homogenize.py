@@ -1,5 +1,7 @@
-"""Homogenized limit tensors for the built-in coefficient families.
+"""Homogenized limit coefficients for the built-in coefficient families.
 
+The G-limit of -div(A_h grad) is -div(A* grad) with a constant tensor A*,
+returned as a ``ConstantMatrixCoefficient`` that assembly reads directly.
 The limit of a 1D periodic family is the harmonic mean of its profile; in
 2D the limit tensor is assembled from periodic cell problems: two corrector
 solves on the unit cell, by CG preconditioned with a factored half-resolution
@@ -8,14 +10,18 @@ independent reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
 
 from . import assembly
-from .families import CoefficientFamily, PiecewiseCoefficient, check_resolution
+from .families import (
+    CoefficientFamily,
+    ConstantMatrixCoefficient,
+    PiecewiseCoefficient,
+    check_resolution,
+)
 from .linalg import ConvergenceError, cholesky
 from .mesh import PERIODIC, build_rect_mesh, build_space
 
@@ -26,16 +32,7 @@ CG_RTOL = 1e-12      # full-resolution corrector solves: relative residual
 CG_MAXITER = 500     # and the step budget
 
 
-@dataclass(frozen=True, eq=False)
-class HomogenizedTensor:
-    """Symmetric limit tensor with provenance and an error estimate."""
-
-    matrix: np.ndarray
-    provenance: str
-    est_error: float
-
-
-def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
+def harmonic_mean_1d(profile, quad_points: int = 256) -> ConstantMatrixCoefficient:
     """Limit coefficient (integral of 1/a over one period)^-1 of a 1D profile.
 
     ``profile`` reads points (..., 1), as a family's ``unit_profile`` does.
@@ -66,7 +63,7 @@ def harmonic_mean_1d(profile, quad_points: int = 256) -> HomogenizedTensor:
 
     coarse = value(quad_points)
     fine = value(2 * quad_points)
-    return HomogenizedTensor(np.array([[fine]]), CLOSED_FORM, abs(fine - coarse))
+    return ConstantMatrixCoefficient(np.array([[fine]]), CLOSED_FORM, abs(fine - coarse))
 
 
 def _prolongation(res: int) -> sparse.csr_matrix:
@@ -79,7 +76,7 @@ def _prolongation(res: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.full(i.size, 0.5), (i * res + j, cols)))
 
 
-def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
+def cell_problem_2d(profile, cell_resolution: int = 64) -> ConstantMatrixCoefficient:
     """Effective 2x2 tensor of a 1-periodic coefficient field on the unit cell.
 
     Solves the corrector problems div(A(y)(e_i + grad chi_i)) = 0 on the
@@ -102,7 +99,7 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
 
     def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
         space = build_space(build_rect_mesh(res, res), PERIODIC)
-        dofs, measure, grads, pts = space.cell_data(2)[:4]
+        dofs, measure, grads, pts = space.cell_data()[:4]
         # the level's one evaluation of the field, read by the stiffness and the means
         A = family.matrix_at(1, pts)
         field = SimpleNamespace(name=family.name, feature_scale=family.feature_scale,
@@ -131,7 +128,7 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
 
     eff_c = tensor_c(coarse_solve(bc))
     if not refine:
-        return HomogenizedTensor(eff_c, CELL_PROBLEM, float("nan"))
+        return ConstantMatrixCoefficient(eff_c, CELL_PROBLEM, float("nan"))
 
     K, b, tensor = level(cell_resolution)
     P = _prolongation(cell_resolution)
@@ -163,11 +160,11 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> HomogenizedTensor:
                 f"{context}: corrector {j} CG stopped at step {step}, relative "
                 f"residual {rel:.3e} > {CG_RTOL:.1e}", "cell problem")
     eff = tensor(chi)
-    return HomogenizedTensor(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
+    return ConstantMatrixCoefficient(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
 
 
 def homogenized_tensor(family: CoefficientFamily, *, quad_points: int = 512,
-                       cell_resolution: int = 64) -> HomogenizedTensor:
+                       cell_resolution: int = 64) -> ConstantMatrixCoefficient:
     """Dispatch a coefficient family to its limit oracle.
 
     1D families use the harmonic mean of their unit profile, 2D families the
@@ -179,7 +176,7 @@ def homogenized_tensor(family: CoefficientFamily, *, quad_points: int = 512,
 
 
 def locality_check(family: PiecewiseCoefficient, subdomain,
-                   **oracle_kwargs) -> HomogenizedTensor:
+                   **oracle_kwargs) -> ConstantMatrixCoefficient:
     """Limit tensor on one subdomain of a piecewise family.
 
     The limit of a piecewise composition restricted to a subdomain equals

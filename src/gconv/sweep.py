@@ -87,7 +87,6 @@ class ExperimentConfig:
     points_per_period: int = 32
     eigen_count: int = 3
     eig_tol: float = 1e-10
-    quad_order: int = 4
     seed: int = 0
     family: object = None          # these three: None when the config omits them
     potential: object = None
@@ -295,7 +294,8 @@ def fit_rate(h_values, errors) -> RateFit:
 UNIT = ConstantMatrixCoefficient(np.eye(1))  # the coefficient of K0 = -Laplacian
 
 
-def _limit_tensor(config: ExperimentConfig):
+def _limit(config: ExperimentConfig) -> ConstantMatrixCoefficient:
+    """The family's limit coefficient -div(A* grad), from its oracle."""
     return homogenized_tensor(config.family, quad_points=config.quad_points,
                               cell_resolution=config.cell_resolution)
 
@@ -303,7 +303,7 @@ def _limit_tensor(config: ExperimentConfig):
 def _finest(config: ExperimentConfig, dim: int):
     """Finest space of the ladder, where every reference lives, and its unit mass."""
     space = build_dirichlet_space(dim, config.points_per_period * max(config.h_list))
-    return space, assembly.assemble_mass(space, quad_order=config.quad_order)
+    return space, assembly.assemble_mass(space)
 
 
 def _rung_space(config: ExperimentConfig, dim: int, h: int,
@@ -324,26 +324,25 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
     interpolated onto the finest space once; when no coefficient oscillates
     (no ``family``) they are also scored there as eigenpairs of the limit
     operator."""
-    family, potential, q = config.family, config.potential, config.quad_order
+    family, potential = config.family, config.potential
     coefficient, limit, limit_weight, meta = family or UNIT, UNIT, None, {}
     if family is not None:
-        tensor = _limit_tensor(config)
-        limit = ConstantMatrixCoefficient(tensor.matrix)
-        meta = {"tensor": tensor.matrix, "provenance": tensor.provenance,
-                "tensor_est_error": tensor.est_error}
+        limit = _limit(config)
+        meta = {"tensor": limit.matrix, "provenance": limit.provenance,
+                "tensor_est_error": limit.est_error}
     if potential is not None:
         limit_weight = potential.limit_family()
         meta.update(potential=potential.name, convergence_class=potential.convergence)
 
     @functools.cache  # the reference and the top rung share the finest space
     def unit_stiffness(space):
-        return assembly.assemble_stiffness(space, UNIT, quad_order=q)
+        return assembly.assemble_stiffness(space, UNIT)
 
     def operator(space, coefficient, weight, h):
         K = (unit_stiffness(space) if coefficient is UNIT
-             else assembly.assemble_stiffness(space, coefficient, h=h, quad_order=q))
+             else assembly.assemble_stiffness(space, coefficient, h=h))
         return K if weight is None else (
-            K + assembly.assemble_mass(space, weight, h=h, quad_order=q)).tocsr()
+            K + assembly.assemble_mass(space, weight, h=h)).tocsr()
 
     def eigenpairs(rung, K, M):
         try:
@@ -358,7 +357,7 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
     for h in config.h_list:
         t0 = time.perf_counter()
         space = _rung_space(config, coefficient.dim, h, space_ref)
-        M = M_ref if space is space_ref else assembly.assemble_mass(space, quad_order=q)
+        M = M_ref if space is space_ref else assembly.assemble_mass(space)
         eig = eigenpairs(f"h={h}", operator(space, coefficient, potential, h), M)
         X = np.column_stack([interpolate_between(space, x, space_ref)
                              for x in eig.vectors.T])
@@ -395,17 +394,15 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     Record values hold the L2 distance to the reference (mode 0) followed by
     window averages of the first gradient component, the weak-H1 probes.
     """
-    family, source, q = config.family, config.source, config.quad_order
-    tensor = _limit_tensor(config)
+    family, source, limit = config.family, config.source, _limit(config)
     space_ref, M_ref = _finest(config, family.dim)
-    u_star = dirichlet_solve(space_ref, ConstantMatrixCoefficient(tensor.matrix),
-                             source.limit_family(), 1, q)
+    u_star = dirichlet_solve(space_ref, limit, source.limit_family(), 1)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
     edges = np.linspace(0.0, 1.0, config.windows + 1)
     identity = ConstantMatrixCoefficient(np.eye(family.dim))
 
     def probes(space, u):  # strip averages of the first gradient component
-        return window_flux(space, identity, 1, u, edges, q)[:, 0]
+        return window_flux(space, identity, 1, u, edges)[:, 0]
 
     ref_probes = probes(space_ref, u_star)
     reference = np.concatenate([[0.0], ref_probes])
@@ -413,7 +410,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     for h in config.h_list:
         t0 = time.perf_counter()
         space = _rung_space(config, family.dim, h, space_ref)
-        u_h = dirichlet_solve(space, family, source, h, q)
+        u_h = dirichlet_solve(space, family, source, h)
         diff = interpolate_between(space, u_h, space_ref) - u_star
         l2_err = float(np.sqrt(max(diff @ (M_ref @ diff), 0.0)))
         values = np.concatenate([[l2_err], probes(space, u_h)])
@@ -424,7 +421,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
         rel[1:] = abs_err[1:] / denom
         records.append(SweepRecord(h=h, values=values, abs_errors=abs_err,
                                    rel_errors=rel, wall_clock=time.perf_counter() - t0))
-    meta = {"tensor": tensor.matrix, "provenance": tensor.provenance,
+    meta = {"tensor": limit.matrix, "provenance": limit.provenance,
             "reference_l2_norm": ref_norm, "window_edges": edges}
     return SweepReport("source-homog", config.h_list, records, reference,
                        meta, dict(config.echo))
@@ -473,8 +470,8 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
     """Sample the liminf inequality and trace the affine recovery sequence."""
     potential = config.potential
     space, M = _finest(config, 1)
-    K0 = assembly.assemble_stiffness(space, UNIT, h=1, quad_order=config.quad_order)
-    ladder = potential_ladder(space, potential, config.h_list, config.quad_order)
+    K0 = assembly.assemble_stiffness(space, UNIT, h=1)
+    ladder = potential_ladder(space, potential, config.h_list)
     rng = np.random.default_rng(config.seed)
     margins = np.empty(config.targets)
     passed = 0
@@ -508,13 +505,11 @@ def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
     """Pair the discrete energy density against its homogenized limit."""
     solves = dirichlet_solves(config.family, config.source,
                               config.points_per_period * max(config.h_list),
-                              config.quad_order, _limit_tensor(config))
+                              limit=_limit(config))
     trace = div_curl_test(config.family, config.h_list, config.source,
-                          config.phi_support, quad_order=config.quad_order,
-                          solves=solves)
+                          config.phi_support, solves=solves)
     flux = flux_weak_limit(config.family, max(config.h_list), config.source,
-                           config.windows, quad_order=config.quad_order,
-                           solves=solves)
+                           config.windows, solves=solves)
     lead = min(3, len(config.h_list) - 1)
     hs = np.asarray(config.h_list[:lead], dtype=float)
     errs = np.asarray(trace.abs_errors[:lead])
@@ -544,10 +539,9 @@ class HomogenizeReport(Report):
 
 def run_homogenize(config: ExperimentConfig) -> HomogenizeReport:
     """Limit tensor of the configured family from its oracle."""
-    tensor = _limit_tensor(config)
-    return HomogenizeReport("homogenize", config.family.name, tensor.matrix,
-                            tensor.provenance, tensor.est_error,
-                            dict(config.echo))
+    limit = _limit(config)
+    return HomogenizeReport("homogenize", config.family.name, limit.matrix,
+                            limit.provenance, limit.est_error, dict(config.echo))
 
 
 def emit_report(report: Report, fmt: str, path) -> None:

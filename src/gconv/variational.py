@@ -14,12 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from . import assembly
-from .families import (
-    ConstantMatrixCoefficient,
-    PotentialFamily,
-    SourceFamily,
-    check_resolution,
-)
+from .families import PotentialFamily, SourceFamily, check_resolution
 from .homogenize import homogenized_tensor
 from .linalg import cholesky
 from .mesh import FeSpace, build_dirichlet_space
@@ -101,15 +96,13 @@ class PotentialLadder:
     matrices: tuple
 
 
-def potential_ladder(space: FeSpace, family: PotentialFamily, h_list,
-                     quad_order: int = 4) -> PotentialLadder:
+def potential_ladder(space: FeSpace, family: PotentialFamily, h_list) -> PotentialLadder:
     """Assemble the limit potential and each V_h of an ascending ladder once."""
     h_list = [int(h) for h in h_list]
     if sorted(h_list) != h_list:
         raise ValueError("h_list must be ascending")
-    limit = assembly.assemble_mass(space, family.limit_family(), 1, quad_order)
-    matrices = tuple(assembly.assemble_mass(space, family, h, quad_order)
-                     for h in h_list)
+    limit = assembly.assemble_mass(space, family.limit_family(), 1)
+    matrices = tuple(assembly.assemble_mass(space, family, h) for h in h_list)
     return PotentialLadder(np.asarray(h_list), limit, matrices)
 
 
@@ -204,33 +197,32 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
     return space.interpolate(lambda x, *_: tent(x))
 
 
-def dirichlet_solve(space: FeSpace, coefficient, source: SourceFamily, h: int,
-                    quad_order: int = 4) -> np.ndarray:
+def dirichlet_solve(space: FeSpace, coefficient, source: SourceFamily,
+                    h: int) -> np.ndarray:
     """u solving -div(A_h grad u) = f_h on a Dirichlet space: assemble, factor, solve."""
-    K = assembly.assemble_stiffness(space, coefficient, h=h, quad_order=quad_order)
-    return cholesky(K).solve(assembly.assemble_load(space, source, h, quad_order))
+    K = assembly.assemble_stiffness(space, coefficient, h=h)
+    return cholesky(K).solve(assembly.assemble_load(space, source, h))
 
 
-def dirichlet_solves(family, source: SourceFamily, n: int, quad_order: int = 4,
-                     limit_tensor=None) -> tuple:
+def dirichlet_solves(family, source: SourceFamily, n: int, limit=None) -> tuple:
     """(space, limit, u) on the n-cell Dirichlet space: ``limit`` is the limit
-    tensor (the family's oracle by default) as a coefficient, ``u(h)`` solves
+    coefficient (the family's oracle by default), ``u(h)`` solves
     -div(A_h grad u) = f_h once per h and ``u(None)`` is u_star."""
     space = build_dirichlet_space(family.dim, n)
-    tensor = limit_tensor or homogenized_tensor(family)
-    limit = ConstantMatrixCoefficient(tensor.matrix)
+    if limit is None:
+        limit = homogenized_tensor(family)
 
     @cache
     def u(h):
         fam, src, k = (family, source, h) if h else (limit, source.limit_family(), 1)
-        return dirichlet_solve(space, fam, src, k, quad_order)
+        return dirichlet_solve(space, fam, src, k)
 
     return space, limit, u
 
 
-def _energy_pairing(space, family, h, u, phi, quad_order=4):
+def _energy_pairing(space, family, h, u, phi):
     """integral( phi * (A_h grad u . grad u) ) for P1 u and phi."""
-    dofs, measure, _, pts, gw, phi_vals = space.cell_data(quad_order)
+    dofs, measure, _, pts, gw, phi_vals = space.cell_data()
     grad_u = assembly.cell_gradients(space, u)            # (nc, d)
     A = family.matrix_at(h, pts)                          # (nq, nc, d, d)
     energy_density = np.einsum("qcde,ce,cd->qc", A, grad_u, grad_u)
@@ -240,7 +232,7 @@ def _energy_pairing(space, family, h, u, phi, quad_order=4):
 
 
 def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
-                  points_per_period: int = 32, quad_order: int = 4,
+                  points_per_period: int = 32,
                   solves: tuple | None = None) -> PairingTrace:
     """Pairing trace integral(phi * (A_h grad u_h . grad u_h)) over an h ladder.
 
@@ -252,14 +244,13 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     """
     h_list = [int(h) for h in h_list]
     space, limit, u = solves or dirichlet_solves(
-        coeff_family, source, points_per_period * max(h_list), quad_order)
+        coeff_family, source, points_per_period * max(h_list))
     for h in h_list:
         check_resolution(coeff_family.feature_scale(h), space.mesh.max_cell_span,
                          f"div_curl_test(h={h})")
     phi = interpolate_bump(space, phi_support)
-    limit_pairing = _energy_pairing(space, limit, 1, u(None), phi, quad_order)
-    values = [_energy_pairing(space, coeff_family, h, u(h), phi, quad_order)
-              for h in h_list]
+    limit_pairing = _energy_pairing(space, limit, 1, u(None), phi)
+    values = [_energy_pairing(space, coeff_family, h, u(h), phi) for h in h_list]
     return _trace(h_list, values, limit_pairing)
 
 
@@ -276,7 +267,6 @@ class FluxWindowReport:
 
 def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
                     window_count: int, points_per_period: int = 32,
-                    quad_order: int = 4,
                     solves: tuple | None = None) -> FluxWindowReport:
     """Window averages of the flux A_h grad u_h over strips of the domain.
 
@@ -287,7 +277,7 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
     is as in ``div_curl_test``.
     """
     space, limit, u = solves or dirichlet_solves(
-        coeff_family, source, points_per_period * h, quad_order)
+        coeff_family, source, points_per_period * h)
     width = 1.0 / window_count
     if width < space.mesh.max_cell_span - 1e-14:
         raise ValueError(
@@ -295,16 +285,16 @@ def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
             f"{space.mesh.max_cell_span:.3e}"
         )
     edges = np.linspace(0.0, 1.0, window_count + 1)
-    flux = window_flux(space, coeff_family, h, u(h), edges, quad_order)
-    ref = window_flux(space, limit, 1, u(None), edges, quad_order)
+    flux = window_flux(space, coeff_family, h, u(h), edges)
+    ref = window_flux(space, limit, 1, u(None), edges)
     err = np.linalg.norm(flux - ref, axis=1)
     return FluxWindowReport(int(h), edges, flux, ref, err)
 
 
-def window_flux(space, family, h, u, edges, quad_order):
+def window_flux(space, family, h, u, edges):
     """Per-strip averages of A_h grad u, binned by quadrature point; with the
     identity coefficient, of grad u (the weak-H1 probes of the source sweep)."""
     grad_u = assembly.cell_gradients(space, u)                  # (nc, d)
-    A = family.matrix_at(h, space.cell_data(quad_order).points)  # (nq, nc, d, d)
+    A = family.matrix_at(h, space.cell_data().points)           # (nq, nc, d, d)
     flux_q = np.einsum("qcde,ce->qcd", A, grad_u)               # (nq, nc, d)
-    return assembly.strip_averages(space, flux_q, edges, quad_order)
+    return assembly.strip_averages(space, flux_q, edges)

@@ -37,8 +37,9 @@ def test_validate_fills_defaults():
 
 
 def test_unknown_key_rejected_with_name():
-    with pytest.raises(ConfigError, match="'mesh_size'"):
-        validate_config(_minimal(mesh_size=5))
+    for key in ("mesh_size", "quad_order"):
+        with pytest.raises(ConfigError, match=f"'{key}': unknown key"):
+            validate_config(_minimal(**{key: 5}))
     with pytest.raises(ConfigError, match="'family.gamma'"):
         validate_config(_minimal(family={"name": "osc1d", "gamma": 2}))
 
@@ -324,12 +325,19 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     # quadrature point give NaN probes
     ("sweep-source", "source-homog", {"windows": 1000}, "windows"),
     ("divcurl", "divcurl", {"phi_support": [0.5, 0.5], **_DIVCURL}, "phi_support"),
+    # a bump outside the domain, or narrower than two cells of the h=8 mesh,
+    # is zero at every dof: the pairing would check nothing
+    ("divcurl", "divcurl", {"phi_support": [2, 3], **_DIVCURL}, "phi_support"),
+    ("divcurl", "divcurl", {"phi_support": [0.5, 0.5001], **_DIVCURL},
+     "phi_support"),
     ("homogenize", "homogenize", {"quad_points": 8}, "quad_points"),
     ("homogenize", "homogenize",
      {"cell_resolution": 0, "family": {"name": "laminate2d"}}, "cell_resolution"),
     # the h=4 rung has 127 dofs
     ("sweep-eigen", "eigen-homog", {"eigen_count": 128}, "eigen_count"),
     ("gamma-check", "gamma", {"targets": -1}, "targets"),
+    # no target sampled: the liminf check would pass on 0 of 0
+    ("gamma-check", "gamma", {"targets": 0}, "targets"),
     ("gamma-check", "gamma", {"seed": -1}, "seed"),
     # no residual meets a tolerance <= 0 or NaN
     ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": 0.0}}, "solver.eig_tol"),
@@ -339,12 +347,6 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
      "solver.eig_tol"),
     ("gamma-check", "gamma", {"perturbation_scale": -1.0}, "perturbation_scale"),
     ("gamma-check", "gamma", {"perturbation_scale": math.nan}, "perturbation_scale"),
-    # below one point the rules fall back silently; far above the cap the 1D
-    # rule's dense companion matrix exhausts memory (the case here stays cheap
-    # should the check be lost)
-    ("sweep-eigen", "eigen-homog", {"quad_order": 0}, "quad_order"),
-    ("gamma-check", "gamma", {"quad_order": -3}, "quad_order"),
-    ("divcurl", "divcurl", {"quad_order": 17, **_DIVCURL}, "quad_order"),
     # more parameters than the family reads: the report would echo them as used
     ("sweep-potential", "eigen-potential",
      {"potential": {"name": "sin2-potential", "params": [5.0]}}, "potential"),
@@ -360,10 +362,10 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     ("sweep-potential", "eigen-potential",
      {"potential": {"name": "spike-potential", "params": [math.nan]}}, "potential"),
 ], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
-        "phi-empty", "quad-points", "cell-resolution", "eigen-count",
-        "targets", "seed", "eig-tol-zero", "eig-tol-negative", "eig-tol-nan",
-        "perturbation-negative", "perturbation-nan", "quad-order-zero",
-        "quad-order-negative", "quad-order-above-cap", "params-sin2",
+        "phi-empty", "phi-outside", "phi-narrow", "quad-points",
+        "cell-resolution", "eigen-count", "targets", "targets-zero", "seed",
+        "eig-tol-zero", "eig-tol-negative", "eig-tol-nan",
+        "perturbation-negative", "perturbation-nan", "params-sin2",
         "params-osc1d", "params-laminate2d", "params-const-source",
         "params-nan-family", "params-nan-potential"])
 def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):
@@ -374,6 +376,23 @@ def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key)
         assert f"config key '{key}'" in err
         assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind,extra,key", [
+    ("homogenize", {"family": {"name": "laminate2d"}, "cell_resolution": 1001},
+     "cell_resolution"),
+    ("homogenize", {"quad_points": 1_000_001}, "quad_points"),
+    ("eigen-homog", {"cell_resolution": 100_000}, "cell_resolution"),
+])
+def test_limit_oracle_budget_exit_1(tmp_path, capsys, kind, extra, key):
+    # checked through validation only: a lost check must not start the oracle
+    doc = _minimal(kind, **extra)
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        validate_config(doc)
+    assert main(["validate", "--config", str(_write(tmp_path, doc))]) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+    # the largest values within the budget pass
+    validate_config(_minimal(kind, cell_resolution=1000, quad_points=1_000_000))
 
 
 def test_cli_unread_parameter_names_family_and_count(tmp_path, capsys):
