@@ -18,10 +18,13 @@ from .families import (
     SourceFamily,
     make_builtin_family,
 )
-from .homogenize import MIN_QUAD_POINTS
-from .sweep import EXPERIMENTS, ExperimentConfig
+from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
 
-MAX_DOFS = 1_000_000
+# most dofs of one mesh, by dimension.  A 2D factor fills about 5.4 times
+# per 4 times the dofs: a laminate2d sweep's rung factored to 1.0M, 5.6M and
+# 30.0M nnz at 128^2, 256^2 and 512^2, the last in 17 s at a 1.0 GiB peak
+# on a 2-core, 8 GiB host, where a 1000^2 mesh would not fit in memory
+MAX_DOFS = {1: 1_000_000, 2: 512 ** 2}
 
 # least value of each numeric top-level key
 MINIMA = {
@@ -30,7 +33,6 @@ MINIMA = {
     "points_per_period": 16,
     "eigen_count": 1,
     "windows": 1,
-    "quad_points": MIN_QUAD_POINTS,
     "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
     "perturbation_scale": 0.0,
 }
@@ -92,7 +94,6 @@ SCHEMA = {
     "targets": ("int", 20, "random liminf targets"),
     "perturbation_scale": ("float", 0.5, "liminf perturbation amplitude"),
     "cell_resolution": ("int", 128, "2D unit-cell resolution for the limit tensor"),
-    "quad_points": ("int", 512, "quadrature subintervals for 1D limit oracles"),
 }
 
 
@@ -166,12 +167,10 @@ def validate_config(data: dict) -> ExperimentConfig:
     for key, least in MINIMA.items():
         if not effective[key] >= least:  # a NaN fails too
             raise ConfigError(f"config key '{key}': must be >= {least}")
-    dofs = effective["cell_resolution"] ** 2  # the limit oracle's budget
-    if dofs > MAX_DOFS:
+    dofs = effective["cell_resolution"] ** 2  # the 2D limit oracle's budget
+    if dofs > MAX_DOFS[2]:
         raise ConfigError(f"config key 'cell_resolution': cell problem of {dofs} "
-                          f"dofs exceeds the budget of {MAX_DOFS}")
-    if effective["quad_points"] > MAX_DOFS:
-        raise ConfigError(f"config key 'quad_points': must be <= {MAX_DOFS}")
+                          f"dofs exceeds the budget of {MAX_DOFS[2]} for 2D meshes")
     if not effective["solver"]["eig_tol"] > 0:
         raise ConfigError("config key 'solver.eig_tol': must be > 0")
     a, b = effective["phi_support"]
@@ -188,13 +187,13 @@ def validate_config(data: dict) -> ExperimentConfig:
                               f"family '{family.name}' is {dim}D")
     ppp = effective["points_per_period"]
     n = ppp * hs[-1]
-    if experiment.ladder and n ** dim > MAX_DOFS:
+    if experiment.ladder and n ** dim > MAX_DOFS[dim]:
         raise ConfigError(
             f"config key 'h_list': mesh of {n ** dim} dofs exceeds the budget "
-            f"of {MAX_DOFS}"
+            f"of {MAX_DOFS[dim]} for {dim}D meshes"
         )
     coarsest = (ppp * hs[0] - 1) ** dim
-    if experiment.ladder and effective["eigen_count"] > coarsest:
+    if kind in EIGEN_KINDS and effective["eigen_count"] > coarsest:
         raise ConfigError(f"config key 'eigen_count': must be <= {coarsest}, "
                           f"the dofs of the coarsest rung h={hs[0]}")
     rung = experiment.strip_rung  # no strip narrower than one cell

@@ -32,7 +32,7 @@ CG_RTOL = 1e-12      # full-resolution corrector solves: relative residual
 CG_MAXITER = 500     # and the step budget
 
 
-def harmonic_mean_1d(profile, quad_points: int = 256) -> ConstantMatrixCoefficient:
+def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficient:
     """Limit coefficient (integral of 1/a over one period)^-1 of a 1D profile.
 
     ``profile`` reads points (..., 1), as a family's ``unit_profile`` does.
@@ -163,7 +163,7 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> ConstantMatrixCoeffic
     return ConstantMatrixCoefficient(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
 
 
-def homogenized_tensor(family: CoefficientFamily, *, quad_points: int = 512,
+def homogenized_tensor(family: CoefficientFamily, *,
                        cell_resolution: int = 64) -> ConstantMatrixCoefficient:
     """Dispatch a coefficient family to its limit oracle.
 
@@ -171,12 +171,11 @@ def homogenized_tensor(family: CoefficientFamily, *, quad_points: int = 512,
     periodic cell problem.
     """
     if family.dim == 1:
-        return harmonic_mean_1d(family.unit_profile, quad_points)
+        return harmonic_mean_1d(family.unit_profile)
     return cell_problem_2d(family, cell_resolution)
 
 
-def locality_check(family: PiecewiseCoefficient, subdomain,
-                   **oracle_kwargs) -> ConstantMatrixCoefficient:
+def locality_check(family: PiecewiseCoefficient, subdomain) -> ConstantMatrixCoefficient:
     """Limit tensor on one subdomain of a piecewise family.
 
     The limit of a piecewise composition restricted to a subdomain equals
@@ -189,6 +188,6 @@ def locality_check(family: PiecewiseCoefficient, subdomain,
     a, b = float(subdomain[0]), float(subdomain[1])
     for (x0, x1), piece in family.pieces:
         if abs(x0 - a) <= 1e-12 and abs(x1 - b) <= 1e-12:
-            return homogenized_tensor(piece, **oracle_kwargs)
+            return homogenized_tensor(piece)
     raise ValueError(f"no piece matches subdomain [{a}, {b}]")
 

@@ -1,4 +1,4 @@
-"""Structured interval and rectangle meshes with a P1 nodal space.
+"""Structured unit interval and unit square meshes with a P1 nodal space.
 
 Convergence ladders need a tightly controlled mesh size, so only uniform
 structured meshes are provided.  The mesh size is called delta throughout
@@ -35,10 +35,9 @@ _TRI_CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
 class Mesh:
     """Simplicial mesh: vertex coordinates, connectivity, boundary flags.
 
-    ``structure`` records how the mesh was built: ``(cells, lower, upper)``,
-    the cells per axis and the lower and upper corners of the box; vertices
-    are the grid points in C order.  Instances are immutable after
-    construction.
+    The domain is the unit interval or square.  ``structure`` records how
+    the mesh was built: the cells per axis; vertices are the grid points in
+    C order.  Instances are immutable after construction.
     """
 
     dimension: int
@@ -67,8 +66,8 @@ class Mesh:
         A cell spans one step of every grid axis, so this is the largest
         step between the axes' grid points, the same bits as the cell corners.
         """
-        return max(float(np.diff(np.linspace(lo, up, n + 1)).max())
-                   for n, lo, up in zip(*self.structure))
+        return max(float(np.diff(np.linspace(0.0, 1.0, n + 1)).max())
+                   for n in self.structure)
 
 
 class CellData(NamedTuple):
@@ -222,33 +221,27 @@ class FeSpace:
                                             (key % n).astype(np.int32), indptr))
 
 
-def build_interval_mesh(n_cells: int, interval=(0.0, 1.0)) -> Mesh:
-    """Uniform mesh of an interval with ``n_cells`` cells."""
-    x0, x1 = float(interval[0]), float(interval[1])
+def build_interval_mesh(n_cells: int) -> Mesh:
+    """Uniform mesh of the unit interval with ``n_cells`` cells."""
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    if not x1 > x0:
-        raise ValueError(f"degenerate interval [{x0}, {x1}]")
-    verts = np.linspace(x0, x1, n_cells + 1)[:, None]
+    verts = np.linspace(0.0, 1.0, n_cells + 1)[:, None]
     cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
     boundary = np.zeros(n_cells + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
-    return Mesh(1, verts, cells, boundary, ((n_cells,), (x0,), (x1,)))
+    return Mesh(1, verts, cells, boundary, (n_cells,))
 
 
-def build_rect_mesh(nx: int, ny: int, rect=(0.0, 1.0, 0.0, 1.0)) -> Mesh:
-    """Structured triangulation of a rectangle, 2 triangles per grid square.
+def build_rect_mesh(nx: int, ny: int) -> Mesh:
+    """Structured triangulation of the unit square, 2 triangles per grid square.
 
     Every square is split along the same diagonal (lower-left to upper-right)
     so that refinement studies reproduce bit-identical golden values.
     """
-    x0, x1, y0, y1 = (float(v) for v in rect)
     if nx < 1 or ny < 1:
         raise ValueError(f"nx, ny must be >= 1, got ({nx}, {ny})")
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"degenerate rectangle [{x0},{x1}]x[{y0},{y1}]")
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
@@ -268,7 +261,7 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 1.0, 0.0, 1.0)) -> Mesh:
     gi = np.repeat(np.arange(nx + 1), ny + 1)
     gj = np.tile(np.arange(ny + 1), nx + 1)
     boundary = (gi == 0) | (gi == nx) | (gj == 0) | (gj == ny)
-    return Mesh(2, verts, cells, boundary, ((nx, ny), (x0, y0), (x1, y1)))
+    return Mesh(2, verts, cells, boundary, (nx, ny))
 
 
 def build_space(mesh: Mesh, rule: str = DIRICHLET) -> FeSpace:
@@ -284,7 +277,7 @@ def build_space(mesh: Mesh, rule: str = DIRICHLET) -> FeSpace:
         dof_of_vertex[interior] = np.arange(interior.size)
         return FeSpace(mesh, rule, dof_of_vertex, interior)
     if rule == PERIODIC:
-        cells = mesh.structure[0]
+        cells = mesh.structure
         grid = np.unravel_index(np.arange(mesh.num_vertices), [n + 1 for n in cells])
         dof_of_vertex = np.ravel_multi_index(grid, cells, mode="wrap")
         # each dof's first vertex is its grid point below the upper faces

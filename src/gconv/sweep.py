@@ -78,6 +78,10 @@ EXPERIMENTS = {
 }
 
 
+# the kinds that solve eigenproblems and read eigen_count
+EIGEN_KINDS = ("eigen-homog", "eigen-potential")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment run, as ``config.validate_config`` builds it from a config."""
@@ -97,7 +101,6 @@ class ExperimentConfig:
     targets: int = 20
     perturbation_scale: float = 0.5
     cell_resolution: int = 128
-    quad_points: int = 512
     echo: dict = field(default_factory=dict)
 
 
@@ -195,7 +198,7 @@ def interpolate_between(space_from: FeSpace, u: np.ndarray,
                         space_to: FeSpace) -> np.ndarray:
     """P1 interpolation of a coarse-space function onto a finer space.
 
-    Both spaces must discretize the same structured domain; Dirichlet
+    Both spaces must discretize the unit interval or square; Dirichlet
     boundary values are zero on both sides.
     """
     mesh = space_from.mesh
@@ -204,12 +207,10 @@ def interpolate_between(space_from: FeSpace, u: np.ndarray,
     full[space_from.dof_vertices] = u
     if mesh.dimension == 1:
         return np.interp(coords[:, 0], mesh.vertices[:, 0], full)
-    (nx, ny), (x0, y0), (x1, y1) = mesh.structure
+    nx, ny = mesh.structure
     grid = full.reshape(nx + 1, ny + 1)
-    dx = (x1 - x0) / nx
-    dy = (y1 - y0) / ny
-    gx = np.clip((coords[:, 0] - x0) / dx, 0.0, nx * (1 - 1e-15))
-    gy = np.clip((coords[:, 1] - y0) / dy, 0.0, ny * (1 - 1e-15))
+    gx = np.clip(coords[:, 0] / (1.0 / nx), 0.0, nx * (1 - 1e-15))
+    gy = np.clip(coords[:, 1] / (1.0 / ny), 0.0, ny * (1 - 1e-15))
     i = np.floor(gx).astype(int)
     j = np.floor(gy).astype(int)
     xi = gx - i
@@ -296,8 +297,7 @@ UNIT = ConstantMatrixCoefficient(np.eye(1))  # the coefficient of K0 = -Laplacia
 
 def _limit(config: ExperimentConfig) -> ConstantMatrixCoefficient:
     """The family's limit coefficient -div(A* grad), from its oracle."""
-    return homogenized_tensor(config.family, quad_points=config.quad_points,
-                              cell_resolution=config.cell_resolution)
+    return homogenized_tensor(config.family, cell_resolution=config.cell_resolution)
 
 
 def _finest(config: ExperimentConfig, dim: int):
@@ -508,8 +508,7 @@ def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
                               limit=_limit(config))
     trace = div_curl_test(config.family, config.h_list, config.source,
                           config.phi_support, solves=solves)
-    flux = flux_weak_limit(config.family, max(config.h_list), config.source,
-                           config.windows, solves=solves)
+    flux = flux_weak_limit(config.family, max(config.h_list), config.windows, solves)
     lead = min(3, len(config.h_list) - 1)
     hs = np.asarray(config.h_list[:lead], dtype=float)
     errs = np.asarray(trace.abs_errors[:lead])

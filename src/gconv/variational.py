@@ -14,10 +14,15 @@ import numpy as np
 from scipy import sparse
 
 from . import assembly
-from .families import PotentialFamily, SourceFamily, check_resolution
+from .families import PotentialFamily, SourceFamily
 from .homogenize import homogenized_tensor
 from .linalg import cholesky
 from .mesh import FeSpace, build_dirichlet_space
+
+# relative slack of the liminf inequality: round-off in the sampled energies
+LIMINF_SLACK = 1e-8
+# mesh points per period of div_curl_test's own matched mesh
+POINTS_PER_PERIOD = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +119,7 @@ class LiminfReport:
     vanishing envelope: the Cauchy-Schwarz bound on the perturbation cross
     term plus the potential pairing defect |u'(V_h - V)u| at the target.
     The check passes when the limit energy stays below every tail value
-    plus its envelope, within the slack: when ``margin`` is nonnegative.
+    plus its envelope, within ``LIMINF_SLACK``: when ``margin`` is nonnegative.
     """
 
     h_values: np.ndarray
@@ -122,15 +127,13 @@ class LiminfReport:
     envelopes: np.ndarray      # vanishing bound per h
     limit_value: float         # F(u) with the limit potential
     tail_min: float            # min over the tail of energies + envelopes
-    slack: float
-    margin: float              # tail_min + slack * max(1, |F(u)|) - F(u)
+    margin: float              # tail_min + LIMINF_SLACK * max(1, |F(u)|) - F(u)
     passed: bool
 
 
 def liminf_check(space: FeSpace, base: sparse.spmatrix,
                  ladder: PotentialLadder, u_target: np.ndarray,
-                 perturbation_scale: float, seed: int,
-                 slack: float = 1e-8) -> LiminfReport:
+                 perturbation_scale: float, seed: int) -> LiminfReport:
     """Probe the liminf inequality F(u) <= liminf F_h(u_h) at one target.
 
     The sequence u_h = u + scale * (1/h) * r_h / ||r_h|| converges to u in
@@ -160,9 +163,9 @@ def liminf_check(space: FeSpace, base: sparse.spmatrix,
         envelopes[i] = cross + defect
     tail = slice(len(h_values) // 2, None)
     tail_min = float(np.min(energies[tail] + envelopes[tail]))
-    margin = tail_min + slack * max(1.0, abs(limit_value)) - limit_value
+    margin = tail_min + LIMINF_SLACK * max(1.0, abs(limit_value)) - limit_value
     return LiminfReport(h_values, energies, envelopes, limit_value, tail_min,
-                        slack, margin, margin >= 0.0)
+                        margin, margin >= 0.0)
 
 
 def recovery_check(space: FeSpace, base: sparse.spmatrix,
@@ -232,7 +235,6 @@ def _energy_pairing(space, family, h, u, phi):
 
 
 def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
-                  points_per_period: int = 32,
                   solves: tuple | None = None) -> PairingTrace:
     """Pairing trace integral(phi * (A_h grad u_h . grad u_h)) over an h ladder.
 
@@ -240,14 +242,13 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     the energy density is paired against a fixed P1 bump phi; the limit is
     the same pairing built from the homogenized solution on the same mesh.
     The trace errors must decay like 1/h.  ``solves`` (``dirichlet_solves`` of
-    this problem and mesh) shares the solutions with ``flux_weak_limit``.
+    this problem and mesh) shares the solutions with ``flux_weak_limit``;
+    without it the mesh has ``POINTS_PER_PERIOD`` points per period of the
+    largest h.
     """
     h_list = [int(h) for h in h_list]
     space, limit, u = solves or dirichlet_solves(
-        coeff_family, source, points_per_period * max(h_list))
-    for h in h_list:
-        check_resolution(coeff_family.feature_scale(h), space.mesh.max_cell_span,
-                         f"div_curl_test(h={h})")
+        coeff_family, source, POINTS_PER_PERIOD * max(h_list))
     phi = interpolate_bump(space, phi_support)
     limit_pairing = _energy_pairing(space, limit, 1, u(None), phi)
     values = [_energy_pairing(space, coeff_family, h, u(h), phi) for h in h_list]
@@ -265,25 +266,17 @@ class FluxWindowReport:
     abs_errors: np.ndarray         # (W,)
 
 
-def flux_weak_limit(coeff_family, h: int, source: SourceFamily,
-                    window_count: int, points_per_period: int = 32,
-                    solves: tuple | None = None) -> FluxWindowReport:
+def flux_weak_limit(coeff_family, h: int, window_count: int,
+                    solves: tuple) -> FluxWindowReport:
     """Window averages of the flux A_h grad u_h over strips of the domain.
 
     Weak convergence of the flux is tested against window indicators: as h
     grows the averages approach those of A grad u_star computed from the
     homogenized tensor on the same mesh.  Windows are strips in the first
-    coordinate; widths below the mesh resolution are refused.  ``solves``
-    is as in ``div_curl_test``.
+    coordinate.  ``solves`` is ``dirichlet_solves`` of the problem, whose
+    ``u(h)`` and ``u(None)`` are read.
     """
-    space, limit, u = solves or dirichlet_solves(
-        coeff_family, source, points_per_period * h)
-    width = 1.0 / window_count
-    if width < space.mesh.max_cell_span - 1e-14:
-        raise ValueError(
-            f"window width {width:.3e} is below the mesh resolution "
-            f"{space.mesh.max_cell_span:.3e}"
-        )
+    space, limit, u = solves
     edges = np.linspace(0.0, 1.0, window_count + 1)
     flux = window_flux(space, coeff_family, h, u(h), edges)
     ref = window_flux(space, limit, 1, u(None), edges)

@@ -12,6 +12,11 @@ of the same name on an unrelated object is no use.  A string constant counts
 for its own module, because the experiment registry names its runners.
 Methods are matched by name alone: any attribute, or string constant, of
 that name outside the method's own body is a use.
+
+Parameters follow the same rule: every optional parameter of a public
+function or method must be passed, by keyword or by position, by some call
+in the package or in the acceptance suite.  A parameter that only unit
+tests set is not API either.
 """
 import ast
 from pathlib import Path
@@ -100,3 +105,76 @@ def test_public_methods_are_reached():
                                     for t in [acceptance, *trees.values()])):
                     unreached.append(f"{stem}.{cls.name}.{node.name}")
     assert not unreached, f"public methods reached only by unit tests: {unreached}"
+
+
+# optional parameters that stay unpassed, each with the reason it stays
+UNPASSED_ALLOWED = {
+    # unit tests compare quadrature rules through these, and the benchmark's
+    # tracer binds assemble_mass(space, weight, h, quad_order) by name
+    **{(f"assembly.{name}", "quad_order"): "rule comparisons; bench tracer"
+       for name in ("assemble_stiffness", "assemble_mass", "assemble_load",
+                    "strip_averages")},
+}
+
+
+def _optional_parameters(node, method: bool):
+    """``(name, position)`` of each optional parameter of a def; position is
+    None for keyword-only ones and for ``**kwargs``."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if method and positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    if args.kwarg is not None:
+        out.append((f"**{args.kwarg.arg}", None))
+    return out
+
+
+def _passed(trees) -> dict:
+    """Called name -> (most positional arguments, keywords) over all calls;
+    a starred argument passes every position, ``**`` every keyword."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            most, keywords = out.setdefault(name, [0, set()])
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out[name][0] = max(most, float("inf") if starred else len(node.args))
+            keywords.update(k.arg or "**" for k in node.keywords)
+    return out
+
+
+def test_optional_parameters_are_passed():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    passed = _passed([acceptance, *trees.values()])
+    defs = []  # (qualified name, def node, is a method)
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.append((f"{stem}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{stem}.{node.name}.{m.name}", m, True) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    unpassed = []
+    for qualname, node, method in defs:
+        most, keywords = passed.get(node.name, (0, set()))
+        named = {a.arg for a in node.args.posonlyargs + node.args.args
+                 + node.args.kwonlyargs}
+        for param, position in _optional_parameters(node, method):
+            if param.startswith("**"):
+                hit = "**" in keywords or bool(keywords - named)
+            else:
+                hit = param in keywords or "**" in keywords or (
+                    position is not None and most > position)
+            if not hit and (qualname, param) not in UNPASSED_ALLOWED:
+                unpassed.append(f"{qualname}({param})")
+    assert not unpassed, f"optional parameters only unit tests pass: {unpassed}"

@@ -1,15 +1,27 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gconv import homogenize, linalg, sweep
 from gconv.cli import main
-from gconv.config import ConfigError, apply_overrides, schema_help, validate_config
+from gconv.config import (
+    FAMILY_CLASSES,
+    ConfigError,
+    apply_overrides,
+    schema_help,
+    validate_config,
+)
+from gconv.families import BUILTINS, make_builtin_family
 from gconv.linalg import ConvergenceError
 from gconv.sweep import EXPERIMENTS
 
@@ -37,7 +49,7 @@ def test_validate_fills_defaults():
 
 
 def test_unknown_key_rejected_with_name():
-    for key in ("mesh_size", "quad_order"):
+    for key in ("mesh_size", "quad_order", "quad_points"):
         with pytest.raises(ConfigError, match=f"'{key}': unknown key"):
             validate_config(_minimal(**{key: 5}))
     with pytest.raises(ConfigError, match="'family.gamma'"):
@@ -330,7 +342,6 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     ("divcurl", "divcurl", {"phi_support": [2, 3], **_DIVCURL}, "phi_support"),
     ("divcurl", "divcurl", {"phi_support": [0.5, 0.5001], **_DIVCURL},
      "phi_support"),
-    ("homogenize", "homogenize", {"quad_points": 8}, "quad_points"),
     ("homogenize", "homogenize",
      {"cell_resolution": 0, "family": {"name": "laminate2d"}}, "cell_resolution"),
     # the h=4 rung has 127 dofs
@@ -362,8 +373,8 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     ("sweep-potential", "eigen-potential",
      {"potential": {"name": "spike-potential", "params": [math.nan]}}, "potential"),
 ], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
-        "phi-empty", "phi-outside", "phi-narrow", "quad-points",
-        "cell-resolution", "eigen-count", "targets", "targets-zero", "seed",
+        "phi-empty", "phi-outside", "phi-narrow", "cell-resolution",
+        "eigen-count", "targets", "targets-zero", "seed",
         "eig-tol-zero", "eig-tol-negative", "eig-tol-nan",
         "perturbation-negative", "perturbation-nan", "params-sin2",
         "params-osc1d", "params-laminate2d", "params-const-source",
@@ -378,10 +389,13 @@ def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key)
     assert not list(tmp_path.glob("*.csv"))
 
 
+_LAMINATE = {"name": "laminate2d", "params": [1.0, 4.0]}
+
+
 @pytest.mark.parametrize("kind,extra,key", [
-    ("homogenize", {"family": {"name": "laminate2d"}, "cell_resolution": 1001},
-     "cell_resolution"),
-    ("homogenize", {"quad_points": 1_000_001}, "quad_points"),
+    ("homogenize", {"family": _LAMINATE, "cell_resolution": 513}, "cell_resolution"),
+    # a 2D ladder over 512^2 (here 544^2): its factor would not fit in memory
+    ("eigen-homog", {"family": _LAMINATE, "h_list": [1, 17]}, "h_list"),
     ("eigen-homog", {"cell_resolution": 100_000}, "cell_resolution"),
 ])
 def test_limit_oracle_budget_exit_1(tmp_path, capsys, kind, extra, key):
@@ -391,8 +405,21 @@ def test_limit_oracle_budget_exit_1(tmp_path, capsys, kind, extra, key):
         validate_config(doc)
     assert main(["validate", "--config", str(_write(tmp_path, doc))]) == 1
     assert f"config key '{key}'" in capsys.readouterr().err
-    # the largest values within the budget pass
-    validate_config(_minimal(kind, cell_resolution=1000, quad_points=1_000_000))
+    # the largest values within the 2D budget pass, and 1D keeps 10^6 dofs
+    validate_config(_minimal(kind, family=_LAMINATE, h_list=[1, 16], cell_resolution=512))
+    validate_config(_minimal(kind, h_list=[1, 31250]))
+
+
+def test_eigen_count_checked_only_where_read(tmp_path):
+    # 40 eigenpairs exceed the 31 dofs of the h=1 rung, but gamma and the
+    # source sweep solve no eigenproblem and never read eigen_count
+    doc = {"experiment": "gamma", "potential": {"name": "sin2-potential"},
+           "h_list": [1, 2], "eigen_count": 40}
+    assert main(["validate", "--config", str(_write(tmp_path, doc))]) == 0
+    validate_config(_minimal("source-homog", h_list=[1, 2], eigen_count=40))
+    for kind in ("eigen-homog", "eigen-potential"):
+        with pytest.raises(ConfigError, match="'eigen_count': must be <= 31"):
+            validate_config(_minimal(kind, h_list=[1, 2], eigen_count=40))
 
 
 def test_cli_unread_parameter_names_family_and_count(tmp_path, capsys):
@@ -592,3 +619,53 @@ def test_cli_echoed_config_reruns_identically(tmp_path):
     out2 = tmp_path / "run2"
     assert main(["sweep-eigen", "--config", str(cfg2), "--out", str(out2)]) == 0
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+# built-in names of the class each family-valued key takes
+_NAMES = {key: sorted(n for n in BUILTINS if isinstance(make_builtin_family(n), cls))
+          for key, cls in FAMILY_CLASSES.items()}
+
+
+@st.composite
+def _small_configs(draw, kind):
+    """A small config of the kind: 1D meshes of at most 128 cells, 2D of 64^2."""
+    experiment = EXPERIMENTS[kind]
+    doc = {"experiment": kind}
+    for key in experiment.requires + experiment.optional:
+        if key in experiment.requires or draw(st.booleans()):
+            name = draw(st.sampled_from(_NAMES[key]))
+            doc[key] = {"name": name, "params": draw(
+                st.lists(st.floats(1.5, 4.0), max_size=BUILTINS[name][1]))}
+    top = 2 if doc.get("family", {}).get("name") == "laminate2d" else 4
+    doc |= {"h_list": sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=3))),
+           "points_per_period": draw(st.sampled_from([16, 20, 32])),
+           "eigen_count": draw(st.integers(1, 4)),
+           "seed": draw(st.integers(0, 3)),
+           "windows": draw(st.integers(1, 16)),
+           "targets": draw(st.integers(1, 3)),
+           "perturbation_scale": draw(st.sampled_from([0.0, 0.5, 2.0])),
+           "cell_resolution": draw(st.sampled_from([16, 17, 32, 48])),
+           "affine": draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
+           "solver": {"eig_tol": draw(st.sampled_from([1e-10, 1e-14]))}}
+    a = draw(st.floats(0.0, 0.4))
+    doc["phi_support"] = [a, a + draw(st.floats(0.2, 0.6))]
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+@settings(derandomize=True, deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_small_configs_end_in_report_or_named_exit(kind, data):
+    # every config ends in a report (0), a named config key (1) or a named
+    # numerical stage (2); an exception out of main is a traceback
+    doc = data.draw(_small_configs(kind))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = _write(Path(tmp), doc)
+        code = main([EXPERIMENTS[kind].subcommand, "--config", str(cfg), "--out", tmp])
+        wrote = list(Path(tmp).glob("*.json"))
+    expected = {0: "", 1: "gconv: config error: config key '",
+                2: "gconv: numerical failure at stage '"}
+    assert code in expected and err.getvalue().startswith(expected[code])
+    assert wrote or code != 0

@@ -22,7 +22,7 @@ from gconv.sweep import (
     run_gamma,
     run_source_homog,
 )
-from gconv.variational import div_curl_test, flux_weak_limit
+from gconv.variational import dirichlet_solves, div_curl_test, flux_weak_limit
 
 SQRT3 = math.sqrt(3.0)
 
@@ -352,7 +352,9 @@ def test_divcurl_runner_factors_each_matrix_once(monkeypatch):
     assert len(calls) == len(cfg.h_list) + 1 == 5
     # the shared solves give what each diagnostic computes on its own
     trace = div_curl_test(cfg.family, cfg.h_list, cfg.source, cfg.phi_support)
-    flux = flux_weak_limit(cfg.family, max(cfg.h_list), cfg.source, cfg.windows)
+    solves = dirichlet_solves(cfg.family, cfg.source,
+                              cfg.points_per_period * max(cfg.h_list))
+    flux = flux_weak_limit(cfg.family, max(cfg.h_list), cfg.windows, solves)
     assert np.array_equal(rep.trace.values, trace.values)
     assert rep.trace.limit == trace.limit
     assert np.array_equal(rep.flux_windows.flux_averages, flux.flux_averages)

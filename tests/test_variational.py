@@ -11,6 +11,7 @@ from gconv.mesh import DIRICHLET, build_interval_mesh, build_space
 from gconv.sweep import emit_report
 from gconv.variational import (
     QuadraticForm,
+    dirichlet_solves,
     div_curl_test,
     flux_weak_limit,
     form_continuity_probe,
@@ -194,7 +195,7 @@ def test_recovery_trace_csv_roundtrip(tmp_path, fine_setup):
 def test_div_curl_constant_family_trace_zero():
     fam = make_builtin_family("const", [2.0])
     src = make_builtin_family("const-source", [1.0])
-    tr = div_curl_test(fam, [2, 4, 8], src, (0.25, 0.75), points_per_period=32)
+    tr = div_curl_test(fam, [2, 4, 8], src, (0.25, 0.75))
     assert np.abs(tr.abs_errors).max() <= 1e-12 * abs(tr.limit)
 
 
@@ -223,28 +224,21 @@ def test_div_curl_two_phase():
 def test_flux_weak_limit_constant_family_exact():
     fam = make_builtin_family("const", [2.0])
     src = make_builtin_family("const-source", [1.0])
-    rep = flux_weak_limit(fam, 4, src, 8, points_per_period=32)
+    rep = flux_weak_limit(fam, 4, 8, dirichlet_solves(fam, src, 32 * 4))
     assert np.abs(rep.abs_errors).max() <= 1e-13
 
 
 def test_flux_weak_limit_osc1d_window_averages():
     fam = make_builtin_family("osc1d", [2.0])
     src = make_builtin_family("const-source", [1.0])
-    rep = flux_weak_limit(fam, 32, src, 8)
+    rep = flux_weak_limit(fam, 32, 8, dirichlet_solves(fam, src, 32 * 32))
     # homogenized flux sqrt(3) u*' = (1 - 2x)/2: window averages over strips
     centers = 0.5 * (rep.edges[:-1] + rep.edges[1:])
     assert np.allclose(rep.reference_averages[:, 0], (1 - 2 * centers) / 2,
                        atol=1e-9)
     assert rep.abs_errors.max() <= 5e-3
-    finer = flux_weak_limit(fam, 64, src, 8)
+    finer = flux_weak_limit(fam, 64, 8, dirichlet_solves(fam, src, 32 * 64))
     assert np.all(finer.abs_errors <= rep.abs_errors + 1e-12)
-
-
-def test_flux_weak_limit_refuses_thin_windows():
-    fam = make_builtin_family("osc1d", [2.0])
-    src = make_builtin_family("const-source", [1.0])
-    with pytest.raises(ValueError, match="window width"):
-        flux_weak_limit(fam, 4, src, 400, points_per_period=16)
 
 
 def test_interpolate_bump_shape(fine_setup):
