@@ -53,13 +53,23 @@ def assemble_stiffness(space: FeSpace, family, h: int = 1,
     kernel is the constant vector.
     """
     _check(space, "assemble_stiffness", family, h)
+    space.pattern  # its first build is the largest transient: before any array here
     _, measure, grads = space.cell_data(quad_order)[:3]
     A = cell_means(space, family, h, quad_order)
+    dim = A.shape[-1]
     # grads A grads^T, one product per small axis: np.matmul is as fast, but
     # BLAS kernels with fused multiply-add change the last bits
-    GA = sum(grads[:, :, k, None] * A[:, None, k] for k in range(A.shape[-1]))
-    local = sum(GA[:, :, None, l] * grads[:, None, :, l] for l in range(A.shape[-1]))
-    return _fill(space, local * measure[:, None, None])
+    GA = sum(grads[:, :, k, None] * A[:, None, k] for k in range(dim))
+    del A  # each temporary goes once the next one exists
+    # one (nc,) column per local entry, scaled into place; _fill reads only
+    # the upper triangle, so the lower one is never written
+    local = np.empty(grads.shape[:2] + (dim + 1,))
+    for i in range(dim + 1):
+        for j in range(i, dim + 1):
+            np.multiply(sum(GA[:, i, l] * grads[:, j, l] for l in range(dim)), measure,
+                        out=local[:, i, j])
+    del GA  # gone before _fill gathers, the call's last transient
+    return _fill(space, local)
 
 
 def assemble_mass(space: FeSpace, weight=None, h: int = 1,

@@ -15,9 +15,12 @@ from .families import (
     RESOLUTION_POINTS,
     CoefficientFamily,
     PotentialFamily,
+    ResolutionError,
     SourceFamily,
+    check_resolution,
     make_builtin_family,
 )
+from .mesh import _axis_step
 from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
 
 # most dofs of one mesh, by dimension.  A 2D factor fills about 5.4 times
@@ -192,6 +195,16 @@ def validate_config(data: dict) -> ExperimentConfig:
             f"config key 'h_list': mesh of {n ** dim} dofs exceeds the budget "
             f"of {MAX_DOFS[dim]} for {dim}D meshes"
         )
+    sampled = [(key, fam) for key, fam in families.items() if fam is not None]
+    for h in hs if experiment.ladder else ():  # each family on the mesh the run samples
+        cells = ppp * (h if experiment.rung_meshes else hs[-1])
+        spacing = _axis_step(cells)
+        for key, fam in sampled:
+            try:
+                check_resolution(fam.feature_scale(h), spacing,
+                                 f"{key} '{fam.name}' at h={h} on the {cells}-cell mesh")
+            except ResolutionError as exc:
+                raise ConfigError(f"config key 'points_per_period': {exc}") from exc
     coarsest = (ppp * hs[0] - 1) ** dim
     if kind in EIGEN_KINDS and effective["eigen_count"] > coarsest:
         raise ConfigError(f"config key 'eigen_count': must be <= {coarsest}, "

@@ -99,13 +99,14 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> ConstantMatrixCoeffic
 
     def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
         space = build_space(build_rect_mesh(res, res), PERIODIC)
-        dofs, measure, grads, pts = space.cell_data()[:4]
-        # the level's one evaluation of the field, read by the stiffness and the means
-        A = family.matrix_at(1, pts)
+        dofs, measure, grads = space.cell_data()[:3]
+        # the level's one sampling of the field; the samples go with this call
+        Abar = assembly.cell_means(space, family)
         field = SimpleNamespace(name=family.name, feature_scale=family.feature_scale,
-                                matrix_at=lambda h, x: A)
-        K = assembly.assemble_stiffness(space, field)
-        Abar = assembly.cell_means(space, field)
+                                matrix_at=lambda h, x: Abar[None])
+        # the one-point rule (weight 1.0) hands Abar back bit for bit, and is
+        # exact for a field constant on each cell
+        K = assembly.assemble_stiffness(space, field, quad_order=1)
         # rhs[i, j] = -integral( A e_j . grad phi_i ); batched matmul beats einsum
         local = -(grads @ Abar) * measure[:, None, None]
         b = np.column_stack([np.bincount(dofs.ravel(), local[..., j].ravel(),
@@ -129,6 +130,7 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> ConstantMatrixCoeffic
     eff_c = tensor_c(coarse_solve(bc))
     if not refine:
         return ConstantMatrixCoefficient(eff_c, CELL_PROBLEM, float("nan"))
+    del Kc, bc, tensor_c  # only the companion's factor is read from here on
 
     K, b, tensor = level(cell_resolution)
     P = _prolongation(cell_resolution)

@@ -66,8 +66,12 @@ class Mesh:
         A cell spans one step of every grid axis, so this is the largest
         step between the axes' grid points, the same bits as the cell corners.
         """
-        return max(float(np.diff(np.linspace(0.0, 1.0, n + 1)).max())
-                   for n in self.structure)
+        return max(_axis_step(n) for n in self.structure)
+
+
+def _axis_step(n: int) -> float:
+    """Largest step between the grid points of a unit axis of n cells."""
+    return float(np.diff(np.linspace(0.0, 1.0, n + 1)).max())
 
 
 class CellData(NamedTuple):

@@ -52,6 +52,7 @@ class Experiment:
     optional: tuple = ()  # family-valued config keys the kind also reads
     ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
     strip_rung: int | None = None  # h_list index of the mesh cut into strips
+    rung_meshes: bool = True  # samples each h on its rung's mesh, else on the finest
 
 
 EXPERIMENTS = {
@@ -67,11 +68,12 @@ EXPERIMENTS = {
         ("potential",), "run_eigen_potential", ("report.csv", "report.json"), ("family",)),
     "gamma": Experiment(
         "gamma-check", "liminf sampling and affine recovery traces",
-        ("potential",), "run_gamma", ("recovery_trace.csv", "gamma.json")),
+        ("potential",), "run_gamma", ("recovery_trace.csv", "gamma.json"),
+        rung_meshes=False),
     "divcurl": Experiment(
         "divcurl", "div-curl pairing trace and flux window averages",
         ("family", "source"), "run_divcurl", ("divcurl_trace.csv", "divcurl.json"),
-        strip_rung=-1),
+        strip_rung=-1, rung_meshes=False),
     "homogenize": Experiment(
         "homogenize", "compute the limit tensor of a coefficient family",
         ("family",), "run_homogenize", (None, "homogenize.json"), ladder=False),

@@ -112,8 +112,7 @@ UNPASSED_ALLOWED = {
     # unit tests compare quadrature rules through these, and the benchmark's
     # tracer binds assemble_mass(space, weight, h, quad_order) by name
     **{(f"assembly.{name}", "quad_order"): "rule comparisons; bench tracer"
-       for name in ("assemble_stiffness", "assemble_mass", "assemble_load",
-                    "strip_averages")},
+       for name in ("assemble_mass", "assemble_load", "strip_averages")},
 }
 
 

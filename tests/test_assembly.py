@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,6 +196,53 @@ def test_energy_bound_with_poincare_constant(unit_family):
     lam1 = eig_smallest(K1, M, 1).values[0]
     poincare = 1.0 / np.sqrt(lam1)
     assert semi <= poincare * 1.0 / fam.alpha + 1e-12
+
+
+def _csr_bytes(K) -> int:
+    return K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+
+
+def _random_spd_field(seed):
+    """A full SPD tensor drawn afresh per point, the same draws on every call."""
+    def matrix_at(h, x):
+        B = np.random.default_rng(seed).normal(size=np.shape(x)[:-1] + (2, 2))
+        return B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(2)
+    return SimpleNamespace(name="random-spd", feature_scale=lambda h: None,
+                           matrix_at=matrix_at)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("field", ["laminate2d", "random-spd"])
+def test_one_point_rule_on_cell_means_is_exact(n, field):
+    # the cell problem assembles its stiffness from the cell means under the
+    # one-point rule: its weight 1.0 returns the means, so the matrix is the
+    # field's own stiffness bit for bit
+    sp = build_space(build_rect_mesh(n, n), PERIODIC)
+    family = (make_builtin_family("laminate2d", [1.0, 4.0]) if field == "laminate2d"
+              else _random_spd_field(n))
+    Abar = assembly.cell_means(sp, family)
+    means = SimpleNamespace(name=field, feature_scale=family.feature_scale,
+                            matrix_at=lambda h, x: Abar[None])
+    K1 = assembly.assemble_stiffness(sp, means, quad_order=1)
+    K = assembly.assemble_stiffness(sp, family)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(K1, part), getattr(K, part)), part
+
+
+def test_stiffness_peak_memory_is_a_few_matrices():
+    # past the space's cached set-up (pattern, quadrature points), assembly
+    # holds the cell means, grads A and the local matrices one after another,
+    # never all at once: its peak stays within a few times the bytes of the
+    # matrix it returns
+    sp = build_space(build_rect_mesh(128, 128), PERIODIC)
+    sp.pattern, sp.cell_data()
+    tracemalloc.start()
+    try:
+        K = assembly.assemble_stiffness(sp, make_builtin_family("laminate2d", [1.0, 4.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * _csr_bytes(K)
 
 
 def test_quadrature_order_one_triangle_rule():

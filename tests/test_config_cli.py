@@ -166,14 +166,34 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert code == 1
 
 
-def test_cli_resolution_failure_exit_2(tmp_path, capsys):
-    # sin^2 oscillates at scale 1/(2h): 16 mesh points per period alias it
+def test_cli_resolution_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # sin^2 oscillates at scale 1/(2h): 16 mesh points per period alias it.
+    # Validation refuses such a config (test_under_resolved_family_exit_1);
+    # past it, assembly's own check still stops the run and names the stage
+    monkeypatch.setattr("gconv.config.check_resolution", lambda *args: None)
     cfg = _write(tmp_path, _minimal("eigen-potential"))
     code = main(["sweep-potential", "--config", str(cfg), "--out", str(tmp_path),
                  "--set", "points_per_period=16"])
     assert code == 2
     err = capsys.readouterr().err
     assert "gconv: numerical failure at stage 'resolution check': " in err
+
+
+@pytest.mark.parametrize("subcommand,doc", [
+    ("gamma-check", {"experiment": "gamma", "h_list": [2, 4], "points_per_period": 16}),
+    ("sweep-potential", {"experiment": "eigen-potential", "h_list": [2, 4, 8],
+                         "points_per_period": 24}),
+], ids=["gamma", "eigen-potential"])
+def test_under_resolved_family_exit_1(tmp_path, capsys, subcommand, doc):
+    # sin^2 repeats every 1/(2h), so it needs 32 points per period of h: gamma
+    # samples every h on the finest mesh, the sweep each h on its rung's own
+    cfg = _write(tmp_path, {**doc, "potential": {"name": "sin2-potential"}})
+    for argv in ([subcommand, "--out", str(tmp_path)], ["validate"]):
+        assert main(argv + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config key 'points_per_period': potential 'sin2-potential'" in err
+        assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
@@ -668,4 +688,5 @@ def test_small_configs_end_in_report_or_named_exit(kind, data):
     expected = {0: "", 1: "gconv: config error: config key '",
                 2: "gconv: numerical failure at stage '"}
     assert code in expected and err.getvalue().startswith(expected[code])
+    assert "'resolution check'" not in err.getvalue()  # validation names the key
     assert wrote or code != 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ def test_cell_problem_evaluates_the_coefficient_once_per_level(monkeypatch):
     monkeypatch.setattr(CoefficientFamily, "matrix_at", counting)
     cell_problem_2d(make_builtin_family("laminate2d", [1.0, 4.0]), 32)
     assert shapes == [(3, 2 * 16 * 16, 2), (3, 2 * 32 * 32, 2)]
+
+
+def test_cell_problem_peak_memory_is_a_few_stiffnesses():
+    # each level samples the field once and assembles without full-size
+    # temporaries, and the companion keeps only its factor: the peak stays
+    # within a fixed multiple of the bytes of the fine stiffness
+    fam = make_builtin_family("laminate2d", [1.0, 4.0])
+    K = assembly.assemble_stiffness(build_space(build_rect_mesh(128, 128), PERIODIC), fam)
+    tracemalloc.start()
+    try:
+        cell_problem_2d(fam, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
 def test_cell_problem_resolution_rule():
