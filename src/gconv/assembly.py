@@ -87,11 +87,10 @@ def assemble_mass(space: FeSpace, weight=None, h: int = 1,
     return _fill(space, local)
 
 
-def assemble_load(space: FeSpace, source, h: int = 1,
-                  quad_order: int = 4) -> np.ndarray:
+def assemble_load(space: FeSpace, source, h: int = 1) -> np.ndarray:
     """Load vector b[i] = integral(f_h phi_i)."""
     _check(space, "assemble_load", source, h)
-    cd = space.cell_data(quad_order)
+    cd = space.cell_data()
     f = source.values_at(h, cd.points)
     local = np.einsum("q,qc,qi->ci", cd.weights, f, cd.phi) * cd.measure[:, None]
     b = np.zeros(space.num_dofs)
@@ -107,13 +106,13 @@ def cell_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:
     return np.einsum("ci,cid->cd", uc, grads)
 
 
-def strip_averages(space: FeSpace, values: np.ndarray, edges: np.ndarray,
-                   quad_order: int = 4) -> np.ndarray:
+def strip_averages(space: FeSpace, values: np.ndarray,
+                   edges: np.ndarray) -> np.ndarray:
     """Averages over strips of the first coordinate, binned by quadrature point.
 
     ``values`` broadcasts to (nq, nc, k); the result has shape (strips, k).
     """
-    cd = space.cell_data(quad_order)
+    cd = space.cell_data()
     bins = np.clip(np.searchsorted(edges, cd.points[..., 0], side="right") - 1,
                    0, len(edges) - 2).ravel()
     w = cd.weights[:, None] * cd.measure[None, :]               # (nq, nc)

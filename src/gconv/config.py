@@ -28,6 +28,9 @@ from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
 # 30.0M nnz at 128^2, 256^2 and 512^2, the last in 17 s at a 1.0 GiB peak
 # on a 2-core, 8 GiB host, where a 1000^2 mesh would not fit in memory
 MAX_DOFS = {1: 1_000_000, 2: 512 ** 2}
+# most doubles of ARPACK's Lanczos basis: min(n, max(2k + 1, 20)) vectors
+# (scipy's default ncv) of the finest mesh's n dofs, 1 GiB
+MAX_BASIS_DOUBLES = 2 ** 27
 
 # least value of each numeric top-level key
 MINIMA = {
@@ -37,7 +40,6 @@ MINIMA = {
     "eigen_count": 1,
     "windows": 1,
     "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
-    "perturbation_scale": 0.0,
 }
 
 
@@ -94,8 +96,7 @@ SCHEMA = {
     "windows": ("int", 8, "strip count for weak-convergence probes"),
     "phi_support": ("float_pair", [0.25, 0.75], "support of the pairing bump"),
     "affine": ("float_pair", [1.0, 0.0], "recovery probe u(x) = a x + b as [a, b]"),
-    "targets": ("int", 20, "random liminf targets"),
-    "perturbation_scale": ("float", 0.5, "liminf perturbation amplitude"),
+    "targets": ("int", 20, "random targets of the envelope check"),
     "cell_resolution": ("int", 128, "2D unit-cell resolution for the limit tensor"),
 }
 
@@ -205,10 +206,17 @@ def validate_config(data: dict) -> ExperimentConfig:
                                  f"{key} '{fam.name}' at h={h} on the {cells}-cell mesh")
             except ResolutionError as exc:
                 raise ConfigError(f"config key 'points_per_period': {exc}") from exc
+    k = effective["eigen_count"]
     coarsest = (ppp * hs[0] - 1) ** dim
-    if kind in EIGEN_KINDS and effective["eigen_count"] > coarsest:
+    if kind in EIGEN_KINDS and k > coarsest:
         raise ConfigError(f"config key 'eigen_count': must be <= {coarsest}, "
                           f"the dofs of the coarsest rung h={hs[0]}")
+    finest = (n - 1) ** dim
+    basis = min(finest, max(2 * k + 1, 20)) * finest
+    if kind in EIGEN_KINDS and basis > MAX_BASIS_DOUBLES:
+        raise ConfigError(f"config key 'eigen_count': {k} eigenpairs on the "
+                          f"{finest}-dof finest mesh need a Lanczos basis of {basis} "
+                          f"doubles, over the budget of {MAX_BASIS_DOUBLES}")
     rung = experiment.strip_rung  # no strip narrower than one cell
     if rung is not None and effective["windows"] > ppp * hs[rung]:
         raise ConfigError(f"config key 'windows': must be <= {ppp * hs[rung]}, "

@@ -31,11 +31,12 @@ class ResolutionError(NumericalError):
 
 
 def check_resolution(scale: float | None, spacing: float, context: str) -> None:
-    """Refuse a sample spacing above 1/RESOLUTION_POINTS of a feature's length."""
+    """Refuse a sample spacing above 1/RESOLUTION_POINTS of a feature's length,
+    with one epsilon of slack: np.linspace's steps exceed 1/n by <= 0.66 ulp."""
     if scale is None:
         return
     limit = scale / RESOLUTION_POINTS
-    if spacing > limit * (1.0 + 1e-12):
+    if spacing > limit * (1.0 + 1e-12) + np.finfo(float).eps:
         raise ResolutionError(
             f"{context}: sample spacing {spacing:.3e} exceeds {limit:.3e} "
             f"({RESOLUTION_POINTS} points per feature of length {scale:.3e})"

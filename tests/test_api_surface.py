@@ -109,10 +109,9 @@ def test_public_methods_are_reached():
 
 # optional parameters that stay unpassed, each with the reason it stays
 UNPASSED_ALLOWED = {
-    # unit tests compare quadrature rules through these, and the benchmark's
-    # tracer binds assemble_mass(space, weight, h, quad_order) by name
-    **{(f"assembly.{name}", "quad_order"): "rule comparisons; bench tracer"
-       for name in ("assemble_mass", "assemble_load", "strip_averages")},
+    # the benchmark's tracer binds assemble_mass(space, weight, h, quad_order)
+    # by name
+    ("assembly.assemble_mass", "quad_order"): "bench tracer",
 }
 
 

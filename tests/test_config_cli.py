@@ -196,6 +196,14 @@ def test_under_resolved_family_exit_1(tmp_path, capsys, subcommand, doc):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("h_list", [[811], [146, 291]])
+def test_exactly_resolved_meshes_validate(h_list):
+    # 32 points per period give sin^2 exactly 16 points per feature; the
+    # largest linspace step of these meshes exceeds 1/n by a fraction of an ulp
+    validate_config({"experiment": "gamma", "potential": {"name": "sin2-potential"},
+                     "h_list": h_list})
+
+
 def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -376,8 +384,6 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
      "solver.eig_tol"),
     ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": math.nan}},
      "solver.eig_tol"),
-    ("gamma-check", "gamma", {"perturbation_scale": -1.0}, "perturbation_scale"),
-    ("gamma-check", "gamma", {"perturbation_scale": math.nan}, "perturbation_scale"),
     # more parameters than the family reads: the report would echo them as used
     ("sweep-potential", "eigen-potential",
      {"potential": {"name": "sin2-potential", "params": [5.0]}}, "potential"),
@@ -395,8 +401,7 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
 ], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
         "phi-empty", "phi-outside", "phi-narrow", "cell-resolution",
         "eigen-count", "targets", "targets-zero", "seed",
-        "eig-tol-zero", "eig-tol-negative", "eig-tol-nan",
-        "perturbation-negative", "perturbation-nan", "params-sin2",
+        "eig-tol-zero", "eig-tol-negative", "eig-tol-nan", "params-sin2",
         "params-osc1d", "params-laminate2d", "params-const-source",
         "params-nan-family", "params-nan-potential"])
 def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):
@@ -428,6 +433,17 @@ def test_limit_oracle_budget_exit_1(tmp_path, capsys, kind, extra, key):
     # the largest values within the 2D budget pass, and 1D keeps 10^6 dofs
     validate_config(_minimal(kind, family=_LAMINATE, h_list=[1, 16], cell_resolution=512))
     validate_config(_minimal(kind, h_list=[1, 31250]))
+
+
+def test_eigen_count_held_to_the_lanczos_budget(tmp_path, capsys):
+    # ARPACK keeps max(2k + 1, 20) vectors of the 999,999 dofs of a 10^6-cell
+    # mesh: 3000 eigenpairs would need 48 GB, 66 stay within 2^27 doubles
+    doc = _minimal(h_list=[1000, 31250], eigen_count=3000)
+    assert main(["validate", "--config", str(_write(tmp_path, doc))]) == 1
+    assert "config key 'eigen_count': 3000 eigenpairs" in capsys.readouterr().err
+    validate_config({**doc, "eigen_count": 66})
+    with pytest.raises(ConfigError, match="'eigen_count': 67 eigenpairs"):
+        validate_config({**doc, "eigen_count": 67})
 
 
 def test_eigen_count_checked_only_where_read(tmp_path):
@@ -663,7 +679,6 @@ def _small_configs(draw, kind):
            "seed": draw(st.integers(0, 3)),
            "windows": draw(st.integers(1, 16)),
            "targets": draw(st.integers(1, 3)),
-           "perturbation_scale": draw(st.sampled_from([0.0, 0.5, 2.0])),
            "cell_resolution": draw(st.sampled_from([16, 17, 32, 48])),
            "affine": draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
            "solver": {"eig_tol": draw(st.sampled_from([1e-10, 1e-14]))}}

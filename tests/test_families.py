@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from gconv import assembly
 from gconv.families import (
     BUILTINS,
+    RESOLUTION_POINTS,
     CoefficientFamily,
     PotentialFamily,
     ResolutionError,
+    check_resolution,
     make_builtin_family,
     piecewise_coefficient,
 )
@@ -204,6 +206,14 @@ def test_weak_limit_refuses_coarse_quadrature():
     fam = make_builtin_family("sin2-potential")  # feature 1/(2h)
     with pytest.raises(ResolutionError):
         _pairing(fam, 16, _tent, 64)
+
+
+def test_resolution_rule_slack_is_one_epsilon():
+    scale = 1.0 / (2 * 811)  # the sin^2 feature at h = 811
+    limit = scale / RESOLUTION_POINTS
+    check_resolution(scale, limit + np.finfo(float).eps, "one epsilon over")
+    with pytest.raises(ResolutionError):
+        check_resolution(scale, 1.0001 * limit, "coarse")
 
 
 def test_sin2_pairings_whole_period_cancellation():

@@ -10,6 +10,7 @@ from gconv.linalg import (
     NotPositiveDefiniteError,
     cholesky,
     eig_smallest,
+    tridiagonal_solver,
 )
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 
@@ -46,6 +47,27 @@ def test_cholesky_rejects_unsymmetric():
     A = sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="symmetric"):
         cholesky(A)
+
+
+def test_tridiagonal_solver_matches_cholesky():
+    sp = build_space(build_interval_mesh(128), DIRICHLET)
+    K = (assembly.assemble_stiffness(sp, make_builtin_family("const", [1.0]))
+         + assembly.assemble_mass(sp, make_builtin_family("sin2-potential"), h=4))
+    b = np.random.default_rng(3).normal(size=(sp.num_dofs, 3))
+    x = tridiagonal_solver(K)(b)
+    ref = cholesky(K).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)  # cond(K) eps
+    assert np.array_equal(tridiagonal_solver(K)(b[:, 0]), x[:, 0])
+
+
+@pytest.mark.parametrize("matrix,error", [
+    (np.diag([1.0, 1.0, 1.0]) + np.diag([0.5], 2) + np.diag([0.5], -2), ValueError),
+    (np.array([[2.0, 1.0], [0.0, 2.0]]), ValueError),
+    (np.diag([1.0, -1.0]), NotPositiveDefiniteError),
+], ids=["pentadiagonal", "unsymmetric", "indefinite"])
+def test_tridiagonal_solver_rejects(matrix, error):
+    with pytest.raises(error):
+        tridiagonal_solver(sparse.csr_matrix(matrix))
 
 
 def test_solve_identity():

@@ -1,13 +1,15 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gconv import __version__, assembly, sweep, variational
+from gconv.cli import main
 from gconv.config import ConfigError, load_config, validate_config
-from gconv.families import ConstantMatrixCoefficient, make_builtin_family
+from gconv.families import BUILTINS, ConstantMatrixCoefficient, make_builtin_family
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 from gconv.sweep import (
     CLUSTER_GAP,
@@ -201,11 +203,36 @@ def test_eigen_potential_min_max_monotonicity():
 def test_gamma_runner_all_pass():
     cfg = ExperimentConfig(kind="gamma", h_list=(8, 16, 32, 64),
                            potential=make_builtin_family("sin2-potential"),
-                           targets=5, perturbation_scale=0.5, seed=3)
+                           targets=5, seed=3)
     rep = run_gamma(cfg)
     assert rep.liminf_passed == rep.liminf_total == 5
     assert np.all(rep.liminf_margins >= 0.0)
     assert rep.recovery.abs_errors[-1] <= 1e-2 * abs(rep.recovery.limit) + 1e-10
+
+
+@pytest.mark.parametrize("name,params,limit", [
+    ("sin2-potential", [], None), ("sin2-potential", [], 0.45),
+    ("spike-potential", [2.0], None), ("spike-potential", [2.0], 0.005),
+    ("const-potential", [1.0], None), ("const-potential", [1.0], 0.9),
+], ids=["sin2", "sin2-0.45", "spike", "spike-0.005", "const", "const-0.9"])
+def test_gamma_check_fails_a_wrong_limit(tmp_path, capsys, monkeypatch, name, params,
+                                         limit):
+    # a family whose declared limit is replaced by a wrong constant must fail
+    # the check on A7's ladder, and the true limit must pass
+    build, most = BUILTINS[name]
+    if limit is not None:
+        mutant = replace(build(*params), limit=lambda x: np.full(np.shape(x)[:-1], limit))
+        monkeypatch.setitem(BUILTINS, name, (lambda *p: mutant, most))
+    cfg = tmp_path / "gamma_cfg.json"
+    cfg.write_text(json.dumps({"experiment": "gamma", "h_list": [8, 16, 32, 64, 128, 256],
+                               "potential": {"name": name, "params": params}}))
+    code = main(["gamma-check", "--config", str(cfg), "--out", str(tmp_path)])
+    liminf = json.loads((tmp_path / "gamma.json").read_text())["liminf"]
+    if limit is None:
+        assert code == 0 and liminf["passed"] == liminf["total"] == 20
+    else:
+        assert code == 2 and liminf["passed"] < liminf["total"]
+        assert "stage 'gamma liminf sampling'" in capsys.readouterr().err
 
 
 def _count_calls(monkeypatch, name):
