@@ -1,10 +1,10 @@
 """P1 assembly of stiffness, weighted mass and load vectors.
 
-Element integrals use per-cell Gauss quadrature (default 4 points per
-interval cell, the 3-point mid-edge rule per triangle).  Oscillatory
-coefficients are additionally guarded by the points-per-feature rule of the
-families module, which keeps coefficient aliasing below discretization
-error.  Dirichlet dofs are eliminated at assembly, never penalized.
+Element integrals use the one rule per dimension of ``mesh.QUADRATURE``.
+Oscillatory coefficients are additionally guarded by the points-per-feature
+rule of the families module, which keeps coefficient aliasing below
+discretization error.  Dirichlet dofs are eliminated at assembly, never
+penalized.
 
 Each call only evaluates its coefficient and the local integrals; the cell
 geometry, quadrature points and sparsity pattern are cached on the space.
@@ -39,23 +39,25 @@ def _fill(space: FeSpace, local: np.ndarray) -> sparse.csr_matrix:
                              shape=(space.num_dofs, space.num_dofs))
 
 
-def cell_means(space: FeSpace, family, h: int = 1, quad_order: int = 4) -> np.ndarray:
+def cell_means(space: FeSpace, family, h: int = 1) -> np.ndarray:
     """Cell averages of the coefficient matrices A_h, shape (nc, dim, dim)."""
-    cd = space.cell_data(quad_order)
+    cd = space.cell_data()
     return np.einsum("q,qcij->cij", cd.weights, family.matrix_at(h, cd.points))
 
 
 def assemble_stiffness(space: FeSpace, family, h: int = 1,
-                       quad_order: int = 4) -> sparse.csr_matrix:
+                       means=None) -> sparse.csr_matrix:
     """Stiffness matrix K[i,j] = integral(A_h grad(phi_j) . grad(phi_i)).
 
     Symmetric positive definite on Dirichlet spaces; on periodic spaces the
-    kernel is the constant vector.
+    kernel is the constant vector.  A P1 stiffness reads A_h only through
+    its cell means: ``means`` passes ``cell_means(space, family, h)`` already
+    sampled, and ``family`` is then only checked against the resolution rule.
     """
     _check(space, "assemble_stiffness", family, h)
     space.pattern  # its first build is the largest transient: before any array here
-    _, measure, grads = space.cell_data(quad_order)[:3]
-    A = cell_means(space, family, h, quad_order)
+    _, measure, grads = space.cell_data()[:3]
+    A = cell_means(space, family, h) if means is None else means
     dim = A.shape[-1]
     # grads A grads^T, one product per small axis: np.matmul is as fast, but
     # BLAS kernels with fused multiply-add change the last bits
@@ -78,9 +80,13 @@ def assemble_mass(space: FeSpace, weight=None, h: int = 1,
 
     ``weight=None`` gives the plain mass matrix; a potential family gives
     the discrete multiplicative-perturbation matrix at index h.
+    ``quad_order`` takes only 4: the rule is ``mesh.QUADRATURE``'s, and the
+    parameter stays because the benchmark's tracer binds it by name.
     """
+    if quad_order != 4:
+        raise ValueError(f"quad_order must be 4, got {quad_order}")
     _check(space, "assemble_mass", weight, h)
-    cd = space.cell_data(quad_order)
+    cd = space.cell_data()
     w = np.ones(cd.points.shape[:2]) if weight is None else weight.values_at(h, cd.points)
     local = (np.einsum("q,qc,qi,qj->cij", cd.weights, w, cd.phi, cd.phi)
              * cd.measure[:, None, None])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import fields
 
 from .families import (
@@ -20,7 +21,7 @@ from .families import (
     check_resolution,
     make_builtin_family,
 )
-from .mesh import _axis_step
+from .mesh import axis_step
 from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
 
 # most dofs of one mesh, by dimension.  A 2D factor fills about 5.4 times
@@ -175,8 +176,10 @@ def validate_config(data: dict) -> ExperimentConfig:
     if dofs > MAX_DOFS[2]:
         raise ConfigError(f"config key 'cell_resolution': cell problem of {dofs} "
                           f"dofs exceeds the budget of {MAX_DOFS[2]} for 2D meshes")
-    if not effective["solver"]["eig_tol"] > 0:
-        raise ConfigError("config key 'solver.eig_tol': must be > 0")
+    if not 0 < effective["solver"]["eig_tol"] < math.inf:  # a NaN fails too
+        raise ConfigError("config key 'solver.eig_tol': must be finite and > 0")
+    if not all(map(math.isfinite, effective["affine"])):  # JSON reads NaN, Infinity
+        raise ConfigError("config key 'affine': entries must be finite")
     a, b = effective["phi_support"]
     width = 2.0 / (effective["points_per_period"] * hs[-1])  # two finest cells
     if not (0.0 <= a and b <= 1.0 and b - a >= width):  # a NaN fails too
@@ -199,7 +202,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     sampled = [(key, fam) for key, fam in families.items() if fam is not None]
     for h in hs if experiment.ladder else ():  # each family on the mesh the run samples
         cells = ppp * (h if experiment.rung_meshes else hs[-1])
-        spacing = _axis_step(cells)
+        spacing = axis_step(cells)
         for key, fam in sampled:
             try:
                 check_resolution(fam.feature_scale(h), spacing,

@@ -10,8 +10,6 @@ independent reference.
 """
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 from scipy import sparse
 
@@ -23,7 +21,7 @@ from .families import (
     check_resolution,
 )
 from .linalg import ConvergenceError, cholesky
-from .mesh import PERIODIC, build_rect_mesh, build_space
+from .mesh import PERIODIC, QUADRATURE, build_rect_mesh, build_space
 
 CLOSED_FORM = "closed-form"
 CELL_PROBLEM = "cell-problem"
@@ -44,9 +42,8 @@ def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficie
         raise ValueError(
             f"quad_points must be >= {MIN_QUAD_POINTS}, got {quad_points}")
 
-    gq, gw = np.polynomial.legendre.leggauss(4)
-    gq = 0.5 * (gq + 1.0)
-    gw = 0.5 * gw
+    ref, gw = QUADRATURE[1]
+    gq = ref[:, 0]
 
     def value(n):
         # composite 4-point Gauss rule on n subintervals of (0, 1)
@@ -76,7 +73,7 @@ def _prolongation(res: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.full(i.size, 0.5), (i * res + j, cols)))
 
 
-def cell_problem_2d(profile, cell_resolution: int = 64) -> ConstantMatrixCoefficient:
+def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     """Effective 2x2 tensor of a 1-periodic coefficient field on the unit cell.
 
     Solves the corrector problems div(A(y)(e_i + grad chi_i)) = 0 on the
@@ -100,13 +97,10 @@ def cell_problem_2d(profile, cell_resolution: int = 64) -> ConstantMatrixCoeffic
     def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
         space = build_space(build_rect_mesh(res, res), PERIODIC)
         dofs, measure, grads = space.cell_data()[:3]
-        # the level's one sampling of the field; the samples go with this call
+        # the level's one sampling of the field, read by the stiffness, the
+        # right-hand sides and the tensor map; the samples go with this call
         Abar = assembly.cell_means(space, family)
-        field = SimpleNamespace(name=family.name, feature_scale=family.feature_scale,
-                                matrix_at=lambda h, x: Abar[None])
-        # the one-point rule (weight 1.0) hands Abar back bit for bit, and is
-        # exact for a field constant on each cell
-        K = assembly.assemble_stiffness(space, field, quad_order=1)
+        K = assembly.assemble_stiffness(space, family, means=Abar)
         # rhs[i, j] = -integral( A e_j . grad phi_i ); batched matmul beats einsum
         local = -(grads @ Abar) * measure[:, None, None]
         b = np.column_stack([np.bincount(dofs.ravel(), local[..., j].ravel(),

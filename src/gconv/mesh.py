@@ -4,9 +4,10 @@ Convergence ladders need a tightly controlled mesh size, so only uniform
 structured meshes are provided.  The mesh size is called delta throughout
 the package; h always indexes a coefficient sequence, never the mesh.
 
-What assembly needs that depends only on the space (cell geometry,
-quadrature points per rule, the sparsity pattern) is computed once per
-space, on first use, and stored read-only on the space itself.
+Each dimension has one quadrature rule, ``QUADRATURE``.  What assembly
+needs that depends only on the space (cell geometry, quadrature points, the
+sparsity pattern) is computed once per space, on first use, and stored
+read-only on the space itself.
 """
 from __future__ import annotations
 
@@ -19,16 +20,25 @@ import numpy as np
 DIRICHLET = "dirichlet-zero"
 PERIODIC = "periodic"
 
-# interior 3-point quadrature on the reference triangle: exact for
-# quadratics, and its points never land on cell edges, so coefficients with
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+_GAUSS = np.polynomial.legendre.leggauss(4)
+# the one quadrature rule of each dimension: reference points (nq, dim) and
+# weights summing to one.  On [0, 1] the 4-point Gauss rule, exact through
+# degree 7; on the reference triangle the interior 3-point rule, exact for
+# quadratics, whose points never land on cell edges, so coefficients with
 # mesh-aligned jumps are sampled on the correct side
-_TRI_POINTS = np.array([
-    [1.0 / 6.0, 1.0 / 6.0],
-    [2.0 / 3.0, 1.0 / 6.0],
-    [1.0 / 6.0, 2.0 / 3.0],
-])
-_TRI_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
-_TRI_CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0]])
+QUADRATURE = {
+    1: _read_only(0.5 * (_GAUSS[0][:, None] + 1.0), 0.5 * _GAUSS[1]),
+    2: _read_only(np.array([[1.0 / 6.0, 1.0 / 6.0],
+                            [2.0 / 3.0, 1.0 / 6.0],
+                            [1.0 / 6.0, 2.0 / 3.0]]), np.array([1.0, 1.0, 1.0]) / 3.0),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,16 +76,16 @@ class Mesh:
         A cell spans one step of every grid axis, so this is the largest
         step between the axes' grid points, the same bits as the cell corners.
         """
-        return max(_axis_step(n) for n in self.structure)
+        return max(axis_step(n) for n in self.structure)
 
 
-def _axis_step(n: int) -> float:
+def axis_step(n: int) -> float:
     """Largest step between the grid points of a unit axis of n cells."""
     return float(np.diff(np.linspace(0.0, 1.0, n + 1)).max())
 
 
 class CellData(NamedTuple):
-    """Per-cell P1 data of a space under one quadrature rule."""
+    """Per-cell P1 data of a space under its dimension's quadrature rule."""
 
     dofs: np.ndarray      # (nc, dim + 1) dof of each local vertex, -1 if eliminated
     measure: np.ndarray   # (nc,) cell lengths or areas
@@ -101,12 +111,6 @@ class SymmetricPattern(NamedTuple):
     starts: np.ndarray    # int32 first gathered entry of each CSR entry
     indices: np.ndarray   # int32 CSR column indices
     indptr: np.ndarray    # int32 CSR row pointers
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,35 +143,21 @@ class FeSpace:
         vals = fn(*self.dof_coordinates().T)
         return np.asarray(vals, dtype=float).reshape(self.num_dofs)
 
-    def cell_data(self, quad_order: int = 4) -> CellData:
-        """Cell geometry and one quadrature rule's data, cached on the space.
-
-        Intervals use ``max(1, quad_order)`` Gauss points; triangles the
-        centroid for ``quad_order <= 1``, else the interior 3-point rule.
-        """
-        mesh = self.mesh
-        if mesh.dimension == 1:
-            gq, gw = np.polynomial.legendre.leggauss(max(1, quad_order))
-            ref, gw = 0.5 * (gq[:, None] + 1.0), 0.5 * gw
-        elif quad_order <= 1:
-            ref, gw = _TRI_CENTROID, np.array([1.0])
-        else:
-            ref, gw = _TRI_POINTS, _TRI_WEIGHTS
-        geometry = self._geometry
-        quadrature = self._quadratures.get(gw.size)  # point count names the rule
-        if quadrature is None:
-            # (x0 + r0 e1) + r1 e2 and (1 - r0) - r1: the order fixes the last bit
-            edges = mesh.edges()
-            pts = mesh.vertices[mesh.cells[:, 0]][None]
-            for k in range(mesh.dimension):
-                pts = pts + ref[:, k, None, None] * edges[None, :, k]
-            phi = np.column_stack([reduce(np.subtract, ref.T, 1.0), ref])
-            quadrature = self._quadratures[gw.size] = _read_only(pts, gw, phi)
-        return CellData(*geometry, *quadrature)
+    def cell_data(self) -> CellData:
+        """Cell geometry and ``QUADRATURE[dimension]``'s data, cached on the space."""
+        return self._cell_data
 
     @cached_property
-    def _quadratures(self) -> dict:
-        return {}
+    def _cell_data(self) -> CellData:
+        mesh = self.mesh
+        ref, weights = QUADRATURE[mesh.dimension]
+        # (x0 + r0 e1) + r1 e2 and (1 - r0) - r1: the order fixes the last bit
+        edges = mesh.edges()
+        pts = mesh.vertices[mesh.cells[:, 0]][None]
+        for k in range(mesh.dimension):
+            pts = pts + ref[:, k, None, None] * edges[None, :, k]
+        phi = np.column_stack([reduce(np.subtract, ref.T, 1.0), ref])
+        return CellData(*self._geometry, *_read_only(pts, weights, phi))
 
     @cached_property
     def _geometry(self):

@@ -3,7 +3,8 @@
 A public module-level function or class of ``src/gconv`` must be named in
 another module of the package, in its own module outside its definition, or
 in the acceptance suite.  What only the other unit tests reach is not API.
-The same holds for the public methods and properties of every class.
+The same holds for the public methods and properties of every class, and
+no module reads an underscore name of another.
 
 A use is resolved to the module that defines it: a bare name counts for the
 module it was imported from (or its own module), and an attribute counts only
@@ -75,6 +76,16 @@ def test_public_definitions_are_reached():
                     and (stem, node.name) not in _uses(tree, stem, skip=node)):
                 unreached.append(f"{stem}.{node.name}")
     assert not unreached, f"public but reached only by unit tests: {unreached}"
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # what one module takes from another is that module's API, so it is public
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for module, name in _uses(ast.parse(path.read_text()), path.stem):
+            if module != path.stem and name.startswith("_") and not name.startswith("__"):
+                reads.append(f"{path.stem} reads {module}.{name}")
+    assert not reads, f"private names read across modules: {reads}"
 
 
 def _attribute_names(tree, skip) -> set:

@@ -214,16 +214,12 @@ def _random_spd_field(seed):
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("field", ["laminate2d", "random-spd"])
 def test_one_point_rule_on_cell_means_is_exact(n, field):
-    # the cell problem assembles its stiffness from the cell means under the
-    # one-point rule: its weight 1.0 returns the means, so the matrix is the
-    # field's own stiffness bit for bit
+    # the cell problem hands its sampled cell means to the stiffness, which
+    # is then the field's own stiffness bit for bit
     sp = build_space(build_rect_mesh(n, n), PERIODIC)
     family = (make_builtin_family("laminate2d", [1.0, 4.0]) if field == "laminate2d"
               else _random_spd_field(n))
-    Abar = assembly.cell_means(sp, family)
-    means = SimpleNamespace(name=field, feature_scale=family.feature_scale,
-                            matrix_at=lambda h, x: Abar[None])
-    K1 = assembly.assemble_stiffness(sp, means, quad_order=1)
+    K1 = assembly.assemble_stiffness(sp, family, means=assembly.cell_means(sp, family))
     K = assembly.assemble_stiffness(sp, family)
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(K1, part), getattr(K, part)), part
@@ -245,13 +241,10 @@ def test_stiffness_peak_memory_is_a_few_matrices():
     assert peak <= 5.5 * _csr_bytes(K)
 
 
-def test_quadrature_order_one_triangle_rule():
-    sp = build_space(build_rect_mesh(4, 4), DIRICHLET)
-    unit = ConstantMatrixCoefficient(np.eye(2))
-    K1 = assembly.assemble_stiffness(sp, unit, quad_order=1)
-    K2 = assembly.assemble_stiffness(sp, unit, quad_order=2)
-    # constant coefficients: the centroid rule already integrates exactly
-    assert np.allclose(K1.toarray(), K2.toarray(), atol=1e-14)
+def test_mass_takes_only_the_one_rule():
+    sp = build_space(build_interval_mesh(8), DIRICHLET)
+    with pytest.raises(ValueError, match="quad_order must be 4"):
+        assembly.assemble_mass(sp, quad_order=2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -263,10 +256,9 @@ def test_grid_invariants_property(cells, rule):
     mesh = build_interval_mesh(*cells) if dim == 1 else build_rect_mesh(*cells)
     sp = build_space(mesh, rule)
     corners = mesh.vertices[mesh.cells]                  # (nc, dim + 1, dim)
-    for quad_order in (1, 4):  # every quadrature point lies in its cell's box
-        pts = sp.cell_data(quad_order).points            # (nq, nc, dim)
-        assert pts.shape[1:] == (mesh.num_cells, dim)
-        assert np.all(pts >= corners.min(axis=1)) and np.all(pts <= corners.max(axis=1))
+    pts = sp.cell_data().points  # every quadrature point lies in its cell's box
+    assert pts.shape[1:] == (mesh.num_cells, dim)
+    assert np.all(pts >= corners.min(axis=1)) and np.all(pts <= corners.max(axis=1))
     assert mesh.max_cell_span == (corners.max(axis=1) - corners.min(axis=1)).max()
     K = assembly.assemble_stiffness(sp, ConstantMatrixCoefficient(np.eye(dim)))
     M = assembly.assemble_mass(sp)

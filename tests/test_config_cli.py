@@ -384,6 +384,12 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
      "solver.eig_tol"),
     ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": math.nan}},
      "solver.eig_tol"),
+    # JSON reads Infinity and NaN: an infinite tolerance accepts every
+    # residual, and a NaN probe writes an all-null recovery trace
+    ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": math.inf}},
+     "solver.eig_tol"),
+    ("gamma-check", "gamma", {"affine": [math.nan, 0.0]}, "affine"),
+    ("gamma-check", "gamma", {"affine": [1.0, -math.inf]}, "affine"),
     # more parameters than the family reads: the report would echo them as used
     ("sweep-potential", "eigen-potential",
      {"potential": {"name": "sin2-potential", "params": [5.0]}}, "potential"),
@@ -401,7 +407,8 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
 ], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
         "phi-empty", "phi-outside", "phi-narrow", "cell-resolution",
         "eigen-count", "targets", "targets-zero", "seed",
-        "eig-tol-zero", "eig-tol-negative", "eig-tol-nan", "params-sin2",
+        "eig-tol-zero", "eig-tol-negative", "eig-tol-nan", "eig-tol-inf",
+        "affine-nan", "affine-inf", "params-sin2",
         "params-osc1d", "params-laminate2d", "params-const-source",
         "params-nan-family", "params-nan-potential"])
 def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):

@@ -145,7 +145,7 @@ def _direct_tensor(profile, res):
     space = build_space(build_rect_mesh(res, res), PERIODIC)
     K = assembly.assemble_stiffness(space, family).tocsc()
     lu = splu(K[1:, 1:], permc_spec="MMD_AT_PLUS_A")
-    dofs, measure, grads, pts, gw, _ = space.cell_data(2)
+    dofs, measure, grads, pts, gw, _ = space.cell_data()
     Abar = np.einsum("q,qcij->cij", gw, family.matrix_at(1, pts))
     eff = np.zeros((2, 2))
     for j in range(2):

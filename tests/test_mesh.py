@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from gconv.mesh import (
     DIRICHLET,
     PERIODIC,
+    QUADRATURE,
     build_interval_mesh,
     build_rect_mesh,
     build_space,
@@ -23,6 +25,23 @@ def test_interval_mesh_single_cell():
     m = build_interval_mesh(1)
     assert m.num_cells == 1
     assert m.boundary.all()
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 7), (2, 2)])
+def test_one_quadrature_rule_per_dimension(dim, degree):
+    # weights summing to one average x^p (1D) or x^p y^q (2D) over the
+    # reference cell, whose exact mean is dim! p! q! / (p + q + dim)!; the
+    # rule is exact through its degree and not one degree further
+    ref, weights = QUADRATURE[dim]
+    assert ref.shape == (weights.size, dim) and abs(weights.sum() - 1.0) <= 1e-15
+    for total in range(degree + 2):
+        powers = [(total,)] if dim == 1 else [(p, total - p) for p in range(total + 1)]
+        errors = [weights @ np.prod(ref ** np.array(pw), axis=1)
+                  - math.factorial(dim) * math.prod(map(math.factorial, pw))
+                  / math.factorial(total + dim) for pw in powers]
+        assert (np.abs(errors).max() <= 1e-14) == (total <= degree), (total, errors)
+    if dim == 2:  # strictly inside: a jump along a cell edge is sampled on one side
+        assert np.all(ref > 0.0) and np.all(ref.sum(axis=1) < 1.0)
 
 
 def _cell_measures(mesh):
