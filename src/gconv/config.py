@@ -29,8 +29,9 @@ from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
 # 30.0M nnz at 128^2, 256^2 and 512^2, the last in 17 s at a 1.0 GiB peak
 # on a 2-core, 8 GiB host, where a 1000^2 mesh would not fit in memory
 MAX_DOFS = {1: 1_000_000, 2: 512 ** 2}
-# most doubles of ARPACK's Lanczos basis: min(n, max(2k + 1, 20)) vectors
-# (scipy's default ncv) of the finest mesh's n dofs, 1 GiB
+# most doubles of one dense block on the finest mesh's n dofs, 1 GiB: ARPACK's
+# Lanczos basis of min(n, max(2k + 1, 20)) vectors (scipy's default ncv), or
+# the gamma check's targets
 MAX_BASIS_DOUBLES = 2 ** 27
 
 # least value of each numeric top-level key
@@ -39,7 +40,6 @@ MINIMA = {
     "targets": 1,
     "points_per_period": 16,
     "eigen_count": 1,
-    "windows": 1,
     "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
 }
 
@@ -57,9 +57,11 @@ FAMILY_CLASSES = {
 
 
 # leaf spec: (type tag, default, description); required leaves have default
-# REQUIRED.  Type tags: str, int, float, int_list, float_list, float_pair;
-# a dict in place of a tag is a nested schema.
+# REQUIRED.  Type tags: str, int, float, int_list, float_list; a dict in
+# place of a tag is a nested schema.  A key that is an ExperimentConfig
+# field takes that field's default.
 REQUIRED = object()
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 # potentials and sources: a built-in name and its parameters
 _SEQUENCE_SCHEMA = {
@@ -74,7 +76,7 @@ _FAMILY_SCHEMA = {
 }
 
 _SOLVER_SCHEMA = {
-    "eig_tol": ("float", 1e-10, "relative eigen-residual tolerance"),
+    "eig_tol": ("float", DEFAULTS["eig_tol"], "relative eigen-residual tolerance"),
 }
 
 _OUTPUT_SCHEMA = {
@@ -85,20 +87,19 @@ _OUTPUT_SCHEMA = {
 SCHEMA = {
     "experiment": ("str", REQUIRED,
                    "one of " + ", ".join(EXPERIMENTS)),
-    "seed": ("int", 0, "seed for every randomized probe"),
+    "seed": ("int", DEFAULTS["seed"], "seed for every randomized probe"),
     "h_list": ("int_list", [4, 8, 16, 32, 64], "ascending frequency ladder"),
-    "points_per_period": ("int", 32, "mesh points per oscillation period (>= 16)"),
-    "eigen_count": ("int", 3, "number of eigenpairs per rung"),
+    "points_per_period": ("int", DEFAULTS["points_per_period"],
+                          "mesh points per oscillation period (>= 16)"),
+    "eigen_count": ("int", DEFAULTS["eigen_count"], "number of eigenpairs per rung"),
     "family": (_FAMILY_SCHEMA, None, "coefficient family spec"),
     "potential": (_SEQUENCE_SCHEMA, None, "potential family spec"),
     "source": (_SEQUENCE_SCHEMA, None, "source family spec"),
     "solver": (_SOLVER_SCHEMA, {}, "solver tolerances"),
     "output": (_OUTPUT_SCHEMA, {}, "report filenames"),
-    "windows": ("int", 8, "strip count for weak-convergence probes"),
-    "phi_support": ("float_pair", [0.25, 0.75], "support of the pairing bump"),
-    "affine": ("float_pair", [1.0, 0.0], "recovery probe u(x) = a x + b as [a, b]"),
-    "targets": ("int", 20, "random targets of the envelope check"),
-    "cell_resolution": ("int", 128, "2D unit-cell resolution for the limit tensor"),
+    "targets": ("int", DEFAULTS["targets"], "random targets of the envelope check"),
+    "cell_resolution": ("int", DEFAULTS["cell_resolution"],
+                        "2D unit-cell resolution for the limit tensor"),
 }
 
 
@@ -114,9 +115,6 @@ def _type_ok(tag, value):
                 and all(_type_ok("int", v) for v in value))
     if tag == "float_list":
         return isinstance(value, list) and all(_type_ok("float", v) for v in value)
-    if tag == "float_pair":
-        return (isinstance(value, list) and len(value) == 2
-                and all(_type_ok("float", v) for v in value))
     raise AssertionError(f"unknown type tag {tag}")
 
 
@@ -178,13 +176,6 @@ def validate_config(data: dict) -> ExperimentConfig:
                           f"dofs exceeds the budget of {MAX_DOFS[2]} for 2D meshes")
     if not 0 < effective["solver"]["eig_tol"] < math.inf:  # a NaN fails too
         raise ConfigError("config key 'solver.eig_tol': must be finite and > 0")
-    if not all(map(math.isfinite, effective["affine"])):  # JSON reads NaN, Infinity
-        raise ConfigError("config key 'affine': entries must be finite")
-    a, b = effective["phi_support"]
-    width = 2.0 / (effective["points_per_period"] * hs[-1])  # two finest cells
-    if not (0.0 <= a and b <= 1.0 and b - a >= width):  # a NaN fails too
-        raise ConfigError(f"config key 'phi_support': must be [a, b] with 0 <= a, "
-                          f"b <= 1 and b - a >= {width:g}, two cells of the finest mesh")
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
     dim = getattr(family, "dim", 1)
@@ -220,13 +211,14 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config key 'eigen_count': {k} eigenpairs on the "
                           f"{finest}-dof finest mesh need a Lanczos basis of {basis} "
                           f"doubles, over the budget of {MAX_BASIS_DOUBLES}")
-    rung = experiment.strip_rung  # no strip narrower than one cell
-    if rung is not None and effective["windows"] > ppp * hs[rung]:
-        raise ConfigError(f"config key 'windows': must be <= {ppp * hs[rung]}, "
-                          f"the cells of the h={hs[rung]} mesh")
-    names = {f.name for f in fields(ExperimentConfig)} - set(FAMILY_CLASSES)
+    t = effective["targets"]
+    if kind == "gamma" and t * finest > MAX_BASIS_DOUBLES:
+        raise ConfigError(f"config key 'targets': {t} targets on the {finest}-dof "
+                          f"finest mesh need {t * finest} doubles, over the budget "
+                          f"of {MAX_BASIS_DOUBLES}")
     flat = {key: tuple(value) if isinstance(value, list) else value
-            for key, value in effective.items() if key in names}
+            for key, value in effective.items()
+            if key in DEFAULTS and key not in FAMILY_CLASSES}
     return ExperimentConfig(kind=kind, eig_tol=effective["solver"]["eig_tol"],
                             echo=effective, **flat, **families)
 

@@ -30,6 +30,7 @@ from .linalg import ConvergenceError, eig_smallest, residuals, tridiagonal_solve
 from .mesh import FeSpace, build_dirichlet_space
 from .variational import (
     LIMINF_TOL,
+    POINTS_PER_PERIOD,
     dirichlet_solve,
     dirichlet_solves,
     div_curl_test,
@@ -52,7 +53,6 @@ class Experiment:
     outputs: tuple     # default (CSV, JSON) report names; no CSV when None
     optional: tuple = ()  # family-valued config keys the kind also reads
     ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
-    strip_rung: int | None = None  # h_list index of the mesh cut into strips
     rung_meshes: bool = True  # samples each h on its rung's mesh, else on the finest
 
 
@@ -62,8 +62,7 @@ EXPERIMENTS = {
         ("family",), "run_eigen_homog", ("report.csv", "report.json"), ("potential",)),
     "source-homog": Experiment(
         "sweep-source", "Dirichlet source sweep vs the homogenized solution",
-        ("family", "source"), "run_source_homog", ("report.csv", "report.json"),
-        strip_rung=0),
+        ("family", "source"), "run_source_homog", ("report.csv", "report.json")),
     "eigen-potential": Experiment(
         "sweep-potential", "spectral sweep of a perturbed operator K0 + V_h",
         ("potential",), "run_eigen_potential", ("report.csv", "report.json"), ("family",)),
@@ -74,7 +73,7 @@ EXPERIMENTS = {
     "divcurl": Experiment(
         "divcurl", "div-curl pairing trace and flux window averages",
         ("family", "source"), "run_divcurl", ("divcurl_trace.csv", "divcurl.json"),
-        strip_rung=-1, rung_meshes=False),
+        rung_meshes=False),
     "homogenize": Experiment(
         "homogenize", "compute the limit tensor of a coefficient family",
         ("family",), "run_homogenize", (None, "homogenize.json"), ladder=False),
@@ -84,6 +83,13 @@ EXPERIMENTS = {
 # the kinds that solve eigenproblems and read eigen_count
 EIGEN_KINDS = ("eigen-homog", "eigen-potential")
 
+# the fixed probes: strips of the weak-convergence averages, support of the
+# div-curl pairing bump, and u(x) = a x + b of the recovery trace as (a, b).
+# With points_per_period >= 16, every strip and the bump span two cells or more
+WINDOWS = 8
+PHI_SUPPORT = (0.25, 0.75)
+AFFINE = (1.0, 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
@@ -91,16 +97,13 @@ class ExperimentConfig:
 
     kind: str
     h_list: tuple
-    points_per_period: int = 32
+    points_per_period: int = POINTS_PER_PERIOD
     eigen_count: int = 3
     eig_tol: float = 1e-10
     seed: int = 0
     family: object = None          # these three: None when the config omits them
     potential: object = None
     source: object = None
-    windows: int = 8
-    phi_support: tuple = (0.25, 0.75)
-    affine: tuple = (1.0, 0.0)
     targets: int = 20
     cell_resolution: int = 128
     echo: dict = field(default_factory=dict)
@@ -400,7 +403,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     space_ref, M_ref = _finest(config, family.dim)
     u_star = dirichlet_solve(space_ref, limit, source.limit_family(), 1)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
-    edges = np.linspace(0.0, 1.0, config.windows + 1)
+    edges = np.linspace(0.0, 1.0, WINDOWS + 1)
     identity = ConstantMatrixCoefficient(np.eye(family.dim))
 
     def probes(space, u):  # strip averages of the first gradient component
@@ -478,7 +481,7 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
     targets = tridiagonal_solver(K0)(np.random.default_rng(config.seed).normal(
         size=(space.num_dofs, config.targets)))
     gaps = liminf_check(K0, M, ladder, targets)
-    trace = recovery_check(space, K0, ladder, config.affine)
+    trace = recovery_check(space, K0, ladder, AFFINE)
     return GammaReport("gamma", int(np.count_nonzero(gaps <= LIMINF_TOL)),
                        config.targets, LIMINF_TOL - gaps, trace, dict(config.echo))
 
@@ -500,11 +503,10 @@ class DivCurlReport(Report):
 def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
     """Pair the discrete energy density against its homogenized limit."""
     solves = dirichlet_solves(config.family, config.source,
-                              config.points_per_period * max(config.h_list),
-                              limit=_limit(config))
+                              config.points_per_period * max(config.h_list))
     trace = div_curl_test(config.family, config.h_list, config.source,
-                          config.phi_support, solves=solves)
-    flux = flux_weak_limit(config.family, max(config.h_list), config.windows, solves)
+                          PHI_SUPPORT, solves=solves)
+    flux = flux_weak_limit(config.family, max(config.h_list), WINDOWS, solves)
     lead = min(3, len(config.h_list) - 1)
     hs = np.asarray(config.h_list[:lead], dtype=float)
     errs = np.asarray(trace.abs_errors[:lead])

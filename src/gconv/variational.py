@@ -33,7 +33,7 @@ YOSIDA_MU = 10.0
 # does: sin2-potential passes from h_max = 4 (4.0e-6; 5.8e-5 at 2) and
 # spike-potential [2] from 128 (2.3e-6; 1.4e-5 at 64)
 LIMINF_TOL = 1e-5
-# mesh points per period of div_curl_test's own matched mesh
+# mesh points per period: the config default, and div_curl_test's own mesh
 POINTS_PER_PERIOD = 32
 
 
@@ -179,13 +179,12 @@ def dirichlet_solve(space: FeSpace, coefficient, source: SourceFamily,
     return cholesky(K).solve(assembly.assemble_load(space, source, h))
 
 
-def dirichlet_solves(family, source: SourceFamily, n: int, limit=None) -> tuple:
-    """(space, limit, u) on the n-cell Dirichlet space: ``limit`` is the limit
-    coefficient (the family's oracle by default), ``u(h)`` solves
-    -div(A_h grad u) = f_h once per h and ``u(None)`` is u_star."""
+def dirichlet_solves(family, source: SourceFamily, n: int) -> tuple:
+    """(space, limit, u) on the n-cell Dirichlet space: ``limit`` is the family's
+    limit coefficient from its oracle, ``u(h)`` solves -div(A_h grad u) = f_h
+    once per h and ``u(None)`` is u_star."""
     space = build_dirichlet_space(family.dim, n)
-    if limit is None:
-        limit = homogenized_tensor(family)
+    limit = homogenized_tensor(family)
 
     @cache
     def u(h):

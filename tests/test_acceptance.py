@@ -133,8 +133,7 @@ def test_a7_gamma_diagnostics():
     details = []
     for fam in families:
         cfg = ExperimentConfig(kind="gamma", h_list=h_list, potential=fam,
-                               targets=20, seed=11,
-                               affine=(1.0, 0.0))
+                               targets=20, seed=11)
         rep = run_gamma(cfg)
         liminf_ok &= rep.liminf_passed == rep.liminf_total
         final = float(rep.recovery.abs_errors[-1])

@@ -16,6 +16,7 @@ from gconv import homogenize, linalg, sweep
 from gconv.cli import main
 from gconv.config import (
     FAMILY_CLASSES,
+    SCHEMA,
     ConfigError,
     apply_overrides,
     schema_help,
@@ -48,10 +49,19 @@ def test_validate_fills_defaults():
     assert eff["seed"] == 0
 
 
-def test_unknown_key_rejected_with_name():
+def test_unknown_key_rejected_with_name(tmp_path, capsys):
     for key in ("mesh_size", "quad_order", "quad_points"):
         with pytest.raises(ConfigError, match=f"'{key}': unknown key"):
             validate_config(_minimal(**{key: 5}))
+    # the fixed probes are constants of the sweep module, not config keys
+    for subcommand, kind, key, value in [
+            ("sweep-source", "source-homog", "windows", 8),
+            ("divcurl", "divcurl", "phi_support", [0.25, 0.75]),
+            ("gamma-check", "gamma", "affine", [1.0, 0.0])]:
+        cfg = _write(tmp_path, _minimal(kind, **{key: value}))
+        for argv in (["validate"], [subcommand, "--out", str(tmp_path)]):
+            assert main(argv + ["--config", str(cfg)]) == 1
+            assert f"config key '{key}': unknown key" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="'family.gamma'"):
         validate_config(_minimal(family={"name": "osc1d", "gamma": 2}))
 
@@ -353,23 +363,8 @@ def test_sequence_specs_take_only_name_and_params(capsys, config, key):
         assert f"config key '{key}.{bound}': unknown key" in capsys.readouterr().err
 
 
-_DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
-            "source": {"name": "const-source"}}
-
-
 @pytest.mark.parametrize("subcommand,kind,extra,key", [
     ("sweep-eigen", "eigen-homog", {"h_list": [0, 4, 8]}, "h_list"),
-    ("sweep-source", "source-homog", {"windows": 0}, "windows"),
-    ("divcurl", "divcurl", {"windows": 100000, **_DIVCURL}, "windows"),
-    # 1000 strips on the 128 cells of the h=4 rung: strips with no
-    # quadrature point give NaN probes
-    ("sweep-source", "source-homog", {"windows": 1000}, "windows"),
-    ("divcurl", "divcurl", {"phi_support": [0.5, 0.5], **_DIVCURL}, "phi_support"),
-    # a bump outside the domain, or narrower than two cells of the h=8 mesh,
-    # is zero at every dof: the pairing would check nothing
-    ("divcurl", "divcurl", {"phi_support": [2, 3], **_DIVCURL}, "phi_support"),
-    ("divcurl", "divcurl", {"phi_support": [0.5, 0.5001], **_DIVCURL},
-     "phi_support"),
     ("homogenize", "homogenize",
      {"cell_resolution": 0, "family": {"name": "laminate2d"}}, "cell_resolution"),
     # the h=4 rung has 127 dofs
@@ -378,6 +373,8 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     # no target sampled: the liminf check would pass on 0 of 0
     ("gamma-check", "gamma", {"targets": 0}, "targets"),
     ("gamma-check", "gamma", {"seed": -1}, "seed"),
+    # 10^9 targets on the 255 dofs of the h=8 mesh: a 2 TB block
+    ("gamma-check", "gamma", {"targets": 10 ** 9}, "targets"),
     # no residual meets a tolerance <= 0 or NaN
     ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": 0.0}}, "solver.eig_tol"),
     ("sweep-potential", "eigen-potential", {"solver": {"eig_tol": -1.0}},
@@ -388,8 +385,6 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
     # residual, and a NaN probe writes an all-null recovery trace
     ("sweep-eigen", "eigen-homog", {"solver": {"eig_tol": math.inf}},
      "solver.eig_tol"),
-    ("gamma-check", "gamma", {"affine": [math.nan, 0.0]}, "affine"),
-    ("gamma-check", "gamma", {"affine": [1.0, -math.inf]}, "affine"),
     # more parameters than the family reads: the report would echo them as used
     ("sweep-potential", "eigen-potential",
      {"potential": {"name": "sin2-potential", "params": [5.0]}}, "potential"),
@@ -404,16 +399,16 @@ _DIVCURL = {"family": {"name": "osc1d", "params": [2.0]},
      {"family": {"name": "osc1d", "params": [math.nan]}}, "family"),
     ("sweep-potential", "eigen-potential",
      {"potential": {"name": "spike-potential", "params": [math.nan]}}, "potential"),
-], ids=["h-zero", "windows-zero", "windows-divcurl", "windows-source",
-        "phi-empty", "phi-outside", "phi-narrow", "cell-resolution",
-        "eigen-count", "targets", "targets-zero", "seed",
+], ids=["h-zero", "cell-resolution",
+        "eigen-count", "targets", "targets-zero", "seed", "targets-budget",
         "eig-tol-zero", "eig-tol-negative", "eig-tol-nan", "eig-tol-inf",
-        "affine-nan", "affine-inf", "params-sin2",
+        "params-sin2",
         "params-osc1d", "params-laminate2d", "params-const-source",
         "params-nan-family", "params-nan-potential"])
 def test_cli_out_of_range_exit_1(tmp_path, capsys, subcommand, kind, extra, key):
     cfg = _write(tmp_path, _minimal(kind, **extra))
-    for argv in ([subcommand, "--out", str(tmp_path)], ["validate"]):
+    # validate first: a lost check must not start a run that would not fit
+    for argv in (["validate"], [subcommand, "--out", str(tmp_path)]):
         assert main(argv + ["--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"config key '{key}'" in err
@@ -451,6 +446,15 @@ def test_eigen_count_held_to_the_lanczos_budget(tmp_path, capsys):
     validate_config({**doc, "eigen_count": 66})
     with pytest.raises(ConfigError, match="'eigen_count': 67 eigenpairs"):
         validate_config({**doc, "eigen_count": 67})
+
+
+def test_targets_held_to_the_basis_budget():
+    # the gamma check draws a (dofs, targets) block: on the 8,191 dofs of the
+    # a7 ladder, 16,386 targets stay within 2^27 doubles
+    doc = _minimal("gamma", h_list=[8, 256], targets=16386)
+    validate_config(doc)
+    with pytest.raises(ConfigError, match="'targets': 16387 targets on the 8191-dof"):
+        validate_config({**doc, "targets": 16387})
 
 
 def test_eigen_count_checked_only_where_read(tmp_path):
@@ -684,13 +688,9 @@ def _small_configs(draw, kind):
            "points_per_period": draw(st.sampled_from([16, 20, 32])),
            "eigen_count": draw(st.integers(1, 4)),
            "seed": draw(st.integers(0, 3)),
-           "windows": draw(st.integers(1, 16)),
            "targets": draw(st.integers(1, 3)),
            "cell_resolution": draw(st.sampled_from([16, 17, 32, 48])),
-           "affine": draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
            "solver": {"eig_tol": draw(st.sampled_from([1e-10, 1e-14]))}}
-    a = draw(st.floats(0.0, 0.4))
-    doc["phi_support"] = [a, a + draw(st.floats(0.2, 0.6))]
     return doc
 
 
@@ -702,6 +702,7 @@ def test_small_configs_end_in_report_or_named_exit(kind, data):
     # every config ends in a report (0), a named config key (1) or a named
     # numerical stage (2); an exception out of main is a traceback
     doc = data.draw(_small_configs(kind))
+    assert set(doc) <= set(SCHEMA)  # a stale key would only test the unknown-key exit
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         cfg = _write(Path(tmp), doc)

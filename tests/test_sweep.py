@@ -13,6 +13,8 @@ from gconv.families import BUILTINS, ConstantMatrixCoefficient, make_builtin_fam
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 from gconv.sweep import (
     CLUSTER_GAP,
+    PHI_SUPPORT,
+    WINDOWS,
     ExperimentConfig,
     _jsonify,
     emit_report,
@@ -142,7 +144,7 @@ def test_source_homog_osc1d_reference_norm(source):
     cfg = ExperimentConfig(
         kind="source-homog", h_list=(4, 8, 16),
         family=make_builtin_family("osc1d", [2.0]),
-        source=make_builtin_family(source, [1.0]), windows=4)
+        source=make_builtin_family(source, [1.0]))
     rep = run_source_homog(cfg)
     # nodal interpolation shifts the discrete norm by O(delta^2)
     exact_norm = (1.0 / (2 * SQRT3)) * math.sqrt(1.0 / 30.0)
@@ -155,11 +157,11 @@ def test_source_homog_osc_source_same_limit():
     base = ExperimentConfig(
         kind="source-homog", h_list=(4, 8, 16),
         family=make_builtin_family("osc1d", [2.0]),
-        source=make_builtin_family("const-source", [1.0]), windows=4)
+        source=make_builtin_family("const-source", [1.0]))
     osc = ExperimentConfig(
         kind="source-homog", h_list=(4, 8, 16),
         family=make_builtin_family("osc1d", [2.0]),
-        source=make_builtin_family("osc-source", [1.0]), windows=4)
+        source=make_builtin_family("osc-source", [1.0]))
     rep_base = run_source_homog(base)
     rep_osc = run_source_homog(osc)
     # f_h = 1 + sin(2 pi x)/h converges strongly to 1: same limit problem
@@ -378,10 +380,10 @@ def test_divcurl_runner_factors_each_matrix_once(monkeypatch):
     rep = run_divcurl(cfg)
     assert len(calls) == len(cfg.h_list) + 1 == 5
     # the shared solves give what each diagnostic computes on its own
-    trace = div_curl_test(cfg.family, cfg.h_list, cfg.source, cfg.phi_support)
+    trace = div_curl_test(cfg.family, cfg.h_list, cfg.source, PHI_SUPPORT)
     solves = dirichlet_solves(cfg.family, cfg.source,
                               cfg.points_per_period * max(cfg.h_list))
-    flux = flux_weak_limit(cfg.family, max(cfg.h_list), cfg.windows, solves)
+    flux = flux_weak_limit(cfg.family, max(cfg.h_list), WINDOWS, solves)
     assert np.array_equal(rep.trace.values, trace.values)
     assert rep.trace.limit == trace.limit
     assert np.array_equal(rep.flux_windows.flux_averages, flux.flux_averages)
