@@ -28,6 +28,7 @@ CELL_PROBLEM = "cell-problem"
 MIN_QUAD_POINTS = 64
 CG_RTOL = 1e-12      # full-resolution corrector solves: relative residual
 CG_MAXITER = 500     # and the step budget
+CELL_RESOLUTION = 128  # default unit-cell resolution of the 2D limit tensor
 
 
 def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficient:
@@ -160,7 +161,7 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
 
 
 def homogenized_tensor(family: CoefficientFamily, *,
-                       cell_resolution: int = 64) -> ConstantMatrixCoefficient:
+                       cell_resolution: int = CELL_RESOLUTION) -> ConstantMatrixCoefficient:
     """Dispatch a coefficient family to its limit oracle.
 
     1D families use the harmonic mean of their unit profile, 2D families the

@@ -88,17 +88,31 @@ def tridiagonal_solver(matrix):
     """``b -> A^-1 b`` for a sparse SPD tridiagonal A, such as a 1D P1 operator.
 
     LAPACK's ``pttrf`` factor is two length-n arrays, where a SuperLU factor
-    of 16,383 dofs holds 6.25 MiB.  Raises as ``cholesky`` does.
+    of 16,383 dofs holds 6.25 MiB.  Raises as ``cholesky`` does; the solver,
+    like ``CholeskyFactor.solve``, raises ``ValueError`` on a ``b`` whose
+    length is not n.
     """
-    A = sparse.dia_matrix(matrix)
+    A = sparse.csr_matrix(matrix)
+    n = A.shape[0]
+    # every stored entry, an explicit zero too, within one of its row's diagonal
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
     sub = A.diagonal(1)
-    tridiagonal = set(A.offsets.tolist()) <= {-1, 0, 1}
-    if not tridiagonal or not np.array_equal(sub, A.diagonal(-1)):
+    if np.any(np.abs(A.indices - rows) > 1) or not np.array_equal(sub, A.diagonal(-1)):
         raise ValueError("matrix must be symmetric and tridiagonal")
     d, e, info = dpttrf(A.diagonal(), sub)
     if info != 0:
-        raise NotPositiveDefiniteError(f"not positive definite: pivot {info} of {A.shape[0]}")
-    return lambda b: dpttrs(d, e, b)[0]
+        raise NotPositiveDefiniteError(f"not positive definite: pivot {info} of {n}")
+
+    def solve(b):
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != n:  # dpttrs leaves a longer b's tail unsolved
+            raise ValueError(f"rhs has length {b.shape[0]}, expected {n}")
+        x, info = dpttrs(d, e, b)
+        if info != 0:
+            raise NumericalError(f"dpttrs: argument {-info} had an illegal value")
+        return x
+
+    return solve
 
 
 @dataclass(eq=False)

@@ -133,6 +133,9 @@ def liminf_check(base: sparse.spmatrix, mass: sparse.spmatrix,
     gaps = np.empty(U.shape[1])
     # by column: (n, t) temporaries took bench gamma1d-sin2's peak RSS 80.2 -> 82.1 MiB
     for j, u in enumerate(U.T):
+        # BLAS sums a strided vector in another order than a contiguous one:
+        # a contiguous column gives the same gaps for either layout of U
+        u = np.ascontiguousarray(u)
         Mu = mass @ u
         e_limit, e_top = (YOSIDA_MU * (u @ Mu - YOSIDA_MU * (Mu @ solve(Mu)))
                           for solve in solvers)

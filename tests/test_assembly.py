@@ -241,6 +241,61 @@ def test_stiffness_peak_memory_is_a_few_matrices():
     assert peak <= 5.5 * _csr_bytes(K)
 
 
+@pytest.mark.parametrize("build,weight,h,bound", [
+    (lambda: build_space(build_rect_mesh(128, 128), PERIODIC), None, 1, 4.6),
+    (lambda: build_space(build_interval_mesh(16384), DIRICHLET),
+     make_builtin_family("sin2-potential"), 8, 3.6),
+], ids=["2d-unit", "1d-sin2"])
+def test_mass_peak_memory_is_a_few_matrices(build, weight, h, bound):
+    # the weight is folded into the quadrature weights at once and the local
+    # entries are written column by column: no (nc, nq, ...) product is held
+    sp = build()
+    sp.pattern, sp.cell_data()
+    tracemalloc.start()
+    try:
+        M = assembly.assemble_mass(sp, weight, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * _csr_bytes(M)
+
+
+def _random_values(seed, scale, positive):
+    """A scalar field drawn afresh per point, the same draws on every call."""
+    def values_at(h, x):
+        rng = np.random.default_rng(seed)
+        shape = np.shape(x)[:-1]
+        return scale * (rng.lognormal(size=shape) if positive else rng.normal(size=shape))
+    return SimpleNamespace(name="random", feature_scale=lambda h: None, values_at=values_at)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(cells=st.one_of(st.tuples(st.integers(2, 512)),
+                       st.tuples(st.integers(2, 32), st.integers(2, 32))),
+       rule=st.sampled_from([DIRICHLET, PERIODIC]),
+       scale=st.sampled_from([None, 1e-300, 1.0, 1e300]),
+       seed=st.integers(0, 2 ** 16))
+def test_local_integrals_are_the_einsum_bit_for_bit_property(cells, rule, scale, seed):
+    # the column kernels of the mass and the load keep einsum's arithmetic:
+    # ((w_q w) phi_i) phi_j and (w_q f) phi_i, summed over ascending q
+    mesh = build_interval_mesh(*cells) if len(cells) == 1 else build_rect_mesh(*cells)
+    sp = build_space(mesh, rule)
+    cd = sp.cell_data()
+    weight = None if scale is None else _random_values(seed, scale, positive=True)
+    w = np.ones(cd.points.shape[:2]) if weight is None else weight.values_at(1, cd.points)
+    local = (np.einsum("q,qc,qi,qj->cij", cd.weights, w, cd.phi, cd.phi)
+             * cd.measure[:, None, None])
+    ref = np.add.reduceat(local.ravel()[sp.pattern.gather], sp.pattern.starts)
+    assert assembly.assemble_mass(sp, weight).data.tobytes() == ref.tobytes()
+    source = _random_values(seed, scale or 1.0, positive=False)
+    local = (np.einsum("q,qc,qi->ci", cd.weights, source.values_at(1, cd.points), cd.phi)
+             * cd.measure[:, None])
+    ref = np.zeros(sp.num_dofs)
+    keep = cd.dofs >= 0
+    np.add.at(ref, cd.dofs[keep], local[keep])
+    assert assembly.assemble_load(sp, source).tobytes() == ref.tobytes()
+
+
 def test_mass_takes_only_the_one_rule():
     sp = build_space(build_interval_mesh(8), DIRICHLET)
     with pytest.raises(ValueError, match="quad_order must be 4"):

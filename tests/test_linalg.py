@@ -62,12 +62,25 @@ def test_tridiagonal_solver_matches_cholesky():
 
 @pytest.mark.parametrize("matrix,error", [
     (np.diag([1.0, 1.0, 1.0]) + np.diag([0.5], 2) + np.diag([0.5], -2), ValueError),
+    # an explicitly stored zero two off the diagonal: the pattern is not a band
+    (sparse.csr_matrix(([2.0, 0.0, 2.0, 2.0], [0, 2, 1, 2], [0, 2, 3, 4]), shape=(3, 3)),
+     ValueError),
     (np.array([[2.0, 1.0], [0.0, 2.0]]), ValueError),
     (np.diag([1.0, -1.0]), NotPositiveDefiniteError),
-], ids=["pentadiagonal", "unsymmetric", "indefinite"])
+], ids=["pentadiagonal", "stored-zero", "unsymmetric", "indefinite"])
 def test_tridiagonal_solver_rejects(matrix, error):
     with pytest.raises(error):
         tridiagonal_solver(sparse.csr_matrix(matrix))
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_tridiagonal_solve_checks_rhs_length(length):
+    # LAPACK's dpttrs returns a longer b's tail unsolved and a shorter one
+    # as garbage with a negative info
+    solve = tridiagonal_solver(sparse.diags([[-1.0] * 2, [2.0] * 3, [-1.0] * 2],
+                                            [-1, 0, 1], format="csr"))
+    with pytest.raises(ValueError, match="rhs has length .*, expected 3"):
+        solve(np.ones(length))
 
 
 def test_solve_identity():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -210,6 +211,22 @@ def test_gamma_runner_all_pass():
     assert rep.liminf_passed == rep.liminf_total == 5
     assert np.all(rep.liminf_margins >= 0.0)
     assert rep.recovery.abs_errors[-1] <= 1e-2 * abs(rep.recovery.limit) + 1e-10
+
+
+def test_gamma_runner_holds_one_target_block():
+    # the targets budget (config.MAX_BASIS_DOUBLES) counts one (n, t) block:
+    # the draw is smoothed in place, not into a second block
+    cfg = ExperimentConfig(kind="gamma", h_list=(8, 16),
+                           potential=make_builtin_family("sin2-potential"),
+                           targets=1000, seed=3)
+    block = 8 * (cfg.points_per_period * 16 - 1) * cfg.targets
+    tracemalloc.start()
+    try:
+        run_gamma(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block
 
 
 @pytest.mark.parametrize("name,params,limit", [

@@ -159,7 +159,10 @@ def test_liminf_random_targets_all_families(fine_setup):
         ladder = potential_ladder(sp, fam, [8, 16, 32, 64])
         u = rng.normal(size=(sp.num_dofs, 5))
         u /= np.sqrt(np.einsum("ij,ij->j", u, M @ u))
-        assert np.all(liminf_check(K0, M, ladder, u) <= LIMINF_TOL), fam.name
+        gaps = liminf_check(K0, M, ladder, u)
+        assert np.all(gaps <= LIMINF_TOL), fam.name
+        # the gaps do not depend on the targets' memory layout, bit for bit
+        assert liminf_check(K0, M, ladder, np.asfortranarray(u)).tobytes() == gaps.tobytes()
 
 
 def test_recovery_const_potential_identically_zero(fine_setup):
