@@ -1,8 +1,8 @@
 """Command-line front end: declarative experiment configs, delimited reports.
 
 Exit codes: 0 on success with reports written, 1 on configuration or
-validation errors (the diagnostic names the offending key), 2 on numerical
-failures (the diagnostic names the failing stage).
+validation errors (the diagnostic names the offending key, or ``--out``), 2
+on numerical failures (the diagnostic names the failing stage).
 """
 from __future__ import annotations
 
@@ -80,16 +80,22 @@ def _run_validate(args, config: ExperimentConfig) -> int:
 def _run_experiment(args, config: ExperimentConfig) -> int:
     """Run the config's experiment, write its reports, map its outcome."""
     experiment = EXPERIMENTS[config.kind]
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"option '--out': {exc}") from exc
     # looked up per call, so a wrapped runner in the sweep module is the one run
     runner = getattr(sweep, experiment.runner)
     report = runner(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for fmt, default in zip(("csv", "json"), experiment.outputs):
         if default is not None:
             paths.append(out / (config.echo["output"][fmt] or default))
-            emit_report(report, fmt, paths[-1])
+            try:
+                emit_report(report, fmt, paths[-1])
+            except OSError as exc:  # such as a directory of that name under --out
+                raise ConfigError(f"config key 'output.{fmt}': {exc}") from exc
     if args.verbose:
         for line in report.lines():
             print(line)

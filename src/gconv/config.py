@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 from dataclasses import fields
 
 from .families import (
@@ -80,8 +81,8 @@ _SOLVER_SCHEMA = {
 }
 
 _OUTPUT_SCHEMA = {
-    "csv": ("str", None, "CSV report filename (under the output directory)"),
-    "json": ("str", None, "JSON report filename"),
+    "csv": ("str", None, "CSV report file name, no directory (under --out)"),
+    "json": ("str", None, "JSON report file name, not the CSV's"),
 }
 
 SCHEMA = {
@@ -176,6 +177,15 @@ def validate_config(data: dict) -> ExperimentConfig:
                           f"dofs exceeds the budget of {MAX_DOFS[2]} for 2D meshes")
     if not 0 < effective["solver"]["eig_tol"] < math.inf:  # a NaN fails too
         raise ConfigError("config key 'solver.eig_tol': must be finite and > 0")
+    output = effective["output"]
+    for fmt, name in output.items():
+        if name is not None and (name in ("", ".", "..") or "\0" in name
+                                 or os.path.basename(name) != name):
+            raise ConfigError(f"config key 'output.{fmt}': {name!r} is not a plain file name")
+    csv_name, json_name = (output[fmt] or default
+                           for fmt, default in zip(("csv", "json"), experiment.outputs))
+    if experiment.outputs[0] is not None and csv_name == json_name:
+        raise ConfigError(f"config key 'output.json': {json_name!r} names the CSV report too")
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
     dim = getattr(family, "dim", 1)

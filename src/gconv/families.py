@@ -20,9 +20,6 @@ from .linalg import NumericalError
 
 RESOLUTION_POINTS = 16
 
-WEAK_STAR_LINF = "weak-star-Linf"
-WEAK_LP = "weak-Lp"
-
 
 class ResolutionError(NumericalError):
     """A family was sampled below the points-per-feature rule."""
@@ -140,8 +137,14 @@ class PiecewiseCoefficient:
                 raise ValueError("piecewise composition is 1D only")
 
 
+@dataclass(frozen=True, eq=False)
 class _Sequence(_Oscillating):
     """Values f_h and the limit f of an h-indexed sequence of functions."""
+
+    name: str
+    values: Callable[[int, np.ndarray], np.ndarray]
+    limit: Callable[[np.ndarray], np.ndarray]
+    feature_fraction: float | None = None
 
     def values_at(self, h: int, x) -> np.ndarray:
         """f_h at sample points (..., dim)."""
@@ -153,29 +156,12 @@ class _Sequence(_Oscillating):
                        values=lambda h, x: self.limit(x))
 
 
-@dataclass(frozen=True, eq=False)
 class PotentialFamily(_Sequence):
-    """Nonnegative multiplicative perturbation V_h with a declared limit.
-
-    ``convergence`` tags the mode in which V_h approaches the limit:
-    ``weak-star-Linf`` (uniformly bounded) or ``weak-Lp`` (bounded in L^p).
-    """
-
-    name: str
-    convergence: str
-    values: Callable[[int, np.ndarray], np.ndarray]
-    limit: Callable[[np.ndarray], np.ndarray]
-    feature_fraction: float | None = None
+    """Nonnegative multiplicative perturbation V_h with a declared limit."""
 
 
-@dataclass(frozen=True, eq=False)
 class SourceFamily(_Sequence):
     """Right-hand side sequence f_h converging strongly to ``limit``."""
-
-    name: str
-    values: Callable[[int, np.ndarray], np.ndarray]
-    limit: Callable[[np.ndarray], np.ndarray]
-    feature_fraction: float | None = None
 
     def feature_scale(self, h: int) -> float | None:
         return self.feature_fraction  # fixed-scale oscillation, h-independent
@@ -212,7 +198,7 @@ def _const(c=1.0):
 
 def _sin2_potential():
     # sin^2(2 pi h x) is 1/(2h)-periodic; its weak* limit is the mean 1/2.
-    return PotentialFamily("sin2-potential", WEAK_STAR_LINF, lambda h, x: (
+    return PotentialFamily("sin2-potential", lambda h, x: (
         np.sin(2.0 * np.pi * h * _first_coordinate(x)) ** 2), _constant(0.5), 0.5)
 
 
@@ -224,13 +210,13 @@ def _spike_potential(p=2.0):
         x = _first_coordinate(x)
         return np.where((x >= 0.0) & (x <= 1.0 / h), float(h) ** (1.0 / p), 0.0)
 
-    return PotentialFamily("spike-potential", WEAK_LP, values, _constant(0.0), 1.0)
+    return PotentialFamily("spike-potential", values, _constant(0.0), 1.0)
 
 
 def _const_potential(c=1.0):
     if c < 0.0:
         raise ValueError(f"const-potential must be nonnegative, got {c}")
-    return PotentialFamily("const-potential", WEAK_STAR_LINF, _constant(c), _constant(c))
+    return PotentialFamily("const-potential", _constant(c), _constant(c))
 
 
 def _const_source(c=1.0):

@@ -1,19 +1,22 @@
 """Sparse SPD factorization and a shift-invert generalized eigensolver.
 
-The factorization is a SuperLU decomposition run in symmetric mode with a
-fill-reducing ordering and diagonal pivoting disabled, which for a
-symmetric positive definite matrix is a Cholesky factorization up to a
-diagonal scaling; a tridiagonal one can instead use LAPACK's ``pttrf``.
+``cholesky`` is the one factorization, and it reads the matrix to choose
+the backend.  A tridiagonal matrix, such as every 1D P1 operator, gets
+LAPACK's ``pttrf``, a factor of two length-n arrays.  Any other matrix gets
+a SuperLU decomposition run in symmetric mode with a fill-reducing
+ordering and diagonal pivoting disabled, which for a symmetric positive
+definite matrix is a Cholesky factorization up to a diagonal scaling.
 
 The eigensolver extracts the k smallest eigenvalues of K x = lambda M x
 with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode at
-sigma = 0, applying inv(K) through the one SuperLU factor of K.  The start
-vector is all ones and ARPACK's restart vectors come from a fixed seed, so
+sigma = 0, applying inv(K) through the one factor of K.  The start vector
+is all ones and ARPACK's restart vectors come from a fixed seed, so
 identical inputs produce bit-identical results.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -46,14 +49,14 @@ class ConvergenceError(NumericalError):
 
 @dataclass(eq=False)
 class CholeskyFactor:
-    """Sparse SPD factor with a fill-reducing permutation."""
+    """SPD factor; ``_lu``, the backend's own factor, has ``solve`` and ``nnz``."""
 
     n: int
     _lu: object
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
+        if b.shape[0] != self.n:  # dpttrs leaves a longer b's tail unsolved
             raise ValueError(f"rhs has length {b.shape[0]}, expected {self.n}")
         return self._lu.solve(b)
 
@@ -61,58 +64,43 @@ class CholeskyFactor:
 def cholesky(matrix) -> CholeskyFactor:
     """Factor a sparse symmetric positive definite matrix.
 
-    Raises ``NotPositiveDefiniteError`` when a pivot is non-positive, which
-    signals either violated ellipticity or the constant kernel of a
-    periodic-space stiffness matrix.
+    A matrix whose every stored entry, an explicit zero too, lies within one
+    of the diagonal is factored by ``pttrf``, any other by SuperLU.  Raises
+    ``ValueError`` unless the matrix is square and symmetric, and
+    ``NotPositiveDefiniteError`` on a non-positive pivot: violated
+    ellipticity, or the constant kernel of a periodic-space stiffness.
     """
     A = sparse.csc_matrix(matrix)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    asym = abs(A - A.T)
-    if asym.nnz and asym.max() != 0.0:
-        raise ValueError("matrix must be symmetric")
-    try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise NotPositiveDefiniteError(f"not positive definite: {exc}") from exc
-    diag = lu.U.diagonal()
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        raise NotPositiveDefiniteError(
-            "not positive definite: factorization produced a non-positive pivot"
-        )
-    return CholeskyFactor(A.shape[0], lu)
-
-
-def tridiagonal_solver(matrix):
-    """``b -> A^-1 b`` for a sparse SPD tridiagonal A, such as a 1D P1 operator.
-
-    LAPACK's ``pttrf`` factor is two length-n arrays, where a SuperLU factor
-    of 16,383 dofs holds 6.25 MiB.  Raises as ``cholesky`` does; the solver,
-    like ``CholeskyFactor.solve``, raises ``ValueError`` on a ``b`` whose
-    length is not n.
-    """
-    A = sparse.csr_matrix(matrix)
     n = A.shape[0]
-    # every stored entry, an explicit zero too, within one of its row's diagonal
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    sub = A.diagonal(1)
-    if np.any(np.abs(A.indices - rows) > 1) or not np.array_equal(sub, A.diagonal(-1)):
-        raise ValueError("matrix must be symmetric and tridiagonal")
-    d, e, info = dpttrf(A.diagonal(), sub)
-    if info != 0:
-        raise NotPositiveDefiniteError(f"not positive definite: pivot {info} of {n}")
-
-    def solve(b):
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != n:  # dpttrs leaves a longer b's tail unsolved
-            raise ValueError(f"rhs has length {b.shape[0]}, expected {n}")
-        x, info = dpttrs(d, e, b)
-        if info != 0:
-            raise NumericalError(f"dpttrs: argument {-info} had an illegal value")
-        return x
-
-    return solve
+    if A.shape[1] != n:
+        raise ValueError("matrix must be square")
+    # the count first: a 2D operator builds no nnz-sized array here
+    if A.nnz <= 3 * n and np.all(
+            np.abs(A.indices - np.repeat(np.arange(n), np.diff(A.indptr))) <= 1):
+        sub = A.diagonal(1)
+        if not np.array_equal(sub, A.diagonal(-1)):
+            raise ValueError("matrix must be symmetric")
+        # f2py's dpttrf and dpttrs take an off-diagonal of length 1 at n = 1;
+        # a failing dpttrf stops at the first non-positive pivot
+        pivots, e, _ = dpttrf(A.diagonal(), sub if n > 1 else np.zeros(1))
+        # L D L' as two arrays; dpttrs's info is nonzero only on a b of another length
+        factor = SimpleNamespace(solve=lambda b: dpttrs(pivots, e, b)[0], nnz=2 * n - 1)
+    else:
+        asym = abs(A - A.T)
+        if asym.nnz and asym.max() != 0.0:
+            raise ValueError("matrix must be symmetric")
+        try:
+            factor = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise NotPositiveDefiniteError(f"not positive definite: {exc}") from exc
+        pivots = factor.U.diagonal()
+    ok = np.isfinite(pivots) & (pivots > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise NotPositiveDefiniteError(
+            f"not positive definite: pivot {i + 1} of {n} is {pivots[i]:.3e}")
+    return CholeskyFactor(n, factor)
 
 
 @dataclass(eq=False)

@@ -14,6 +14,7 @@ documents (the effective config echoed for reproducibility).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__, assembly
 from .families import ConstantMatrixCoefficient
 from .homogenize import CELL_RESOLUTION, homogenized_tensor
-from .linalg import ConvergenceError, eig_smallest, residuals, tridiagonal_solver
+from .linalg import NumericalError, cholesky, eig_smallest, residuals
 from .mesh import FeSpace, build_dirichlet_space
 from .variational import (
     LIMINF_TOL,
@@ -319,6 +320,15 @@ def _rung_space(config: ExperimentConfig, dim: int, h: int,
     return build_dirichlet_space(dim, config.points_per_period * h)
 
 
+@contextlib.contextmanager
+def _at_rung(rung: str):
+    """Prefix a numerical failure inside with its rung, ``h=<h>`` or ``reference``."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise type(exc)(f"{rung}: {exc}", exc.stage) from exc
+
+
 def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
     """Sweep of H_h = -div(A_h grad) + V_h against -div(A* grad) + V, with A*
     the family's limit tensor and V the potential's declared limit.  Without a
@@ -337,7 +347,7 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
                 "tensor_est_error": limit.est_error}
     if potential is not None:
         limit_weight = potential.limit_family()
-        meta.update(potential=potential.name, convergence_class=potential.convergence)
+        meta["potential"] = potential.name
 
     @functools.cache  # the reference and the top rung share the finest space
     def unit_stiffness(space):
@@ -350,10 +360,8 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
             K + assembly.assemble_mass(space, weight, h=h)).tocsr()
 
     def eigenpairs(rung, K, M):
-        try:
+        with _at_rung(rung):
             return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{rung}: {exc}") from exc
 
     space_ref, M_ref = _finest(config, coefficient.dim)
     H_ref = operator(space_ref, limit, limit_weight, 1)
@@ -401,7 +409,8 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     """
     family, source, limit = config.family, config.source, _limit(config)
     space_ref, M_ref = _finest(config, family.dim)
-    u_star = dirichlet_solve(space_ref, limit, source.limit_family(), 1)
+    with _at_rung("reference"):
+        u_star = dirichlet_solve(space_ref, limit, source.limit_family(), 1)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
     edges = np.linspace(0.0, 1.0, WINDOWS + 1)
     identity = ConstantMatrixCoefficient(np.eye(family.dim))
@@ -415,7 +424,8 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     for h in config.h_list:
         t0 = time.perf_counter()
         space = _rung_space(config, family.dim, h, space_ref)
-        u_h = dirichlet_solve(space, family, source, h)
+        with _at_rung(f"h={h}"):
+            u_h = dirichlet_solve(space, family, source, h)
         diff = interpolate_between(space, u_h, space_ref) - u_star
         l2_err = float(np.sqrt(max(diff @ (M_ref @ diff), 0.0)))
         values = np.concatenate([[l2_err], probes(space, u_h)])
@@ -480,7 +490,7 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
     # smooth and zero on the boundary; the gaps do not depend on their scale.
     # Solved in place by column: the targets budget is one (n, t) block
     targets = np.random.default_rng(config.seed).normal(size=(space.num_dofs, config.targets))
-    solve = tridiagonal_solver(K0)
+    solve = cholesky(K0).solve
     for j in range(config.targets):
         targets[:, j] = solve(targets[:, j])
     gaps = liminf_check(K0, M, ladder, targets)

@@ -16,7 +16,7 @@ from scipy import sparse
 from . import assembly
 from .families import PotentialFamily, SourceFamily
 from .homogenize import homogenized_tensor
-from .linalg import cholesky, tridiagonal_solver
+from .linalg import cholesky
 from .mesh import FeSpace, build_dirichlet_space
 
 # weight mu of the Moreau-Yosida envelopes.  A larger mu brings e_h nearer
@@ -122,13 +122,13 @@ def liminf_check(base: sparse.spmatrix, mass: sparse.spmatrix,
     1993); for F(u) = u'Hu, e(u) = mu u'Mu - mu^2 (Mu)'(H + mu M)^-1 (Mu).
     F_h = u'(base + V_h)u at the top rung and the declared limit
     F = u'(base + V)u are compared at each column u of ``targets`` (n, t),
-    through one tridiagonal factor each (the space is 1D).  A target passes
-    when its gap is at most ``LIMINF_TOL``.
+    through one ``cholesky`` factor of H + mu M each.  A target passes when
+    its gap is at most ``LIMINF_TOL``.
     """
     U = np.asarray(targets, dtype=float)
     if U.ndim != 2 or U.shape[0] != base.shape[0]:
         raise ValueError(f"targets have shape {U.shape}, expected ({base.shape[0]}, t)")
-    solvers = [tridiagonal_solver(base + potential + YOSIDA_MU * mass)
+    solvers = [cholesky(base + potential + YOSIDA_MU * mass).solve
                for potential in (ladder.limit, ladder.matrices[-1])]
     gaps = np.empty(U.shape[1])
     # by column: (n, t) temporaries took bench gamma1d-sin2's peak RSS 80.2 -> 82.1 MiB

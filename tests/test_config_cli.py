@@ -215,16 +215,80 @@ def test_exactly_resolved_meshes_validate(h_list):
 
 
 def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    # SuperLU factors the 2D laminate2d operators, LAPACK's pttrf the 1D ones;
+    # either failing exits 2 at the factorization of the first one, the reference
+    splu = linalg.splu
 
-    monkeypatch.setattr(linalg, "splu", singular)
+    def singular(A, **kwargs):  # at the 63^2-dof reference, not the cell problem
+        if A.shape[0] == 63 ** 2:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    laminate = _minimal(family={"name": "laminate2d", "params": [1.0, 4.0]}, h_list=[1, 2])
+    for backend, fails, doc, message in [
+            ("splu", singular, laminate, "Factor is exactly singular"),
+            ("dpttrf", lambda d, e: (0.0 * d, e, 1), _minimal(), "pivot 1 of 255 is 0")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, backend, fails)
+            cfg = _write(tmp_path, doc)
+            assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert ("gconv: numerical failure at stage 'factorization': reference: not "
+                f"positive definite: {message}") in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dofs,rung", [(255, "reference"), (127, "h=4")])
+def test_cli_source_sweep_failure_names_rung(tmp_path, capsys, monkeypatch, dofs, rung):
+    # h=4 solves on 128 cells, h=8 and the reference on the finest, 256
+    dpttrf = linalg.dpttrf
+
+    def fails_at(d, e):  # a zero first pivot at the given size
+        return (0.0 * d, e, 1) if d.size == dofs else dpttrf(d, e)
+
+    monkeypatch.setattr(linalg, "dpttrf", fails_at)
+    cfg = _write(tmp_path, _minimal("source-homog"))
+    assert main(["sweep-source", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert (f"stage 'factorization': {rung}: not positive definite: pivot 1 of {dofs} "
+            "is 0" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("overrides,key", [
+    (["output.json=sub/dir.json"], "output.json"),
+    (['output.json=""'], "output.json"),
+    (["output.csv=."], "output.csv"),
+    (["output.csv=.."], "output.csv"),
+    (["output.json=report.csv"], "output.json"),
+    (["output.csv=same", "output.json=same"], "output.json"),
+], ids=["path", "empty", "dot", "dotdot", "default-csv", "equal"])
+def test_unusable_report_name_exit_1(tmp_path, capsys, overrides, key):
     cfg = _write(tmp_path, _minimal())
-    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert ("gconv: numerical failure at stage 'factorization': not positive "
-            "definite: Factor is exactly singular") in err
-    assert "Traceback" not in err
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    for argv in (["sweep-eigen", "--out", str(tmp_path / "out")], ["validate"]):
+        assert main(argv + ["--config", str(cfg)] + sets) == 1
+        err = capsys.readouterr().err
+        assert f"gconv: config error: config key '{key}': " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unusable_out_exit_1_before_the_run(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "README.md"
+    blocker.write_text("")
+    ran = []
+    monkeypatch.setattr(sweep, "run_homogenize", ran.append)
+    cfg = _write(tmp_path, _minimal("homogenize"))
+    for out in (blocker, blocker / "sub"):
+        assert main(["homogenize", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "gconv: config error: option '--out': " in capsys.readouterr().err
+    assert not ran
+
+
+def test_report_name_of_a_directory_exit_1(tmp_path, capsys):
+    (tmp_path / "report.json").mkdir()
+    cfg = _write(tmp_path, _minimal("homogenize"))
+    assert main(["homogenize", "--config", str(cfg), "--out", str(tmp_path),
+                 "--set", "output.json=report.json"]) == 1
+    assert "gconv: config error: config key 'output.json': " in capsys.readouterr().err
 
 
 def test_cli_eigensolver_failure_exit_2(tmp_path, capsys):

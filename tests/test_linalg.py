@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 from scipy import sparse
+from scipy.sparse.linalg import SuperLU
 
 from gconv import assembly
 from gconv.families import ConstantMatrixCoefficient, make_builtin_family
@@ -10,7 +11,6 @@ from gconv.linalg import (
     NotPositiveDefiniteError,
     cholesky,
     eig_smallest,
-    tridiagonal_solver,
 )
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 
@@ -39,48 +39,80 @@ def test_cholesky_rejects_zero_row():
 
 
 def test_cholesky_rejects_indefinite():
+    # diagonal, so through pttrf
     with pytest.raises(NotPositiveDefiniteError):
         cholesky(sparse.diags([1.0, -1.0]).tocsr())
 
 
 def test_cholesky_rejects_unsymmetric():
+    # tridiagonal, so through pttrf's band check
     A = sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="symmetric"):
         cholesky(A)
 
 
-def test_tridiagonal_solver_matches_cholesky():
+def test_cholesky_tridiagonal_matches_dense():
     sp = build_space(build_interval_mesh(128), DIRICHLET)
     K = (assembly.assemble_stiffness(sp, make_builtin_family("const", [1.0]))
          + assembly.assemble_mass(sp, make_builtin_family("sin2-potential"), h=4))
     b = np.random.default_rng(3).normal(size=(sp.num_dofs, 3))
-    x = tridiagonal_solver(K)(b)
-    ref = cholesky(K).solve(b)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)  # cond(K) eps
-    assert np.array_equal(tridiagonal_solver(K)(b[:, 0]), x[:, 0])
+    factor = cholesky(K)
+    assert factor._lu.nnz == 2 * sp.num_dofs - 1  # pttrf: two arrays, no fill
+    x = factor.solve(b)
+    ref = np.linalg.solve(K.toarray(), b)
+    bound = np.linalg.cond(K.toarray()) * np.finfo(float).eps
+    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    assert np.array_equal(factor.solve(b[:, 0]), x[:, 0])
+
+
+def test_cholesky_one_by_one():
+    factor = cholesky(sparse.csr_matrix([[4.0]]))
+    assert factor._lu.nnz == 1
+    assert np.array_equal(factor.solve(np.array([2.0])), [0.5])
+
+
+PENTADIAGONAL = np.diag([1.0, 1.0, 1.0]) + np.diag([0.5], 2) + np.diag([0.5], -2)
+
+
+@pytest.mark.parametrize("matrix", [
+    PENTADIAGONAL,
+    # an explicitly stored zero two off the diagonal: the pattern is not a band
+    sparse.csr_matrix(([2.0, 0.0, 2.0, 2.0], [0, 2, 1, 2], [0, 2, 3, 4]), shape=(3, 3)),
+], ids=["pentadiagonal", "stored-zero"])
+def test_cholesky_off_band_uses_superlu(matrix):
+    A = sparse.csr_matrix(matrix)
+    factor = cholesky(A)
+    assert isinstance(factor._lu, SuperLU)
+    b = np.array([1.0, -2.0, 3.0])
+    assert np.allclose(factor.solve(b), np.linalg.solve(A.toarray(), b), rtol=1e-14)
 
 
 @pytest.mark.parametrize("matrix,error", [
-    (np.diag([1.0, 1.0, 1.0]) + np.diag([0.5], 2) + np.diag([0.5], -2), ValueError),
-    # an explicitly stored zero two off the diagonal: the pattern is not a band
-    (sparse.csr_matrix(([2.0, 0.0, 2.0, 2.0], [0, 2, 1, 2], [0, 2, 3, 4]), shape=(3, 3)),
-     ValueError),
-    (np.array([[2.0, 1.0], [0.0, 2.0]]), ValueError),
-    (np.diag([1.0, -1.0]), NotPositiveDefiniteError),
-], ids=["pentadiagonal", "stored-zero", "unsymmetric", "indefinite"])
-def test_tridiagonal_solver_rejects(matrix, error):
+    (PENTADIAGONAL + np.diag([0.25], 2), ValueError),
+    (PENTADIAGONAL - np.diag([2.0, 0.0, 0.0]), NotPositiveDefiniteError),
+], ids=["unsymmetric", "indefinite"])
+def test_cholesky_off_band_rejects(matrix, error):
     with pytest.raises(error):
-        tridiagonal_solver(sparse.csr_matrix(matrix))
+        cholesky(sparse.csr_matrix(matrix))
 
 
 @pytest.mark.parametrize("length", [2, 4])
 def test_tridiagonal_solve_checks_rhs_length(length):
     # LAPACK's dpttrs returns a longer b's tail unsolved and a shorter one
     # as garbage with a negative info
-    solve = tridiagonal_solver(sparse.diags([[-1.0] * 2, [2.0] * 3, [-1.0] * 2],
-                                            [-1, 0, 1], format="csr"))
+    factor = cholesky(sparse.diags([[-1.0] * 2, [2.0] * 3, [-1.0] * 2], [-1, 0, 1],
+                                   format="csr"))
+    assert not isinstance(factor._lu, SuperLU)
     with pytest.raises(ValueError, match="rhs has length .*, expected 3"):
-        solve(np.ones(length))
+        factor.solve(np.ones(length))
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_superlu_solve_checks_rhs_length(length):
+    factor = cholesky(sparse.csr_matrix(PENTADIAGONAL))
+    assert isinstance(factor._lu, SuperLU)
+    with pytest.raises(ValueError, match="rhs has length .*, expected 3"):
+        factor.solve(np.ones(length))
 
 
 def test_solve_identity():

@@ -352,7 +352,8 @@ def test_combined_config_converges_by_a3_rule():
     assert max_rel[-1] <= 2e-2
     assert all(b <= 1.2 * a for a, b in zip(max_rel, max_rel[1:]))
     assert all(rec.residuals.max() <= cfg.eig_tol for rec in rep.records)
-    assert set(rep.reference_meta) >= {"tensor", "potential", "convergence_class"}
+    assert set(rep.reference_meta) == {"tensor", "provenance", "tensor_est_error",
+                                       "potential", "finest_cells"}
 
 
 def test_potential_sweep_interpolates_each_vector_once(monkeypatch):
