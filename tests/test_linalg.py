@@ -65,6 +65,19 @@ def test_cholesky_tridiagonal_matches_dense():
     assert np.array_equal(factor.solve(b[:, 0]), x[:, 0])
 
 
+@pytest.mark.parametrize("matrix,error,message", [
+    (np.diag([2.0, 2.0, 2.0]) + np.diag([1.0, 1.0], 1) + np.diag([0.5, 1.0], -1),
+     ValueError, "symmetric"),
+    # pivots 1, 0.5 - 1: dpttrf stops inside the band, not at a diagonal entry
+    (np.diag([1.0, 0.5, 2.0]) + np.diag([-1.0, -1.0], 1) + np.diag([-1.0, -1.0], -1),
+     NotPositiveDefiniteError, "pivot 2 of 3"),
+], ids=["unsymmetric", "indefinite"])
+def test_tridiagonal_solver_rejects(matrix, error, message):
+    # the pttrf path of cholesky: every entry within one of the diagonal
+    with pytest.raises(error, match=message):
+        cholesky(sparse.csr_matrix(matrix))
+
+
 def test_cholesky_one_by_one():
     factor = cholesky(sparse.csr_matrix([[4.0]]))
     assert factor._lu.nnz == 1
