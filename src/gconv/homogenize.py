@@ -11,7 +11,6 @@ independent reference.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from . import assembly
 from .families import (
@@ -20,8 +19,8 @@ from .families import (
     PiecewiseCoefficient,
     check_resolution,
 )
-from .linalg import ConvergenceError, cholesky
-from .mesh import PERIODIC, QUADRATURE, build_rect_mesh, build_space
+from .linalg import ConvergenceError, cholesky, prefix_failures
+from .mesh import PERIODIC, QUADRATURE, build_rect_mesh, build_space, transfer
 
 CLOSED_FORM = "closed-form"
 CELL_PROBLEM = "cell-problem"
@@ -64,16 +63,6 @@ def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficie
     return ConstantMatrixCoefficient(np.array([[fine]]), CLOSED_FORM, abs(fine - coarse))
 
 
-def _prolongation(res: int) -> sparse.csr_matrix:
-    """Periodic P1 prolongation from the res/2 to the res grid: the meshes nest,
-    so fine node (i, j) averages coarse (i, j) // 2 and (i + 1, j + 1) // 2."""
-    m = res // 2
-    i, j = np.divmod(np.tile(np.arange(res * res), 2), res)
-    shift = np.repeat([0, 1], res * res)
-    cols = ((i + shift) // 2 % m) * m + (j + shift) // 2 % m
-    return sparse.csr_matrix((np.full(i.size, 0.5), (i * res + j, cols)))
-
-
 def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     """Effective 2x2 tensor of a 1-periodic coefficient field on the unit cell.
 
@@ -95,8 +84,11 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     context = f"cell_problem_2d(resolution={cell_resolution})"
     check_resolution(1.0, 1.0 / cell_resolution, context)
 
+    def grid(res):  # bare: P is built from two, so no level's pattern stays alive
+        return build_space(build_rect_mesh(res, res), PERIODIC)
+
     def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
-        space = build_space(build_rect_mesh(res, res), PERIODIC)
+        space = grid(res)
         dofs, measure, grads = space.cell_data()[:3]
         # the level's one sampling of the field, read by the stiffness, the
         # right-hand sides and the tensor map; the samples go with this call
@@ -117,7 +109,8 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
 
     refine = cell_resolution >= 32 and cell_resolution % 2 == 0
     Kc, bc, tensor_c = level(cell_resolution // 2 if refine else cell_resolution)
-    factor = cholesky(Kc[1:, 1:].tocsc())
+    with prefix_failures(context):
+        factor = cholesky(Kc[1:, 1:].tocsc())
 
     def coarse_solve(r):  # dof 0 grounded
         return np.insert(factor.solve(r[1:]), 0, 0.0, axis=0)
@@ -128,7 +121,7 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     del Kc, bc, tensor_c  # only the companion's factor is read from here on
 
     K, b, tensor = level(cell_resolution)
-    P = _prolongation(cell_resolution)
+    P = transfer(grid(cell_resolution // 2), grid(cell_resolution))
     jacobi = (2.0 / 3.0) / K.diagonal()
 
     def two_grid(r):

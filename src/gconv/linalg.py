@@ -15,6 +15,7 @@ identical inputs produce bit-identical results.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -22,7 +23,9 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+
+EIG_TOL = 1e-10  # default bound on eig_smallest's worst relative residual
 
 
 class NumericalError(RuntimeError):
@@ -45,6 +48,15 @@ class ConvergenceError(NumericalError):
     """An iterative solver did not reach its tolerance."""
 
     stage = "eigensolver"
+
+
+@contextlib.contextmanager
+def prefix_failures(context: str):
+    """Prefix a ``NumericalError`` raised inside with ``context``; class and stage stay."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise type(exc)(f"{context}: {exc}", exc.stage) from exc
 
 
 @dataclass(eq=False)
@@ -129,13 +141,13 @@ def residuals(K, M, vals, vecs) -> np.ndarray:
     return res
 
 
-def eig_smallest(K, M, k: int, tol: float = 1e-10) -> EigenResult:
+def eig_smallest(K, M, k: int, tol: float = EIG_TOL) -> EigenResult:
     """k smallest eigenpairs of the generalized pencil K x = lambda M x.
 
     K must be SPD (factored once; the factor applies inv(K) to every ARPACK
     iterate), M SPD.  For k = n ARPACK cannot run and the dense pencil is
-    solved instead.  Raises ``ConvergenceError`` when ARPACK does not
-    converge or when the worst final residual exceeds ``tol``.
+    solved instead.  Raises ``ConvergenceError`` on any ARPACK error, no
+    convergence among them, and when the worst final residual exceeds ``tol``.
     """
     K = sparse.csr_matrix(K)
     M = sparse.csr_matrix(M)
@@ -150,7 +162,7 @@ def eig_smallest(K, M, k: int, tol: float = 1e-10) -> EigenResult:
         try:
             vals, vecs = eigsh(K, k, M=M, sigma=0.0, OPinv=op, v0=np.ones(n),
                                rng=0)
-        except ArpackNoConvergence as exc:
+        except ArpackError as exc:
             raise ConvergenceError(f"eig_smallest: {exc}") from exc
     order = np.argsort(vals)
     vals = vals[order]

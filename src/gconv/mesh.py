@@ -16,6 +16,7 @@ from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 DIRICHLET = "dirichlet-zero"
 PERIODIC = "periodic"
@@ -284,3 +285,31 @@ def build_dirichlet_space(dim: int, n: int) -> FeSpace:
     """Dirichlet P1 space on the unit interval or square, n cells per side."""
     mesh = build_interval_mesh(n) if dim == 1 else build_rect_mesh(n, n)
     return build_space(mesh, DIRICHLET)
+
+
+def transfer(space_from: FeSpace, space_to: FeSpace) -> sparse.csr_matrix:
+    """P1 interpolation of ``space_from`` functions at ``space_to``'s dofs, 1D or 2D.
+
+    Points are located in integer arithmetic: grid point g / b of a b-cell
+    axis lies in cell c = min(g a // b, a - 1) of an a-cell axis, at local
+    coordinate (g a - c b) / b, so a space onto itself is exactly the identity.
+    Columns come from ``space_from.dof_of_vertex``: eliminated (Dirichlet)
+    vertices drop out and periodic ones wrap.  Zero weights are not stored.
+    """
+    a, b = (np.array(s.mesh.structure)[:, None] for s in (space_from, space_to))
+    g = np.array(np.unravel_index(space_to.dof_vertices, b[:, 0] + 1))  # (dim, n)
+    cell = np.minimum(g * a // b, a - 1)
+    local = (g * a - cell * b) / b
+    # with each square cut along its 00-11 diagonal, the triangle holding local
+    # coordinates p >= q has corners 00, one step along p's axis, and 11, with
+    # weights 1 - p, p - q and q; in 1D p = q, and the middle weight is zero
+    stride = np.ravel_multi_index(np.eye(a.size, dtype=int), a[:, 0] + 1)
+    v00, p, q = stride @ cell, local.max(axis=0), local.min(axis=0)
+    vertex = np.column_stack([v00, v00 + stride[local.argmax(axis=0)], v00 + stride.sum()])
+    weights = np.column_stack([1.0 - p, p - q, q])
+    cols = space_from.dof_of_vertex[vertex]
+    kept = (cols >= 0) & (weights != 0.0)
+    indptr = np.zeros(space_to.num_dofs + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+    return sparse.csr_matrix((weights[kept], cols[kept].astype(np.int32), indptr),
+                             shape=(space_to.num_dofs, space_from.num_dofs))

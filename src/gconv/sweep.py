@@ -14,7 +14,6 @@ documents (the effective config echoed for reproducibility).
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import json
@@ -27,8 +26,8 @@ import numpy as np
 from . import __version__, assembly
 from .families import ConstantMatrixCoefficient
 from .homogenize import CELL_RESOLUTION, homogenized_tensor
-from .linalg import NumericalError, cholesky, eig_smallest, residuals
-from .mesh import FeSpace, build_dirichlet_space
+from .linalg import EIG_TOL, cholesky, eig_smallest, prefix_failures, residuals
+from .mesh import FeSpace, build_dirichlet_space, transfer
 from .variational import (
     LIMINF_TOL,
     POINTS_PER_PERIOD,
@@ -100,7 +99,7 @@ class ExperimentConfig:
     h_list: tuple
     points_per_period: int = POINTS_PER_PERIOD
     eigen_count: int = 3
-    eig_tol: float = 1e-10
+    eig_tol: float = EIG_TOL
     seed: int = 0
     family: object = None          # these three: None when the config omits them
     potential: object = None
@@ -202,33 +201,8 @@ def _jsonify(obj):
 
 def interpolate_between(space_from: FeSpace, u: np.ndarray,
                         space_to: FeSpace) -> np.ndarray:
-    """P1 interpolation of a coarse-space function onto a finer space.
-
-    Both spaces must discretize the unit interval or square; Dirichlet
-    boundary values are zero on both sides.
-    """
-    mesh = space_from.mesh
-    coords = space_to.dof_coordinates()
-    full = np.zeros(mesh.num_vertices)
-    full[space_from.dof_vertices] = u
-    if mesh.dimension == 1:
-        return np.interp(coords[:, 0], mesh.vertices[:, 0], full)
-    nx, ny = mesh.structure
-    grid = full.reshape(nx + 1, ny + 1)
-    gx = np.clip(coords[:, 0] / (1.0 / nx), 0.0, nx * (1 - 1e-15))
-    gy = np.clip(coords[:, 1] / (1.0 / ny), 0.0, ny * (1 - 1e-15))
-    i = np.floor(gx).astype(int)
-    j = np.floor(gy).astype(int)
-    xi = gx - i
-    eta = gy - j
-    lower = xi >= eta  # below the fixed diagonal of each grid square
-    v00 = grid[i, j]
-    v10 = grid[i + 1, j]
-    v11 = grid[i + 1, j + 1]
-    v01 = grid[i, j + 1]
-    vals_low = v00 * (1.0 - xi) + v10 * (xi - eta) + v11 * eta
-    vals_up = v00 * (1.0 - eta) + v11 * xi + v01 * (eta - xi)
-    return np.where(lower, vals_low, vals_up)
+    """``mesh.transfer``'s P1 interpolation of u, a vector or an (n, k) block."""
+    return transfer(space_from, space_to) @ u
 
 
 # relative gap below which two eigenvalues count as one cluster
@@ -320,15 +294,6 @@ def _rung_space(config: ExperimentConfig, dim: int, h: int,
     return build_dirichlet_space(dim, config.points_per_period * h)
 
 
-@contextlib.contextmanager
-def _at_rung(rung: str):
-    """Prefix a numerical failure inside with its rung, ``h=<h>`` or ``reference``."""
-    try:
-        yield
-    except NumericalError as exc:
-        raise type(exc)(f"{rung}: {exc}", exc.stage) from exc
-
-
 def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
     """Sweep of H_h = -div(A_h grad) + V_h against -div(A* grad) + V, with A*
     the family's limit tensor and V the potential's declared limit.  Without a
@@ -360,7 +325,7 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
             K + assembly.assemble_mass(space, weight, h=h)).tocsr()
 
     def eigenpairs(rung, K, M):
-        with _at_rung(rung):
+        with prefix_failures(rung):
             return eig_smallest(K, M, config.eigen_count, tol=config.eig_tol)
 
     space_ref, M_ref = _finest(config, coefficient.dim)
@@ -372,8 +337,7 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
         space = _rung_space(config, coefficient.dim, h, space_ref)
         M = M_ref if space is space_ref else assembly.assemble_mass(space)
         eig = eigenpairs(f"h={h}", operator(space, coefficient, potential, h), M)
-        X = np.column_stack([interpolate_between(space, x, space_ref)
-                             for x in eig.vectors.T])
+        X = interpolate_between(space, eig.vectors, space_ref)
         vec_err = eigenvector_errors(X, ref.vectors, M_ref, ref.values)
         limit_res = None
         if family is None:
@@ -409,7 +373,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     """
     family, source, limit = config.family, config.source, _limit(config)
     space_ref, M_ref = _finest(config, family.dim)
-    with _at_rung("reference"):
+    with prefix_failures("reference"):
         u_star = dirichlet_solve(space_ref, limit, source.limit_family(), 1)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
     edges = np.linspace(0.0, 1.0, WINDOWS + 1)
@@ -424,7 +388,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     for h in config.h_list:
         t0 = time.perf_counter()
         space = _rung_space(config, family.dim, h, space_ref)
-        with _at_rung(f"h={h}"):
+        with prefix_failures(f"h={h}"):
             u_h = dirichlet_solve(space, family, source, h)
         diff = interpolate_between(space, u_h, space_ref) - u_star
         l2_err = float(np.sqrt(max(diff @ (M_ref @ diff), 0.0)))

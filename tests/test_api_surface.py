@@ -187,3 +187,11 @@ def test_optional_parameters_are_passed():
             if not hit and (qualname, param) not in UNPASSED_ALLOWED:
                 unpassed.append(f"{qualname}({param})")
     assert not unpassed, f"optional parameters only unit tests pass: {unpassed}"
+
+
+def test_only_mesh_reads_the_grid_layout():
+    # Mesh.structure, the cells per axis, fixes the vertex and dof order of
+    # the structured grid; a module that needs that order asks mesh for it
+    readers = [path.stem for path in sorted(SRC.glob("*.py")) if path.stem != "mesh"
+               and "structure" in _attribute_names(ast.parse(path.read_text()), None)]
+    assert not readers, f"modules that read Mesh.structure: {readers}"

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackError
 
 from gconv import homogenize, linalg, sweep
 from gconv.cli import main
@@ -238,6 +239,27 @@ def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_cli_cell_problem_factor_failure_names_resolution(tmp_path, capsys, monkeypatch):
+    # the 128^2 cell problem factors its 64^2 companion, one dof grounded,
+    # before the sweep's first operator
+    splu = linalg.splu
+
+    def singular(A, **kwargs):
+        if A.shape[0] == 64 ** 2 - 1:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", singular)
+    cfg = _write(tmp_path, _minimal(family={"name": "laminate2d", "params": [1.0, 4.0]},
+                                    h_list=[1, 2]))
+    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("gconv: numerical failure at stage 'factorization': "
+            "cell_problem_2d(resolution=128): not positive definite: "
+            "Factor is exactly singular") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dofs,rung", [(255, "reference"), (127, "h=4")])
 def test_cli_source_sweep_failure_names_rung(tmp_path, capsys, monkeypatch, dofs, rung):
     # h=4 solves on 128 cells, h=8 and the reference on the finest, 256
@@ -327,6 +349,24 @@ def test_cli_cell_problem_cg_failure_names_stage_and_resolution(tmp_path, capsys
     err = capsys.readouterr().err
     assert "stage 'cell problem': cell_problem_2d(resolution=32): " in err
     assert "relative residual" in err and "Traceback" not in err
+
+
+def test_cli_arpack_error_exits_2_naming_rung(tmp_path, capsys, monkeypatch):
+    # any ARPACK error, not only no convergence, fails the rung's eigensolve;
+    # the h=8 rung has 255 dofs, the reference 511
+    eigsh = linalg.eigsh
+
+    def fails(K, k, **kwargs):
+        if K.shape[0] == 255:
+            raise ArpackError(-9999)
+        return eigsh(K, k, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", fails)
+    cfg = _write(tmp_path, _minimal(h_list=[4, 8, 16]))
+    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'eigensolver': h=8: eig_smallest: ARPACK error -9999" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("subcommand,kind", [("sweep-eigen", "eigen-homog"),

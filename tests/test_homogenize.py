@@ -15,13 +15,12 @@ from gconv.families import (
     piecewise_coefficient,
 )
 from gconv.homogenize import (
-    _prolongation,
     cell_problem_2d,
     harmonic_mean_1d,
     homogenized_tensor,
     locality_check,
 )
-from gconv.mesh import PERIODIC, build_rect_mesh, build_space
+from gconv.mesh import PERIODIC, build_rect_mesh, build_space, transfer
 
 SQRT3 = math.sqrt(3.0)
 
@@ -202,7 +201,7 @@ def test_cell_problem_odd_resolution_has_no_companion(res):
 
 
 def test_prolongation_nests_the_periodic_grids():
-    P = _prolongation(16)
+    P = transfer(*(build_space(build_rect_mesh(n, n), PERIODIC) for n in (8, 16)))
     assert P.shape == (256, 64)
     assert np.abs(P @ np.ones(64) - 1.0).max() <= 1e-15
     coarse = np.random.default_rng(0).normal(size=64)

@@ -3,7 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gconv import assembly
+from gconv.families import ConstantMatrixCoefficient
 from gconv.mesh import (
     DIRICHLET,
     PERIODIC,
@@ -11,6 +15,7 @@ from gconv.mesh import (
     build_interval_mesh,
     build_rect_mesh,
     build_space,
+    transfer,
 )
 
 
@@ -139,3 +144,58 @@ def test_pattern_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * sum(a.nbytes for a in pattern)
+
+
+def _float_interpolation(space_from, u, space_to):
+    """P1 interpolation that locates points in floating point, with a clip
+    at the upper faces: the reference for ``transfer``, nested or not."""
+    mesh = space_from.mesh
+    coords = space_to.dof_coordinates()
+    dof = space_from.dof_of_vertex
+    full = np.where(dof >= 0, u[dof], 0.0)
+    if mesh.dimension == 1:
+        return np.interp(coords[:, 0], mesh.vertices[:, 0], full)
+    nx, ny = mesh.structure
+    grid = full.reshape(nx + 1, ny + 1)
+    gx = np.clip(coords[:, 0] / (1.0 / nx), 0.0, nx * (1 - 1e-15))
+    gy = np.clip(coords[:, 1] / (1.0 / ny), 0.0, ny * (1 - 1e-15))
+    i = np.floor(gx).astype(int)
+    j = np.floor(gy).astype(int)
+    xi = gx - i
+    eta = gy - j
+    v00, v10 = grid[i, j], grid[i + 1, j]
+    v11, v01 = grid[i + 1, j + 1], grid[i, j + 1]
+    vals_low = v00 * (1.0 - xi) + v10 * (xi - eta) + v11 * eta
+    vals_up = v00 * (1.0 - eta) + v11 * xi + v01 * (eta - xi)
+    return np.where(xi >= eta, vals_low, vals_up)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dim=st.sampled_from([1, 2]), rule=st.sampled_from([DIRICHLET, PERIODIC]),
+       cells=st.integers(2, 6), ratio=st.integers(1, 4), other=st.integers(2, 25))
+def test_transfer_property(dim, rule, cells, ratio, other):
+    def space(n):
+        return build_space(build_interval_mesh(n) if dim == 1 else build_rect_mesh(n, n),
+                           rule)
+
+    coarse, fine, apart = space(cells), space(ratio * cells), space(other)
+    # a grid onto itself: the identity, bit for bit
+    same = transfer(coarse, coarse)
+    assert same.nnz == coarse.num_dofs
+    assert np.array_equal(same.toarray(), np.eye(coarse.num_dofs))
+    P = transfer(coarse, fine)
+    pairs = [(coarse, fine), (fine, coarse), (coarse, apart), (apart, coarse)]
+    if rule == PERIODIC:  # every point sits in a cell whose corners all own dofs
+        for s, t in pairs:
+            assert np.abs(transfer(s, t) @ np.ones(s.num_dofs) - 1.0).max() <= 1e-15
+    # nested P1 spaces: the Galerkin product of the unit stiffness is the
+    # coarse unit stiffness
+    unit = ConstantMatrixCoefficient(np.eye(dim))
+    K_to, K_from = (assembly.assemble_stiffness(s, unit) for s in (fine, coarse))
+    assert np.abs((P.T @ K_to @ P - K_from).toarray()).max() <= 1e-12
+    # either direction, nested or not: the floating-point location's values
+    rng = np.random.default_rng(cells * 100 + other)
+    for s, t in pairs:
+        u = rng.normal(size=s.num_dofs)
+        ref = _float_interpolation(s, u, t)
+        assert np.abs(transfer(s, t) @ u - ref).max() <= 1e-13 * np.abs(u).max()

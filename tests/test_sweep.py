@@ -357,7 +357,8 @@ def test_combined_config_converges_by_a3_rule():
 
 
 def test_potential_sweep_interpolates_each_vector_once(monkeypatch):
-    # the eigenvector errors and the limit residuals share one interpolation
+    # the eigenvector errors and the limit residuals share one interpolation,
+    # one product per rung for the whole block of eigenvectors
     calls = []
     interpolate = sweep.interpolate_between
 
@@ -370,7 +371,8 @@ def test_potential_sweep_interpolates_each_vector_once(monkeypatch):
                            potential=make_builtin_family("sin2-potential"),
                            eigen_count=2)
     run_eigen_potential(cfg)
-    assert len(calls) == cfg.eigen_count * len(cfg.h_list)
+    assert len(calls) == len(cfg.h_list)
+    assert all(u.shape[1] == cfg.eigen_count for _, u, _ in calls)
 
 
 def test_divcurl_runner_envelope():
