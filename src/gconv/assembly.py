@@ -116,10 +116,8 @@ def assemble_load(space: FeSpace, source, h: int = 1) -> np.ndarray:
         np.multiply(sum(wf[q] * cd.phi[q, i] for q in range(nq)), cd.measure,
                     out=local[:, i])
     del wf
-    b = np.zeros(space.num_dofs)
     keep = cd.dofs >= 0
-    np.add.at(b, cd.dofs[keep], local[keep])
-    return b
+    return np.bincount(cd.dofs[keep], local[keep], minlength=space.num_dofs)
 
 
 def cell_gradients(space: FeSpace, u: np.ndarray) -> np.ndarray:

@@ -89,13 +89,12 @@ def _run_experiment(args, config: ExperimentConfig) -> int:
     runner = getattr(sweep, experiment.runner)
     report = runner(config)
     paths = []
-    for fmt, default in zip(("csv", "json"), experiment.outputs):
-        if default is not None:
-            paths.append(out / (config.echo["output"][fmt] or default))
-            try:
-                emit_report(report, fmt, paths[-1])
-            except OSError as exc:  # such as a directory of that name under --out
-                raise ConfigError(f"config key 'output.{fmt}': {exc}") from exc
+    for fmt, name in experiment.reports(config.echo["output"]).items():
+        paths.append(out / name)
+        try:
+            emit_report(report, fmt, paths[-1])
+        except OSError as exc:  # such as a directory of that name under --out
+            raise ConfigError(f"config key 'output.{fmt}': {exc}") from exc
     if args.verbose:
         for line in report.lines():
             print(line)

@@ -1,9 +1,9 @@
 """Strict JSON configuration schema for experiment runs.
 
-A config is a single JSON object; unknown keys are rejected anywhere in the
-document and every reported problem names the offending key.  Overrides use
-dotted paths (``solver.eig_tol=1e-8``) with values parsed as JSON and type
-checked against the schema.
+A config is a single JSON object; unknown and duplicate keys are rejected
+anywhere in the document and every reported problem names the offending
+key.  Overrides use dotted paths (``solver.eig_tol=1e-8``) with values
+parsed as JSON and checked against the schema's types and least values.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .families import (
     check_resolution,
     make_builtin_family,
 )
+from .linalg import lanczos_vectors
 from .mesh import axis_step
 from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
 
@@ -31,18 +32,9 @@ from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
 # on a 2-core, 8 GiB host, where a 1000^2 mesh would not fit in memory
 MAX_DOFS = {1: 1_000_000, 2: 512 ** 2}
 # most doubles of one dense block on the finest mesh's n dofs, 1 GiB: ARPACK's
-# Lanczos basis of min(n, max(2k + 1, 20)) vectors (scipy's default ncv), or
-# the gamma check's targets
+# Lanczos basis of linalg.lanczos_vectors(n, k) vectors, or the gamma
+# check's targets
 MAX_BASIS_DOUBLES = 2 ** 27
-
-# least value of each numeric top-level key
-MINIMA = {
-    "seed": 0,
-    "targets": 1,
-    "points_per_period": 16,
-    "eigen_count": 1,
-    "cell_resolution": RESOLUTION_POINTS,  # the cell oracle's resolution rule
-}
 
 
 class ConfigError(ValueError):
@@ -57,10 +49,11 @@ FAMILY_CLASSES = {
 }
 
 
-# leaf spec: (type tag, default, description); required leaves have default
-# REQUIRED.  Type tags: str, int, float, int_list, float_list; a dict in
-# place of a tag is a nested schema.  A key that is an ExperimentConfig
-# field takes that field's default.
+# leaf spec: (type tag, default, description), and for an int or int_list
+# leaf optionally its least value (of every entry of a list).  Required
+# leaves have default REQUIRED.  Type tags: str, int, float, int_list,
+# float_list; a dict in place of a tag is a nested schema.  A key that is an
+# ExperimentConfig field takes that field's default.
 REQUIRED = object()
 DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
@@ -88,19 +81,20 @@ _OUTPUT_SCHEMA = {
 SCHEMA = {
     "experiment": ("str", REQUIRED,
                    "one of " + ", ".join(EXPERIMENTS)),
-    "seed": ("int", DEFAULTS["seed"], "seed for every randomized probe"),
-    "h_list": ("int_list", [4, 8, 16, 32, 64], "ascending frequency ladder"),
+    "seed": ("int", DEFAULTS["seed"], "seed for every randomized probe", 0),
+    "h_list": ("int_list", [4, 8, 16, 32, 64], "ascending frequency ladder", 1),
     "points_per_period": ("int", DEFAULTS["points_per_period"],
-                          "mesh points per oscillation period (>= 16)"),
-    "eigen_count": ("int", DEFAULTS["eigen_count"], "number of eigenpairs per rung"),
+                          "mesh points per oscillation period (>= 16)", 16),
+    "eigen_count": ("int", DEFAULTS["eigen_count"], "number of eigenpairs per rung", 1),
     "family": (_FAMILY_SCHEMA, None, "coefficient family spec"),
     "potential": (_SEQUENCE_SCHEMA, None, "potential family spec"),
     "source": (_SEQUENCE_SCHEMA, None, "source family spec"),
     "solver": (_SOLVER_SCHEMA, {}, "solver tolerances"),
     "output": (_OUTPUT_SCHEMA, {}, "report filenames"),
-    "targets": ("int", DEFAULTS["targets"], "random targets of the envelope check"),
+    "targets": ("int", DEFAULTS["targets"], "random targets of the envelope check", 1),
+    # the cell oracle's resolution rule
     "cell_resolution": ("int", DEFAULTS["cell_resolution"],
-                        "2D unit-cell resolution for the limit tensor"),
+                        "2D unit-cell resolution for the limit tensor", RESOLUTION_POINTS),
 }
 
 
@@ -127,7 +121,7 @@ def _validate_level(data, schema, prefix):
             path = f"{prefix}.{key}" if prefix else key
             raise ConfigError(f"config key '{path}': unknown key")
     out = {}
-    for key, (tag, default, _desc) in schema.items():
+    for key, (tag, default, _desc, *least) in schema.items():
         path = f"{prefix}.{key}" if prefix else key
         if key not in data and default is REQUIRED:
             raise ConfigError(f"config key '{path}': required key missing")
@@ -138,6 +132,9 @@ def _validate_level(data, schema, prefix):
             out[key] = _validate_level(value, tag, path)
         elif not _type_ok(tag, value):
             raise ConfigError(f"config key '{path}': expected {tag}, got {value!r}")
+        elif least and min(value if tag == "int_list" else [value]) < least[0]:
+            entries = "entries " if tag == "int_list" else ""
+            raise ConfigError(f"config key '{path}': {entries}must be >= {least[0]}")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -166,11 +163,6 @@ def validate_config(data: dict) -> ExperimentConfig:
     hs = effective["h_list"]
     if hs != sorted(hs) or len(set(hs)) != len(hs):
         raise ConfigError("config key 'h_list': must be strictly ascending")
-    if hs[0] < 1:
-        raise ConfigError("config key 'h_list': entries must be >= 1")
-    for key, least in MINIMA.items():
-        if not effective[key] >= least:  # a NaN fails too
-            raise ConfigError(f"config key '{key}': must be >= {least}")
     dofs = effective["cell_resolution"] ** 2  # the 2D limit oracle's budget
     if dofs > MAX_DOFS[2]:
         raise ConfigError(f"config key 'cell_resolution': cell problem of {dofs} "
@@ -178,14 +170,16 @@ def validate_config(data: dict) -> ExperimentConfig:
     if not 0 < effective["solver"]["eig_tol"] < math.inf:  # a NaN fails too
         raise ConfigError("config key 'solver.eig_tol': must be finite and > 0")
     output = effective["output"]
+    reports = experiment.reports(output)
     for fmt, name in output.items():
+        if name is not None and fmt not in reports:
+            raise ConfigError(f"config key 'output.{fmt}': experiment '{kind}' "
+                              f"writes no {fmt.upper()} report")
         if name is not None and (name in ("", ".", "..") or "\0" in name
                                  or os.path.basename(name) != name):
             raise ConfigError(f"config key 'output.{fmt}': {name!r} is not a plain file name")
-    csv_name, json_name = (output[fmt] or default
-                           for fmt, default in zip(("csv", "json"), experiment.outputs))
-    if experiment.outputs[0] is not None and csv_name == json_name:
-        raise ConfigError(f"config key 'output.json': {json_name!r} names the CSV report too")
+    if reports.get("csv") == reports["json"]:
+        raise ConfigError(f"config key 'output.json': {reports['json']!r} names the CSV report too")
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
     dim = getattr(family, "dim", 1)
@@ -216,7 +210,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config key 'eigen_count': must be <= {coarsest}, "
                           f"the dofs of the coarsest rung h={hs[0]}")
     finest = (n - 1) ** dim
-    basis = min(finest, max(2 * k + 1, 20)) * finest
+    basis = lanczos_vectors(finest, k) * finest
     if kind in EIGEN_KINDS and basis > MAX_BASIS_DOUBLES:
         raise ConfigError(f"config key 'eigen_count': {k} eigenpairs on the "
                           f"{finest}-dof finest mesh need a Lanczos basis of {basis} "
@@ -233,10 +227,20 @@ def validate_config(data: dict) -> ExperimentConfig:
                             echo=effective, **flat, **families)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; ``json`` alone keeps the last of two equal keys."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config key '{key}': duplicate key")
+        out[key] = value
+    return out
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config file '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -257,7 +261,7 @@ def apply_overrides(data: dict, overrides) -> dict:
             raise ConfigError(f"override '{item}': expected key=value")
         path, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError:
             value = raw
         node = data
@@ -299,7 +303,7 @@ def schema_help(kind: str | None = None) -> str:
     lines = ["config keys:"]
 
     def walk(schema, prefix):
-        for key, (tag, default, desc) in schema.items():
+        for key, (tag, default, desc, *_) in schema.items():
             path = f"{prefix}.{key}" if prefix else key
             if isinstance(tag, dict):
                 walk(tag, path)

@@ -11,7 +11,8 @@ The eigensolver extracts the k smallest eigenvalues of K x = lambda M x
 with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode at
 sigma = 0, applying inv(K) through the one factor of K.  The start vector
 is all ones and ARPACK's restart vectors come from a fixed seed, so
-identical inputs produce bit-identical results.
+identical inputs produce bit-identical results.  ``lanczos_vectors`` is the
+size of ARPACK's basis, which validation holds to a memory budget.
 """
 from __future__ import annotations
 
@@ -115,6 +116,11 @@ def cholesky(matrix) -> CholeskyFactor:
     return CholeskyFactor(n, factor)
 
 
+def lanczos_vectors(n: int, k: int) -> int:
+    """Lanczos vectors ARPACK keeps for k eigenpairs of an n-dof pencil (scipy's default)."""
+    return min(n, max(2 * k + 1, 20))
+
+
 @dataclass(eq=False)
 class EigenResult:
     """Ascending eigenvalues, M-orthonormal eigenvectors and their ``residuals``."""
@@ -161,7 +167,7 @@ def eig_smallest(K, M, k: int, tol: float = EIG_TOL) -> EigenResult:
         op = LinearOperator((n, n), matvec=kfac.solve, dtype=float)
         try:
             vals, vecs = eigsh(K, k, M=M, sigma=0.0, OPinv=op, v0=np.ones(n),
-                               rng=0)
+                               ncv=lanczos_vectors(n, k), rng=0)
         except ArpackError as exc:
             raise ConvergenceError(f"eig_smallest: {exc}") from exc
     order = np.argsort(vals)

@@ -136,12 +136,12 @@ class FeSpace:
         return self.mesh.vertices[self.dof_vertices]
 
     def interpolate(self, fn) -> np.ndarray:
-        """Nodal interpolant: evaluate ``fn`` at the dof coordinates.
+        """Nodal interpolant: evaluate ``fn`` at the dof coordinates, points (n, dim).
 
         On Dirichlet spaces the boundary values of ``fn`` are discarded
         (the represented function is clamped to zero there).
         """
-        vals = fn(*self.dof_coordinates().T)
+        vals = fn(self.dof_coordinates())
         return np.asarray(vals, dtype=float).reshape(self.num_dofs)
 
     def cell_data(self) -> CellData:

@@ -34,7 +34,6 @@ from .variational import (
     dirichlet_solve,
     dirichlet_solves,
     div_curl_test,
-    flux_weak_limit,
     liminf_check,
     potential_ladder,
     recovery_check,
@@ -54,6 +53,12 @@ class Experiment:
     optional: tuple = ()  # family-valued config keys the kind also reads
     ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
     rung_meshes: bool = True  # samples each h on its rung's mesh, else on the finest
+
+    def reports(self, output: dict) -> dict:
+        """Format -> file name of each report the kind writes: the name the
+        config's ``output`` gives, else the default."""
+        return {fmt: output[fmt] or default
+                for fmt, default in zip(("csv", "json"), self.outputs) if default is not None}
 
 
 EXPERIMENTS = {
@@ -83,10 +88,11 @@ EXPERIMENTS = {
 # the kinds that solve eigenproblems and read eigen_count
 EIGEN_KINDS = ("eigen-homog", "eigen-potential")
 
-# the fixed probes: strips of the weak-convergence averages, support of the
-# div-curl pairing bump, and u(x) = a x + b of the recovery trace as (a, b).
-# With points_per_period >= 16, every strip and the bump span two cells or more
-WINDOWS = 8
+# the fixed probes: edges of the 8 strips of the weak-convergence averages,
+# support of the div-curl pairing bump, and u(x) = a x + b of the recovery
+# trace as (a, b).  With points_per_period >= 16, every strip and the bump
+# span two cells or more
+WINDOW_EDGES = np.linspace(0.0, 1.0, 9)
 PHI_SUPPORT = (0.25, 0.75)
 AFFINE = (1.0, 0.0)
 
@@ -376,11 +382,10 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     with prefix_failures("reference"):
         u_star = dirichlet_solve(space_ref, limit, source.limit_family(), 1)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
-    edges = np.linspace(0.0, 1.0, WINDOWS + 1)
     identity = ConstantMatrixCoefficient(np.eye(family.dim))
 
     def probes(space, u):  # strip averages of the first gradient component
-        return window_flux(space, identity, 1, u, edges)[:, 0]
+        return window_flux(space, identity, 1, u, WINDOW_EDGES)[:, 0]
 
     ref_probes = probes(space_ref, u_star)
     reference = np.concatenate([[0.0], ref_probes])
@@ -401,7 +406,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
         records.append(SweepRecord(h=h, values=values, abs_errors=abs_err,
                                    rel_errors=rel, wall_clock=time.perf_counter() - t0))
     meta = {"tensor": limit.matrix, "provenance": limit.provenance,
-            "reference_l2_norm": ref_norm, "window_edges": edges}
+            "reference_l2_norm": ref_norm, "window_edges": WINDOW_EDGES}
     return SweepReport("source-homog", config.h_list, records, reference,
                        meta, dict(config.echo))
 
@@ -469,7 +474,9 @@ class DivCurlReport(Report):
 
     kind: str
     trace: object                  # PairingTrace
-    flux_windows: object           # FluxWindowReport
+    # h, the strip edges, the flux and reference averages per strip (W, dim)
+    # and their distances (W,)
+    flux_windows: dict
     envelope_prediction: float     # 1/h fit from the leading rungs at h_max
     config_echo: dict
 
@@ -478,22 +485,28 @@ class DivCurlReport(Report):
 
 
 def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
-    """Pair the discrete energy density against its homogenized limit."""
-    solves = dirichlet_solves(config.family, config.source,
-                              config.points_per_period * max(config.h_list))
+    """Pair the discrete energy density against its homogenized limit, and
+    average the flux A_h grad u_h at the largest h over the strips, against
+    the homogenized flux on the same mesh: the weak limit of the flux."""
+    h = max(config.h_list)
+    solves = dirichlet_solves(config.family, config.source, config.points_per_period * h)
     trace = div_curl_test(config.family, config.h_list, config.source,
                           PHI_SUPPORT, solves=solves)
-    flux = flux_weak_limit(config.family, max(config.h_list), WINDOWS, solves)
+    space, limit, u = solves
+    flux = window_flux(space, config.family, h, u(h), WINDOW_EDGES)
+    ref = window_flux(space, limit, 1, u(None), WINDOW_EDGES)
+    windows = {"h": int(h), "edges": WINDOW_EDGES, "flux_averages": flux,
+               "reference_averages": ref, "abs_errors": np.linalg.norm(flux - ref, axis=1)}
     lead = min(3, len(config.h_list) - 1)
     hs = np.asarray(config.h_list[:lead], dtype=float)
     errs = np.asarray(trace.abs_errors[:lead])
     usable = errs > 0
     if np.count_nonzero(usable) >= 2:
         c = float(np.exp(np.mean(np.log(errs[usable]) + np.log(hs[usable]))))
-        prediction = c / max(config.h_list)
+        prediction = c / h
     else:
         prediction = float("nan")
-    return DivCurlReport("divcurl", trace, flux, prediction, dict(config.echo))
+    return DivCurlReport("divcurl", trace, windows, prediction, dict(config.echo))
 
 
 @dataclass(eq=False)

@@ -154,7 +154,7 @@ def recovery_check(space: FeSpace, base: sparse.spmatrix,
     which ``configs/a7_gamma_sin2.json`` reaches by h = 32, near 4e-5.
     """
     a, b = (float(u_affine[0]), float(u_affine[1]))
-    u = space.interpolate(lambda x, *_: a * x + b)
+    u = space.interpolate(lambda p: a * p[:, 0] + b)
     f_limit = float(u @ (base @ u) + u @ (ladder.limit @ u))
     values = [float(u @ (base @ u) + u @ (vmat @ u)) for vmat in ladder.matrices]
     return _trace(ladder.h_values, values, f_limit)
@@ -173,7 +173,7 @@ def interpolate_bump(space: FeSpace, support) -> np.ndarray:
         down = (x1 - x) / (x1 - mid)
         return np.clip(np.minimum(up, down), 0.0, None)
 
-    return space.interpolate(lambda x, *_: tent(x))
+    return space.interpolate(lambda p: tent(p[:, 0]))
 
 
 def dirichlet_solve(space: FeSpace, coefficient, source: SourceFamily,
@@ -217,7 +217,7 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     the energy density is paired against a fixed P1 bump phi; the limit is
     the same pairing built from the homogenized solution on the same mesh.
     The trace errors must decay like 1/h.  ``solves`` (``dirichlet_solves`` of
-    this problem and mesh) shares the solutions with ``flux_weak_limit``;
+    this problem and mesh) shares the solutions with the run's flux windows;
     without it the mesh has ``POINTS_PER_PERIOD`` points per period of the
     largest h.
     """
@@ -228,35 +228,6 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
     limit_pairing = _energy_pairing(space, limit, 1, u(None), phi)
     values = [_energy_pairing(space, coeff_family, h, u(h), phi) for h in h_list]
     return _trace(h_list, values, limit_pairing)
-
-
-@dataclass(frozen=True, eq=False)
-class FluxWindowReport:
-    """Window averages of the discrete flux against the homogenized flux."""
-
-    h: int
-    edges: np.ndarray              # (W + 1,)
-    flux_averages: np.ndarray      # (W, dim)
-    reference_averages: np.ndarray
-    abs_errors: np.ndarray         # (W,)
-
-
-def flux_weak_limit(coeff_family, h: int, window_count: int,
-                    solves: tuple) -> FluxWindowReport:
-    """Window averages of the flux A_h grad u_h over strips of the domain.
-
-    Weak convergence of the flux is tested against window indicators: as h
-    grows the averages approach those of A grad u_star computed from the
-    homogenized tensor on the same mesh.  Windows are strips in the first
-    coordinate.  ``solves`` is ``dirichlet_solves`` of the problem, whose
-    ``u(h)`` and ``u(None)`` are read.
-    """
-    space, limit, u = solves
-    edges = np.linspace(0.0, 1.0, window_count + 1)
-    flux = window_flux(space, coeff_family, h, u(h), edges)
-    ref = window_flux(space, limit, 1, u(None), edges)
-    err = np.linalg.norm(flux - ref, axis=1)
-    return FluxWindowReport(int(h), edges, flux, ref, err)
 
 
 def window_flux(space, family, h, u, edges):

@@ -195,3 +195,23 @@ def test_only_mesh_reads_the_grid_layout():
     readers = [path.stem for path in sorted(SRC.glob("*.py")) if path.stem != "mesh"
                and "structure" in _attribute_names(ast.parse(path.read_text()), None)]
     assert not readers, f"modules that read Mesh.structure: {readers}"
+
+
+def test_only_linalg_imports_scipy_solvers():
+    # ARPACK, SuperLU, LAPACK and the size of ARPACK's basis stay behind one
+    # module; another module asks linalg for a factor or an eigensolve
+    solvers = ("scipy.linalg", "scipy.sparse.linalg")
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == solver or name.startswith(solver + ".")
+                   for name in names for solver in solvers):
+                importers.add(path.stem)
+    importers.discard("linalg")
+    assert not importers, f"modules besides linalg that import a scipy solver: {importers}"

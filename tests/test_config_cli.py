@@ -17,6 +17,7 @@ from gconv import homogenize, linalg, sweep
 from gconv.cli import main
 from gconv.config import (
     FAMILY_CLASSES,
+    MAX_BASIS_DOUBLES,
     SCHEMA,
     ConfigError,
     apply_overrides,
@@ -24,7 +25,7 @@ from gconv.config import (
     validate_config,
 )
 from gconv.families import BUILTINS, make_builtin_family
-from gconv.linalg import ConvergenceError
+from gconv.linalg import ConvergenceError, lanczos_vectors
 from gconv.sweep import EXPERIMENTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -34,7 +35,7 @@ def _minimal(kind="eigen-homog", **extra):
     doc = {"experiment": kind, "h_list": [4, 8]}
     if kind in ("eigen-homog", "homogenize"):
         doc["family"] = {"name": "osc1d", "params": [2.0]}
-    if kind == "source-homog":
+    if kind in ("source-homog", "divcurl"):
         doc["family"] = {"name": "osc1d", "params": [2.0]}
         doc["source"] = {"name": "const-source"}
     if kind in ("eigen-potential", "gamma"):
@@ -86,6 +87,25 @@ def test_h_list_must_ascend():
         validate_config(_minimal(h_list=[8, 4]))
     with pytest.raises(ConfigError, match="ascending"):
         validate_config(_minimal(h_list=[4, 4]))
+
+
+def test_duplicate_key_exit_1(tmp_path, capsys):
+    # json alone keeps the last of two equal keys: this config would run h_list [8]
+    cfg = tmp_path / "dup.json"
+    cfg.write_text('{"experiment": "eigen-homog", "family": {"name": "osc1d"}, '
+                   '"h_list": [4], "h_list": [8]}')
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"experiment": "eigen-homog", "h_list": [4], '
+                      '"family": {"name": "osc1d", "name": "const"}}')
+    good = _write(tmp_path, _minimal())
+    for config, sets, key in [(cfg, [], "h_list"), (nested, [], "name"),
+                              (good, ["--set", 'family={"name": "osc1d", "name": "const"}'],
+                               "name")]:
+        for argv in (["validate"], ["sweep-eigen", "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--config", str(config)] + sets) == 1
+            assert (f"gconv: config error: config key '{key}': duplicate key"
+                    in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_overrides_dotted_paths():
@@ -291,6 +311,18 @@ def test_unusable_report_name_exit_1(tmp_path, capsys, overrides, key):
         err = capsys.readouterr().err
         assert f"gconv: config error: config key '{key}': " in err
     assert not (tmp_path / "out").exists()
+
+
+def test_csv_name_on_a_kind_without_csv_exit_1(tmp_path, capsys):
+    # homogenize writes only its JSON report: a CSV name would go unread
+    cfg = _write(tmp_path, _minimal("homogenize", output={"csv": "tensor.csv"}))
+    for argv in (["validate"], ["homogenize", "--out", str(tmp_path / "out")]):
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert ("config key 'output.csv': experiment 'homogenize' writes no CSV report"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    # null is the absent name
+    validate_config(_minimal("homogenize", output={"csv": None, "json": "t.json"}))
 
 
 def test_unusable_out_exit_1_before_the_run(tmp_path, capsys, monkeypatch):
@@ -550,6 +582,22 @@ def test_eigen_count_held_to_the_lanczos_budget(tmp_path, capsys):
     validate_config({**doc, "eigen_count": 66})
     with pytest.raises(ConfigError, match="'eigen_count': 67 eigenpairs"):
         validate_config({**doc, "eigen_count": 67})
+    # refused exactly when linalg.lanczos_vectors' basis exceeds the budget.
+    # The single h=320 rung has 10,239 dofs: the basis is capped at n, so
+    # 10,000 eigenpairs fit, where 2k + 1 vectors would not
+    over = []
+    for h_list, k in [([1000, 31250], 66), ([1000, 31250], 67), ([320], 10_000),
+                      ([400], 5_000), ([400], 6_000)]:
+        finest = 32 * h_list[-1] - 1
+        over.append(lanczos_vectors(finest, k) * finest > MAX_BASIS_DOUBLES)
+        try:
+            validate_config(_minimal(h_list=h_list, eigen_count=k))
+            refused = False
+        except ConfigError as exc:
+            assert "'eigen_count'" in str(exc)
+            refused = True
+        assert refused == over[-1], (h_list, k)
+    assert over == [False, True, False, False, True]
 
 
 def test_targets_held_to_the_basis_budget():
@@ -817,3 +865,79 @@ def test_small_configs_end_in_report_or_named_exit(kind, data):
     assert code in expected and err.getvalue().startswith(expected[code])
     assert "'resolution check'" not in err.getvalue()  # validation names the key
     assert wrote or code != 0
+
+
+def _leaves(schema, prefix=""):
+    """(dotted path, type tag, least value or None) of each leaf of a schema."""
+    for key, (tag, _default, _desc, *least) in schema.items():
+        if isinstance(tag, dict):
+            yield from _leaves(tag, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", tag, (least or [None])[0]
+
+
+LEAVES = list(_leaves(SCHEMA))
+# a kind that reads each family-valued key
+_READER = {"family": "eigen-homog", "potential": "eigen-potential",
+           "source": "source-homog"}
+
+
+def _leaf_values(path, tag, least):
+    """Values of a leaf within its type and least value that ``_minimal`` of the
+    leaf's kind admits: small enough for every budget of a [4, 8] ladder."""
+    top = path.split(".")[0]
+    if path == "experiment":
+        return st.sampled_from(sorted(EXPERIMENTS))
+    if path.endswith(".name"):
+        return st.sampled_from(_NAMES[top])
+    if path.endswith(".params"):
+        name = _minimal(_READER[top])[top]["name"]
+        return st.lists(st.floats(1.5, 4.0), max_size=BUILTINS[name][1])
+    if path == "solver.eig_tol":
+        return st.floats(1e-14, 1.0)
+    if path.startswith("output."):
+        return st.text(st.sampled_from("az09._-"), min_size=1, max_size=12).filter(
+            lambda name: name not in (".", "..", "report.csv", "report.json"))
+    if tag == "float":
+        return st.floats(-1e3, 1e3)
+    if tag == "int_list":
+        return st.lists(st.integers(least, 64), min_size=1, max_size=4,
+                        unique=True).map(sorted)
+    return st.integers(least, least + 100)
+
+
+@pytest.mark.parametrize("path,tag,least", LEAVES, ids=[leaf[0] for leaf in LEAVES])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_set_round_trips_through_the_echo(path, tag, least, data):
+    # a --set value within its leaf's type and least value is echoed as given,
+    # and the echo validates to itself
+    value = data.draw(_leaf_values(path, tag, least))
+    kind = value if path == "experiment" else _READER.get(path.split(".")[0], "eigen-homog")
+    echo = validate_config(apply_overrides(_minimal(kind), [f"{path}={json.dumps(value)}"])).echo
+    node = echo
+    for part in path.split("."):
+        node = node[part]
+    assert node == value
+    assert validate_config(echo).echo == echo
+
+
+RANGED = [leaf for leaf in LEAVES if leaf[2] is not None]
+
+
+@pytest.mark.parametrize("path,tag,least", RANGED, ids=[leaf[0] for leaf in RANGED])
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(data=st.data())
+def test_set_below_the_least_value_exits_1(path, tag, least, data):
+    if tag == "int_list":  # ascending, so only the range is at fault
+        value = data.draw(st.lists(st.integers(least - 50, 64), min_size=1, max_size=4,
+                                   unique=True).map(sorted).filter(lambda v: v[0] < least))
+    else:
+        value = data.draw(st.integers(least - 100, least - 1))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = _write(Path(tmp), _minimal())
+        assert main(["validate", "--config", str(cfg), "--set",
+                     f"{path}={json.dumps(value)}"]) == 1
+    assert err.getvalue().startswith(f"gconv: config error: config key '{path}': ")
+    assert f"must be >= {least}" in err.getvalue()

@@ -25,7 +25,7 @@ def _pairing(family, h, phi, cells):
     """integral(V_h * phi) over (0, 1): 1' M phi, M the periodic mass of V_h."""
     sp = build_space(build_interval_mesh(cells), PERIODIC)
     M = assembly.assemble_mass(sp, family, h=h)
-    return float(np.ones(sp.num_dofs) @ (M @ sp.interpolate(phi)))
+    return float(np.ones(sp.num_dofs) @ (M @ sp.interpolate(lambda p: phi(p[:, 0]))))
 
 
 def _one(x):

@@ -4,13 +4,14 @@ from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import SuperLU
 
-from gconv import assembly
+from gconv import assembly, linalg
 from gconv.families import ConstantMatrixCoefficient, make_builtin_family
 from gconv.linalg import (
     ConvergenceError,
     NotPositiveDefiniteError,
     cholesky,
     eig_smallest,
+    lanczos_vectors,
 )
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
 
@@ -178,6 +179,32 @@ def test_eig_matches_fem_closed_form(n_cells, unit_family):
     res = eig_smallest(K, M, k)
     exact = fem_laplacian_eigenvalues(n_cells, k)
     assert np.all(np.abs(res.values - exact) <= 1e-10 * exact)
+
+
+# 7 dofs cap the basis at n; 31 dofs take the floor of 20; 255 take 2k + 1
+@pytest.mark.parametrize("n_cells,k", [(8, 2), (32, 3), (256, 12)])
+def test_eig_basis_is_lanczos_vectors(monkeypatch, unit_family, n_cells, k):
+    # ARPACK gets the basis validation budgets, which is scipy's own default:
+    # the pairs are bit-identical to those of eigsh left to choose it
+    sp = build_space(build_interval_mesh(n_cells), DIRICHLET)
+    K = assembly.assemble_stiffness(sp, unit_family)
+    M = assembly.assemble_mass(sp)
+    eigsh, seen = linalg.eigsh, []
+
+    def recording(K, k, **kwargs):
+        seen.append(kwargs["ncv"])
+        return eigsh(K, k, **kwargs)
+
+    def scipy_default(K, k, ncv, **kwargs):
+        return eigsh(K, k, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", recording)
+    given = eig_smallest(K, M, k)
+    assert seen == [lanczos_vectors(sp.num_dofs, k)]
+    monkeypatch.setattr(linalg, "eigsh", scipy_default)
+    default = eig_smallest(K, M, k)
+    assert np.array_equal(given.values, default.values)
+    assert np.array_equal(given.vectors, default.vectors)
 
 
 def test_eig_residuals_certify_dense_case(quarter_pencil):

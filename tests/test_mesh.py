@@ -128,8 +128,13 @@ def test_unknown_rule_rejected():
 
 def test_interpolate_nodal_values():
     sp = build_space(build_interval_mesh(8), DIRICHLET)
-    u = sp.interpolate(lambda x: x**2)
+    u = sp.interpolate(lambda p: p[:, 0] ** 2)
     assert np.allclose(u, sp.dof_coordinates()[:, 0] ** 2)
+    # points (n, dim) in 2D too, as every family callable reads them
+    sq = build_space(build_rect_mesh(4, 4), DIRICHLET)
+    u = sq.interpolate(lambda p: p[:, 0] * p[:, 1] ** 2)
+    x, y = sq.dof_coordinates().T
+    assert np.array_equal(u, x * y ** 2)
 
 
 def test_pattern_build_peak_memory():

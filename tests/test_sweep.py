@@ -15,7 +15,7 @@ from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_sp
 from gconv.sweep import (
     CLUSTER_GAP,
     PHI_SUPPORT,
-    WINDOWS,
+    WINDOW_EDGES,
     ExperimentConfig,
     _jsonify,
     emit_report,
@@ -27,7 +27,7 @@ from gconv.sweep import (
     run_gamma,
     run_source_homog,
 )
-from gconv.variational import dirichlet_solves, div_curl_test, flux_weak_limit
+from gconv.variational import dirichlet_solves, div_curl_test, window_flux
 
 SQRT3 = math.sqrt(3.0)
 
@@ -81,7 +81,7 @@ def test_config_validation():
 def test_interpolate_between_1d_nested_exact():
     coarse = build_space(build_interval_mesh(8), DIRICHLET)
     fine = build_space(build_interval_mesh(32), DIRICHLET)
-    u = coarse.interpolate(lambda x: x * (1 - x))
+    u = coarse.interpolate(lambda p: p[:, 0] * (1 - p[:, 0]))
     v = interpolate_between(coarse, u, fine)
     # piecewise-linear on the coarse mesh, reproduced exactly on nested nodes
     xs = fine.dof_coordinates()[:, 0]
@@ -381,7 +381,7 @@ def test_divcurl_runner_envelope():
                            source=make_builtin_family("const-source", [1.0]))
     rep = run_divcurl(cfg)
     assert rep.trace.abs_errors[-1] <= 3.0 * rep.envelope_prediction
-    assert rep.flux_windows.abs_errors.max() <= 5e-3
+    assert rep.flux_windows["abs_errors"].max() <= 5e-3
 
 
 def test_divcurl_runner_factors_each_matrix_once(monkeypatch):
@@ -401,14 +401,14 @@ def test_divcurl_runner_factors_each_matrix_once(monkeypatch):
     assert len(calls) == len(cfg.h_list) + 1 == 5
     # the shared solves give what each diagnostic computes on its own
     trace = div_curl_test(cfg.family, cfg.h_list, cfg.source, PHI_SUPPORT)
-    solves = dirichlet_solves(cfg.family, cfg.source,
-                              cfg.points_per_period * max(cfg.h_list))
-    flux = flux_weak_limit(cfg.family, max(cfg.h_list), WINDOWS, solves)
+    h = max(cfg.h_list)
+    space, limit, u = dirichlet_solves(cfg.family, cfg.source, cfg.points_per_period * h)
     assert np.array_equal(rep.trace.values, trace.values)
     assert rep.trace.limit == trace.limit
-    assert np.array_equal(rep.flux_windows.flux_averages, flux.flux_averages)
-    assert np.array_equal(rep.flux_windows.reference_averages,
-                          flux.reference_averages)
+    assert np.array_equal(rep.flux_windows["flux_averages"],
+                          window_flux(space, cfg.family, h, u(h), WINDOW_EDGES))
+    assert np.array_equal(rep.flux_windows["reference_averages"],
+                          window_flux(space, limit, 1, u(None), WINDOW_EDGES))
 
 
 def test_source_runner_factors_through_the_dirichlet_solve(monkeypatch):

@@ -9,14 +9,12 @@ from gconv import assembly
 from gconv.families import make_builtin_family
 from gconv.linalg import eig_smallest
 from gconv.mesh import DIRICHLET, build_interval_mesh, build_space
-from gconv.sweep import emit_report
+from gconv.sweep import ExperimentConfig, emit_report, run_divcurl
 from gconv.variational import (
     LIMINF_TOL,
     YOSIDA_MU,
     QuadraticForm,
-    dirichlet_solves,
     div_curl_test,
-    flux_weak_limit,
     form_continuity_probe,
     form_eval,
     interpolate_bump,
@@ -108,7 +106,7 @@ def test_liminf_zero_potential_constant_sequence(fine_setup):
     # V_h = V = 0: both envelopes come from one matrix, so the gap is exactly 0
     sp, K0, M = fine_setup
     fam = make_builtin_family("const-potential", [0.0])
-    u = sp.interpolate(lambda x: x * (1 - x))
+    u = sp.interpolate(lambda p: p[:, 0] * (1 - p[:, 0]))
     gaps = liminf_check(K0, M, potential_ladder(sp, fam, [8, 16, 32, 64]), u[:, None])
     assert gaps.tolist() == [0.0]
 
@@ -139,7 +137,7 @@ def test_liminf_spike_affine_target():
     sp = build_space(build_interval_mesh(32 * 256), DIRICHLET)
     K0 = assembly.assemble_stiffness(sp, make_builtin_family("const", [1.0]))
     M = assembly.assemble_mass(sp)
-    u = sp.interpolate(lambda x: 1.0 - x)[:, None]
+    u = sp.interpolate(lambda p: 1.0 - p[:, 0])[:, None]
     fam = make_builtin_family("spike-potential", [2.0])
     long = potential_ladder(sp, fam, [8, 16, 32, 64, 128, 256])
     assert long.limit.count_nonzero() == 0
@@ -237,24 +235,28 @@ def test_div_curl_two_phase():
     assert tr.abs_errors[-1] < tr.abs_errors[0]
 
 
+def _flux_windows(fam, h):
+    """The div-curl run's 8 flux windows at h, on its 32 * h-cell mesh."""
+    cfg = ExperimentConfig(kind="divcurl", h_list=(h,), family=fam,
+                           source=make_builtin_family("const-source", [1.0]))
+    return run_divcurl(cfg).flux_windows
+
+
 def test_flux_weak_limit_constant_family_exact():
-    fam = make_builtin_family("const", [2.0])
-    src = make_builtin_family("const-source", [1.0])
-    rep = flux_weak_limit(fam, 4, 8, dirichlet_solves(fam, src, 32 * 4))
-    assert np.abs(rep.abs_errors).max() <= 1e-13
+    rep = _flux_windows(make_builtin_family("const", [2.0]), 4)
+    assert np.abs(rep["abs_errors"]).max() <= 1e-13
 
 
 def test_flux_weak_limit_osc1d_window_averages():
     fam = make_builtin_family("osc1d", [2.0])
-    src = make_builtin_family("const-source", [1.0])
-    rep = flux_weak_limit(fam, 32, 8, dirichlet_solves(fam, src, 32 * 32))
+    rep = _flux_windows(fam, 32)
     # homogenized flux sqrt(3) u*' = (1 - 2x)/2: window averages over strips
-    centers = 0.5 * (rep.edges[:-1] + rep.edges[1:])
-    assert np.allclose(rep.reference_averages[:, 0], (1 - 2 * centers) / 2,
+    centers = 0.5 * (rep["edges"][:-1] + rep["edges"][1:])
+    assert np.allclose(rep["reference_averages"][:, 0], (1 - 2 * centers) / 2,
                        atol=1e-9)
-    assert rep.abs_errors.max() <= 5e-3
-    finer = flux_weak_limit(fam, 64, 8, dirichlet_solves(fam, src, 32 * 64))
-    assert np.all(finer.abs_errors <= rep.abs_errors + 1e-12)
+    assert rep["abs_errors"].max() <= 5e-3
+    finer = _flux_windows(fam, 64)
+    assert np.all(finer["abs_errors"] <= rep["abs_errors"] + 1e-12)
 
 
 def test_interpolate_bump_shape(fine_setup):
