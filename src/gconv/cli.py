@@ -92,7 +92,7 @@ def _run_experiment(args, config: ExperimentConfig) -> int:
     for fmt, name in experiment.reports(config.echo["output"]).items():
         paths.append(out / name)
         try:
-            emit_report(report, fmt, paths[-1])
+            emit_report(report, fmt, paths[-1], config)
         except OSError as exc:  # such as a directory of that name under --out
             raise ConfigError(f"config key 'output.{fmt}': {exc}") from exc
     if args.verbose:

@@ -24,7 +24,7 @@ from .families import (
 )
 from .linalg import lanczos_vectors
 from .mesh import axis_step
-from .sweep import EIGEN_KINDS, EXPERIMENTS, ExperimentConfig
+from .sweep import EXPERIMENTS, ExperimentConfig
 
 # most dofs of one mesh, by dimension.  A 2D factor fills about 5.4 times
 # per 4 times the dofs: a laminate2d sweep's rung factored to 1.0M, 5.6M and
@@ -84,7 +84,7 @@ SCHEMA = {
     "seed": ("int", DEFAULTS["seed"], "seed for every randomized probe", 0),
     "h_list": ("int_list", [4, 8, 16, 32, 64], "ascending frequency ladder", 1),
     "points_per_period": ("int", DEFAULTS["points_per_period"],
-                          "mesh points per oscillation period (>= 16)", 16),
+                          "mesh points per oscillation period", 16),
     "eigen_count": ("int", DEFAULTS["eigen_count"], "number of eigenpairs per rung", 1),
     "family": (_FAMILY_SCHEMA, None, "coefficient family spec"),
     "potential": (_SEQUENCE_SCHEMA, None, "potential family spec"),
@@ -206,12 +206,12 @@ def validate_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"config key 'points_per_period': {exc}") from exc
     k = effective["eigen_count"]
     coarsest = (ppp * hs[0] - 1) ** dim
-    if kind in EIGEN_KINDS and k > coarsest:
+    if experiment.eigen and k > coarsest:
         raise ConfigError(f"config key 'eigen_count': must be <= {coarsest}, "
                           f"the dofs of the coarsest rung h={hs[0]}")
     finest = (n - 1) ** dim
     basis = lanczos_vectors(finest, k) * finest
-    if kind in EIGEN_KINDS and basis > MAX_BASIS_DOUBLES:
+    if experiment.eigen and basis > MAX_BASIS_DOUBLES:
         raise ConfigError(f"config key 'eigen_count': {k} eigenpairs on the "
                           f"{finest}-dof finest mesh need a Lanczos basis of {basis} "
                           f"doubles, over the budget of {MAX_BASIS_DOUBLES}")
@@ -238,12 +238,13 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_config(path) -> dict:
+    """The JSON object of a config file, read as UTF-8, JSON's encoding."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config file '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file '{path}': invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file '{path}': top level must be an object")
@@ -253,9 +254,10 @@ def load_config(path) -> dict:
 def apply_overrides(data: dict, overrides) -> dict:
     """Apply ``key.path=value`` overrides; values parse as JSON, else strings.
 
-    ``validate_config`` checks the keys and values they set.
+    ``validate_config`` checks the keys and values they set.  The objects on
+    each override's path are copied, so ``data`` is left as it was.
     """
-    data = copy.deepcopy(data)
+    data = dict(data)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}': expected key=value")
@@ -264,15 +266,17 @@ def apply_overrides(data: dict, overrides) -> dict:
             value = json.loads(raw, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError(f"override key '{path}': invalid JSON ({exc})") from exc
         node = data
         *parents, leaf = path.split(".")
         for part in parents:
-            if node.get(part) is None:  # null starts a fresh object, as absence does
-                node[part] = {}
-            node = node[part]
-            if not isinstance(node, dict):
+            child = node.get(part)
+            if child is not None and not isinstance(child, dict):
                 raise ConfigError(f"override key '{path}': config key '{part}' "
-                                  f"holds {node!r}, not an object")
+                                  f"holds {child!r}, not an object")
+            node[part] = dict(child or {})  # null starts a fresh object, as absence does
+            node = node[part]
         node[leaf] = value
     return data
 
@@ -299,16 +303,19 @@ def build_family(spec: dict, key: str):
 
 
 def schema_help(kind: str | None = None) -> str:
-    """Render the config keys with types and defaults for --help epilogs."""
+    """Render the config keys with types, defaults and least values for
+    --help epilogs."""
     lines = ["config keys:"]
 
     def walk(schema, prefix):
-        for key, (tag, default, desc, *_) in schema.items():
+        for key, (tag, default, desc, *least) in schema.items():
             path = f"{prefix}.{key}" if prefix else key
             if isinstance(tag, dict):
                 walk(tag, path)
             else:
                 shown = "required" if default is REQUIRED else f"default {default!r}"
+                entries = "entries " if tag == "int_list" else ""
+                shown += f", {entries}>= {least[0]}" if least else ""
                 lines.append(f"  {path} ({tag}, {shown}): {desc}")
 
     walk(SCHEMA, "")

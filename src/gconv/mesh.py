@@ -11,6 +11,7 @@ read-only on the space itself.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple
@@ -216,47 +217,44 @@ class FeSpace:
                                             (key % n).astype(np.int32), indptr))
 
 
+# each grid cell's simplices as corner offsets in grid steps: the interval; the
+# square cut along its lower-left to upper-right diagonal, lower triangle first
+_GRID_SIMPLICES = {1: [[(0,), (1,)]],
+                   2: [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]}
+
+
+def _grid_mesh(cells: tuple) -> Mesh:
+    """Uniform grid of the unit interval or square, ``cells`` cells per axis:
+    the vertices are the grid points in C order, and every square is split
+    along the same diagonal, so refinement studies reproduce golden values."""
+    if min(cells) < 1:
+        raise ValueError(f"cells per axis must be >= 1, got {cells}")
+    dim, shape = len(cells), tuple(n + 1 for n in cells)
+    vertices = np.empty(shape + (dim,))
+    for k, m in enumerate(shape):  # axis k's points, broadcast over the later axes
+        vertices[..., k] = np.linspace(0.0, 1.0, m).reshape((m,) + (1,) * (dim - 1 - k))
+    ids = np.arange(math.prod(shape)).reshape(shape)
+    corners = ids[tuple(slice(n) for n in cells)].ravel()
+    local = np.array([[ids[c] for c in simplex] for simplex in _GRID_SIMPLICES[dim]])
+    # filled in place: freeing a temporary of this size moved glibc's mmap
+    # threshold and with it the peak RSS of a whole 2D sweep
+    simplices = np.empty((corners.size,) + local.shape, dtype=np.int64)
+    for (s, j), offset in np.ndenumerate(local):
+        np.add(corners, offset, out=simplices[:, s, j])
+    boundary = np.ones(shape, dtype=bool)
+    boundary[tuple(slice(1, -1) for _ in shape)] = False
+    return Mesh(dim, vertices.reshape(-1, dim), simplices.reshape(-1, dim + 1),
+                boundary.ravel(), cells)
+
+
 def build_interval_mesh(n_cells: int) -> Mesh:
     """Uniform mesh of the unit interval with ``n_cells`` cells."""
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    verts = np.linspace(0.0, 1.0, n_cells + 1)[:, None]
-    cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    boundary = np.zeros(n_cells + 1, dtype=bool)
-    boundary[0] = boundary[-1] = True
-    return Mesh(1, verts, cells, boundary, (n_cells,))
+    return _grid_mesh((n_cells,))
 
 
 def build_rect_mesh(nx: int, ny: int) -> Mesh:
-    """Structured triangulation of the unit square, 2 triangles per grid square.
-
-    Every square is split along the same diagonal (lower-left to upper-right)
-    so that refinement studies reproduce bit-identical golden values.
-    """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"nx, ny must be >= 1, got ({nx}, {ny})")
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    v00, v10 = vid(I, J), vid(I + 1, J)
-    v11, v01 = vid(I + 1, J + 1), vid(I, J + 1)
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    cells = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    cells[0::2] = lower
-    cells[1::2] = upper
-
-    gi = np.repeat(np.arange(nx + 1), ny + 1)
-    gj = np.tile(np.arange(ny + 1), nx + 1)
-    boundary = (gi == 0) | (gi == nx) | (gj == 0) | (gj == ny)
-    return Mesh(2, verts, cells, boundary, (nx, ny))
+    """Structured triangulation of the unit square, 2 triangles per grid square."""
+    return _grid_mesh((nx, ny))
 
 
 def build_space(mesh: Mesh, rule: str = DIRICHLET) -> FeSpace:

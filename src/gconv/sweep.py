@@ -10,7 +10,8 @@ discretization.
 ``EXPERIMENTS`` is the one table of experiment kinds: the CLI subcommand,
 required config keys, runner and default report names of each.  Every
 report goes through ``emit_report``, the one writer of CSV tables and JSON
-documents (the effective config echoed for reproducibility).
+documents; a JSON document takes its kind and the echoed effective config
+from the run's config.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ class Experiment:
     optional: tuple = ()  # family-valued config keys the kind also reads
     ladder: bool = True  # builds a mesh of points_per_period * max(h_list)
     rung_meshes: bool = True  # samples each h on its rung's mesh, else on the finest
+    eigen: bool = False  # solves eigenproblems and reads eigen_count
 
     def reports(self, output: dict) -> dict:
         """Format -> file name of each report the kind writes: the name the
@@ -64,13 +66,15 @@ class Experiment:
 EXPERIMENTS = {
     "eigen-homog": Experiment(
         "sweep-eigen", "eigenvalue sweep of an oscillating pencil vs its limit",
-        ("family",), "run_eigen_homog", ("report.csv", "report.json"), ("potential",)),
+        ("family",), "run_eigen_homog", ("report.csv", "report.json"), ("potential",),
+        eigen=True),
     "source-homog": Experiment(
         "sweep-source", "Dirichlet source sweep vs the homogenized solution",
         ("family", "source"), "run_source_homog", ("report.csv", "report.json")),
     "eigen-potential": Experiment(
         "sweep-potential", "spectral sweep of a perturbed operator K0 + V_h",
-        ("potential",), "run_eigen_potential", ("report.csv", "report.json"), ("family",)),
+        ("potential",), "run_eigen_potential", ("report.csv", "report.json"), ("family",),
+        eigen=True),
     "gamma": Experiment(
         "gamma-check", "envelope check of the limit and affine recovery trace",
         ("potential",), "run_gamma", ("recovery_trace.csv", "gamma.json"),
@@ -83,10 +87,6 @@ EXPERIMENTS = {
         "homogenize", "compute the limit tensor of a coefficient family",
         ("family",), "run_homogenize", (None, "homogenize.json"), ladder=False),
 }
-
-
-# the kinds that solve eigenproblems and read eigen_count
-EIGEN_KINDS = ("eigen-homog", "eigen-potential")
 
 # the fixed probes: edges of the 8 strips of the weak-convergence averages,
 # support of the div-curl pairing bump, and u(x) = a x + b of the recovery
@@ -118,18 +118,16 @@ class ExperimentConfig:
 class Report:
     """What ``emit_report`` needs from every experiment report.
 
-    A report is a dataclass with ``kind`` and ``config_echo`` fields;
-    ``table``, for kinds that write a CSV, returns its header and rows.
+    A report is a dataclass; ``table``, for kinds that write a CSV, returns
+    its header and rows.
     """
 
     # a numerical check that failed after the reports were complete
     failed_stage = None
 
     def body(self) -> dict:
-        """The kind-specific JSON fields: every field but kind and config_echo."""
-        body = asdict(self)
-        del body["kind"], body["config_echo"]
-        return body
+        """The report's JSON fields."""
+        return asdict(self)
 
     def lines(self) -> list:
         """Summary lines printed by ``gconv -v``."""
@@ -164,23 +162,20 @@ class RateFit:
 class SweepReport(Report):
     """Full sweep output: per-h records, references, fitted rates."""
 
-    kind: str
     h_values: tuple
     records: list
     reference: np.ndarray
     reference_meta: dict
-    config_echo: dict
     rates: list = field(init=False)  # one fit_rate of the abs errors per mode
+    first_k = 1  # the CSV's k of the first mode: eigenvalues count from 1
 
     def __post_init__(self):
         self.rates = [fit_rate(self.h_values, errs)
                       for errs in zip(*(rec.abs_errors for rec in self.records))]
 
     def table(self):
-        """CSV header and rows: one row per h and mode k (1-based for
-        eigenvalues; for source sweeps k=0 is the L2 distance)."""
-        first_k = 0 if self.kind == "source-homog" else 1
-        rows = [[rec.h, first_k + mode, rec.values[mode], self.reference[mode],
+        """CSV header and rows: one row per h and mode k, from ``first_k``."""
+        rows = [[rec.h, self.first_k + mode, rec.values[mode], self.reference[mode],
                  rec.abs_errors[mode], rec.rel_errors[mode]]
                 for rec in self.records for mode in range(rec.values.shape[0])]
         return ["h", "k", "value", "reference", "abs_err", "rel_err"], rows
@@ -188,6 +183,12 @@ class SweepReport(Report):
     def lines(self) -> list:
         return [f"  h={rec.h}: max rel err {float(np.max(rec.rel_errors)):.3e} "
                 f"({rec.wall_clock:.3f}s)" for rec in self.records]
+
+
+class SourceReport(SweepReport):
+    """A source sweep, whose CSV's k=0 is the L2 distance to the reference."""
+
+    first_k = 0
 
 
 def _jsonify(obj):
@@ -300,7 +301,7 @@ def _rung_space(config: ExperimentConfig, dim: int, h: int,
     return build_dirichlet_space(dim, config.points_per_period * h)
 
 
-def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
+def _eigen_sweep(config: ExperimentConfig) -> SweepReport:
     """Sweep of H_h = -div(A_h grad) + V_h against -div(A* grad) + V, with A*
     the family's limit tensor and V the potential's declared limit.  Without a
     family the stiffness is K0 at every h; without a potential there is no V.
@@ -358,17 +359,16 @@ def _eigen_sweep(config: ExperimentConfig, kind: str) -> SweepReport:
             limit_residuals=limit_res, wall_clock=time.perf_counter() - t0,
         ))
     meta["finest_cells"] = config.points_per_period * max(config.h_list)
-    return SweepReport(kind, config.h_list, records, ref.values, meta,
-                       dict(config.echo))
+    return SweepReport(config.h_list, records, ref.values, meta)
 
 
 # two names of one sweep, each bound by its callers: defs, so a tracer wraps each once
 def run_eigen_homog(config: ExperimentConfig) -> SweepReport:
-    return _eigen_sweep(config, "eigen-homog")
+    return _eigen_sweep(config)
 
 
 def run_eigen_potential(config: ExperimentConfig) -> SweepReport:
-    return _eigen_sweep(config, "eigen-potential")
+    return _eigen_sweep(config)
 
 
 def run_source_homog(config: ExperimentConfig) -> SweepReport:
@@ -382,10 +382,10 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
     with prefix_failures("reference"):
         u_star = dirichlet_solve(space_ref, limit, source.limit_family(), 1)
     ref_norm = float(np.sqrt(u_star @ (M_ref @ u_star)))
-    identity = ConstantMatrixCoefficient(np.eye(family.dim))
 
     def probes(space, u):  # strip averages of the first gradient component
-        return window_flux(space, identity, 1, u, WINDOW_EDGES)[:, 0]
+        grad = assembly.cell_gradients(space, u)[None, :, :1]
+        return assembly.strip_averages(space, grad, WINDOW_EDGES)[:, 0]
 
     ref_probes = probes(space_ref, u_star)
     reference = np.concatenate([[0.0], ref_probes])
@@ -407,20 +407,17 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
                                    rel_errors=rel, wall_clock=time.perf_counter() - t0))
     meta = {"tensor": limit.matrix, "provenance": limit.provenance,
             "reference_l2_norm": ref_norm, "window_edges": WINDOW_EDGES}
-    return SweepReport("source-homog", config.h_list, records, reference,
-                       meta, dict(config.echo))
+    return SourceReport(config.h_list, records, reference, meta)
 
 
 @dataclass(eq=False)
 class GammaReport(Report):
     """Envelope check summary plus the affine recovery trace."""
 
-    kind: str
     liminf_passed: int
     liminf_total: int
     liminf_margins: np.ndarray     # LIMINF_TOL - envelope gap, per target
     recovery: object               # PairingTrace
-    config_echo: dict
 
     @property
     def failed_stage(self):
@@ -464,21 +461,19 @@ def run_gamma(config: ExperimentConfig) -> GammaReport:
         targets[:, j] = solve(targets[:, j])
     gaps = liminf_check(K0, M, ladder, targets)
     trace = recovery_check(space, K0, ladder, AFFINE)
-    return GammaReport("gamma", int(np.count_nonzero(gaps <= LIMINF_TOL)),
-                       config.targets, LIMINF_TOL - gaps, trace, dict(config.echo))
+    return GammaReport(int(np.count_nonzero(gaps <= LIMINF_TOL)), config.targets,
+                       LIMINF_TOL - gaps, trace)
 
 
 @dataclass(eq=False)
 class DivCurlReport(Report):
     """Div-curl pairing trace plus flux window averages at the largest h."""
 
-    kind: str
     trace: object                  # PairingTrace
     # h, the strip edges, the flux and reference averages per strip (W, dim)
     # and their distances (W,)
     flux_windows: dict
     envelope_prediction: float     # 1/h fit from the leading rungs at h_max
-    config_echo: dict
 
     def table(self):
         return self.trace.table()
@@ -506,19 +501,17 @@ def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
         prediction = c / h
     else:
         prediction = float("nan")
-    return DivCurlReport("divcurl", trace, windows, prediction, dict(config.echo))
+    return DivCurlReport(trace, windows, prediction)
 
 
 @dataclass(eq=False)
 class HomogenizeReport(Report):
     """Limit tensor of a coefficient family."""
 
-    kind: str
     family: str
     tensor: np.ndarray
     provenance: str
     est_error: float
-    config_echo: dict
 
     def lines(self) -> list:
         return [str(self.tensor.tolist())]
@@ -527,16 +520,17 @@ class HomogenizeReport(Report):
 def run_homogenize(config: ExperimentConfig) -> HomogenizeReport:
     """Limit tensor of the configured family from its oracle."""
     limit = _limit(config)
-    return HomogenizeReport("homogenize", config.family.name, limit.matrix,
-                            limit.provenance, limit.est_error, dict(config.echo))
+    return HomogenizeReport(config.family.name, limit.matrix, limit.provenance,
+                            limit.est_error)
 
 
-def emit_report(report: Report, fmt: str, path) -> None:
-    """Write a report as its CSV table or as a JSON document.
+def emit_report(report: Report, fmt: str, path, config: ExperimentConfig) -> None:
+    """Write the report of a run of ``config`` as its CSV table or as a JSON
+    document.
 
-    The JSON document is the report's kind, the tool version and the echoed
-    config plus the report's body.  CSV floats carry 17 significant digits
-    so reruns are byte-comparable.
+    The JSON document is the config's kind, the tool version and the
+    config's echo plus the report's body.  CSV floats carry 17 significant
+    digits so reruns are byte-comparable.
     """
     if fmt == "csv":
         header, rows = report.table()
@@ -547,8 +541,8 @@ def emit_report(report: Report, fmt: str, path) -> None:
                               for v in row] for row in rows)
         return
     if fmt == "json":
-        doc = {"kind": report.kind, "tool_version": __version__,
-               "config": report.config_echo, **report.body()}
+        doc = {"kind": config.kind, "tool_version": __version__,
+               "config": config.echo, **report.body()}
         with open(path, "w") as fh:
             json.dump(_jsonify(doc), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")

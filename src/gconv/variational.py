@@ -231,8 +231,7 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
 
 
 def window_flux(space, family, h, u, edges):
-    """Per-strip averages of A_h grad u, binned by quadrature point; with the
-    identity coefficient, of grad u (the weak-H1 probes of the source sweep)."""
+    """Per-strip averages of the flux A_h grad u, binned by quadrature point."""
     grad_u = assembly.cell_gradients(space, u)                  # (nc, d)
     A = family.matrix_at(h, space.cell_data().points)           # (nq, nc, d, d)
     flux_q = np.einsum("qcde,ce->qcd", A, grad_u)               # (nq, nc, d)

@@ -215,3 +215,29 @@ def test_only_linalg_imports_scipy_solvers():
                 importers.add(path.stem)
     importers.discard("linalg")
     assert not importers, f"modules besides linalg that import a scipy solver: {importers}"
+
+
+def _decorator_name(node) -> str | None:
+    """The name a decorator is or calls: ``given`` for ``@given(...)`` and
+    for ``@hypothesis.given(...)``."""
+    func = node.func if isinstance(node, ast.Call) else node
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_every_property_is_derandomized():
+    # a property draws the same examples on every run, so a failure reproduces
+    # and the suite's count does not move from run to run
+    loose = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if "given" not in map(_decorator_name, node.decorator_list):
+                continue
+            fixed = any(_decorator_name(d) == "settings" and isinstance(d, ast.Call)
+                        and any(k.arg == "derandomize" and isinstance(k.value, ast.Constant)
+                                and k.value.value is True for k in d.keywords)
+                        for d in node.decorator_list)
+            if not fixed:
+                loose.append(f"{path.name}::{node.name}")
+    assert not loose, f"@given tests without @settings(derandomize=True): {loose}"

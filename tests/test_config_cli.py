@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError
 
-from gconv import homogenize, linalg, sweep
+from gconv import __version__, homogenize, linalg, sweep
 from gconv.cli import main
 from gconv.config import (
     FAMILY_CLASSES,
@@ -21,12 +21,13 @@ from gconv.config import (
     SCHEMA,
     ConfigError,
     apply_overrides,
+    load_config,
     schema_help,
     validate_config,
 )
 from gconv.families import BUILTINS, make_builtin_family
 from gconv.linalg import ConvergenceError, lanczos_vectors
-from gconv.sweep import EXPERIMENTS
+from gconv.sweep import EXPERIMENTS, _jsonify
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -142,6 +143,55 @@ def test_override_through_null_or_non_object(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_overrides_leave_the_config_as_it_was():
+    doc = _minimal(solver={"eig_tol": 1e-9})
+    before = json.loads(json.dumps(doc))
+    out = apply_overrides(doc, ["solver.eig_tol=1e-8", "family.params=[3.0]", "seed=4"])
+    assert doc == before
+    assert out["solver"] == {"eig_tol": 1e-8} and out["family"]["params"] == [3.0]
+
+
+def _gconv(*argv):
+    """Exit code and stderr of ``gconv argv`` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "gconv.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def test_config_text_not_utf8_exit_1(tmp_path):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"experiment": "eigen-homog", "h_list": [4], "note": "\xff"}')
+    code, err = _gconv("validate", "--config", str(cfg))
+    assert code == 1 and "Traceback" not in err
+    assert f"config file '{cfg}': invalid JSON ('utf-8' codec can't decode" in err
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("depth,message", [
+    (5000, "invalid JSON (maximum recursion depth exceeded"),
+    # parsed, and refused by type; no copy of the document recurses into it
+    (600, "config key 'h_list': expected int_list"),
+])
+def test_config_nested_too_deeply_exit_1(tmp_path, depth, message):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"experiment": "eigen-homog", "family": {"name": "osc1d"}, '
+                   f'"h_list": {_nested(depth)}}}')
+    code, err = _gconv("validate", "--config", str(cfg))
+    assert code == 1 and "Traceback" not in err
+    assert message in err
+
+
+def test_override_nested_too_deeply_exit_1(tmp_path):
+    cfg = _write(tmp_path, _minimal())
+    code, err = _gconv("validate", "--config", str(cfg), "--set", f"h_list={_nested(5000)}")
+    assert code == 1 and "Traceback" not in err
+    assert ("config error: override key 'h_list': invalid JSON "
+            "(maximum recursion depth exceeded") in err
+
+
 def test_validate_config_builds_families():
     exp = validate_config(_minimal())
     assert exp.family.name == "osc1d"
@@ -158,6 +208,20 @@ def test_schema_help_lists_keys_and_defaults():
     assert schema_help("eigen-potential").endswith(
         "required for this subcommand: potential; optional: family")
     assert schema_help("gamma").endswith("required for this subcommand: potential")
+
+
+def test_schema_help_shows_each_least_value_once():
+    # the least value is written once, in SCHEMA: each leaf that has one
+    # shows it, and no description states a bound by hand
+    lines = {line.split(" (")[0].strip(): line for line in schema_help().splitlines()[1:]}
+    for path, tag, least in LEAVES:
+        head, desc = lines[path].split("): ", 1)
+        entries = "entries " if tag == "int_list" else ""
+        assert ">=" not in desc
+        assert (head.endswith(f", {entries}>= {least}") if least is not None
+                else ">=" not in head), lines[path]
+    assert lines["points_per_period"].startswith("  points_per_period (int, default 32, >= 16): ")
+    assert lines["h_list"].startswith("  h_list (int_list, default [4, 8, 16, 32, 64], entries >= 1): ")
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -806,6 +870,44 @@ def test_cli_shipped_config_reruns_identically(tmp_path, subcommand, name):
                      for p in out.iterdir()})
     assert runs[0] == runs[1]
     assert any(key.endswith(".json") for key in runs[0])
+
+
+# one shipped config per kind, with a shorter ladder where it has one
+ENVELOPE_RUNS = {
+    "eigen-homog": ("a3_osc1d", ["h_list=[4,8,16]"]),
+    "source-homog": ("a9_source", ["h_list=[4,8,16]"]),
+    "eigen-potential": ("a5_sin2", ["h_list=[4,8,16]"]),
+    "gamma": ("a7_gamma_sin2", ["h_list=[8,16,32]"]),
+    "divcurl": ("a8_divcurl", ["h_list=[8,16,32]"]),
+    "homogenize": ("a4_laminate", []),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+def test_json_envelope_of_every_kind(tmp_path, monkeypatch, kind):
+    # the envelope comes from the config the run was given, the rest from the
+    # report the runner returned
+    name, sets = ENVELOPE_RUNS[kind]
+    path, experiment = CONFIGS / f"{name}.json", EXPERIMENTS[kind]
+    run, reports = getattr(sweep, experiment.runner), []
+
+    def kept(config):
+        reports.append(run(config))
+        return reports[-1]
+
+    monkeypatch.setattr(sweep, experiment.runner, kept)
+    argv = [experiment.subcommand, "--config", str(path), "--out", str(tmp_path)]
+    assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 0
+    echo = validate_config(apply_overrides(load_config(path), sets)).echo
+    names = experiment.reports(echo["output"])
+    doc = json.loads((tmp_path / names["json"]).read_text())
+    assert doc.pop("kind") == json.loads(path.read_text())["experiment"] == kind
+    assert doc.pop("tool_version") == __version__
+    assert doc.pop("config") == echo
+    assert doc == json.loads(json.dumps(_jsonify(reports[0].body())))
+    if experiment.subcommand in ("sweep-source", "sweep-eigen"):
+        first = (tmp_path / names["csv"]).read_text().splitlines()[1].split(",")
+        assert first[1] == ("0" if kind == "source-homog" else "1")
 
 
 def test_cli_echoed_config_reruns_identically(tmp_path):

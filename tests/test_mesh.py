@@ -64,6 +64,48 @@ def test_interval_mesh_rejects_bad_count(n_cells):
         build_interval_mesh(n_cells)
 
 
+@pytest.mark.parametrize("nx,ny", [(0, 3), (3, 0), (-2, 4), (4, -1)])
+def test_rect_mesh_rejects_bad_count(nx, ny):
+    with pytest.raises(ValueError):
+        build_rect_mesh(nx, ny)
+
+
+def _reference_grid(cells):
+    """The grid built explicitly, axis by axis: vertices, cells and boundary."""
+    if len(cells) == 1:
+        (n,) = cells
+        verts = np.linspace(0.0, 1.0, n + 1)[:, None]
+        simplices = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+        boundary = np.zeros(n + 1, dtype=bool)
+        boundary[0] = boundary[-1] = True
+        return verts, simplices, boundary
+    nx, ny = cells
+    X, Y = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1),
+                       indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    I, J = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij"))
+    v00, v10 = I * (ny + 1) + J, (I + 1) * (ny + 1) + J
+    v11, v01 = v10 + 1, v00 + 1
+    simplices = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    simplices[0::2] = np.column_stack([v00, v10, v11])  # lower triangle first
+    simplices[1::2] = np.column_stack([v00, v11, v01])
+    gi = np.repeat(np.arange(nx + 1), ny + 1)
+    gj = np.tile(np.arange(ny + 1), nx + 1)
+    boundary = (gi == 0) | (gi == nx) | (gj == 0) | (gj == ny)
+    return verts, simplices, boundary
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(cells=st.one_of(st.tuples(st.integers(1, 64)),
+                       st.tuples(st.integers(1, 64), st.integers(1, 64))))
+def test_grid_builders_match_the_explicit_construction(cells):
+    mesh = (build_interval_mesh if len(cells) == 1 else build_rect_mesh)(*cells)
+    assert mesh.dimension == len(cells) and mesh.structure == cells
+    for got, want in zip((mesh.vertices, mesh.cells, mesh.boundary), _reference_grid(cells)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit
+
+
 def test_rect_mesh_counts():
     m = build_rect_mesh(2, 2)
     assert m.num_vertices == 9

@@ -431,9 +431,10 @@ def test_source_runner_factors_through_the_dirichlet_solve(monkeypatch):
 
 
 def test_emit_csv_shape(tmp_path):
-    rep = run_eigen_homog(_eigen_cfg(h_list=(4, 8, 16)))
+    cfg = _eigen_cfg(h_list=(4, 8, 16))
+    rep = run_eigen_homog(cfg)
     path = tmp_path / "r.csv"
-    emit_report(rep, "csv", path)
+    emit_report(rep, "csv", path, cfg)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "h,k,value,reference,abs_err,rel_err"
     assert len(rows) == 1 + 3 * 2  # 3 rungs x k=2
@@ -442,19 +443,22 @@ def test_emit_csv_shape(tmp_path):
 
 
 def test_emit_json_roundtrip(tmp_path):
-    rep = run_eigen_homog(_eigen_cfg(h_list=(4, 8, 16)))
+    # the kind and the config come from the config the report was run from
+    cfg = _eigen_cfg(h_list=(4, 8, 16), echo={"experiment": "eigen-homog", "seed": 3})
+    rep = run_eigen_homog(cfg)
     path = tmp_path / "r.json"
-    emit_report(rep, "json", path)
+    emit_report(rep, "json", path, cfg)
     with open(path) as fh:
         parsed = json.load(fh)
     assert parsed == {"kind": "eigen-homog", "tool_version": __version__,
-                      "config": rep.config_echo, **_jsonify(rep.body())}
+                      "config": cfg.echo, **_jsonify(rep.body())}
 
 
 def test_emit_unknown_format(tmp_path):
-    rep = run_eigen_homog(_eigen_cfg(h_list=(4, 8, 16)))
+    cfg = _eigen_cfg(h_list=(4, 8, 16))
+    rep = run_eigen_homog(cfg)
     with pytest.raises(ValueError, match="format"):
-        emit_report(rep, "xml", tmp_path / "r.xml")
+        emit_report(rep, "xml", tmp_path / "r.xml", cfg)
 
 
 def test_cluster_gap_constant_sane():

@@ -195,7 +195,7 @@ def test_recovery_trace_csv_roundtrip(tmp_path, fine_setup):
     ladder = potential_ladder(sp, make_builtin_family("sin2-potential"), [8, 16])
     tr = recovery_check(sp, K0, ladder, (1.0, 0.0))
     path = tmp_path / "trace.csv"
-    emit_report(tr, "csv", path)
+    emit_report(tr, "csv", path, ExperimentConfig(kind="gamma", h_list=(8, 16)))
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "h,value,limit,abs_error"
     assert len(rows) == 3
