@@ -58,17 +58,21 @@ def assemble_stiffness(space: FeSpace, family, h: int = 1,
     space.pattern  # its first build is the largest transient: before any array here
     _, measure, grads = space.cell_data()[:3]
     A = cell_means(space, family, h) if means is None else means
-    dim = A.shape[-1]
-    # grads A grads^T, one product per small axis: np.matmul is as fast, but
-    # BLAS kernels with fused multiply-add change the last bits
-    GA = sum(grads[:, :, k, None] * A[:, None, k] for k in range(dim))
+    nb, dim = grads.shape[1:]
+    # allocated before the grads A columns, whose many (nc,) blocks would
+    # otherwise split the free heap that _fill's gather then needs whole
+    local = np.empty((measure.shape[0], nb, nb))
+    # grads A grads^T from the contiguous (nc,) columns grads[:, i, k], one
+    # product per small axis: np.matmul is as fast, but BLAS kernels with
+    # fused multiply-add change the last bits
+    GA = [[sum(grads[:, i, k] * A[:, k, l] for k in range(dim)) for l in range(dim)]
+          for i in range(nb)]
     del A  # each temporary goes once the next one exists
     # one (nc,) column per local entry, scaled into place; _fill reads only
     # the upper triangle, so the lower one is never written
-    local = np.empty(grads.shape[:2] + (dim + 1,))
-    for i in range(dim + 1):
-        for j in range(i, dim + 1):
-            np.multiply(sum(GA[:, i, l] * grads[:, j, l] for l in range(dim)), measure,
+    for i in range(nb):
+        for j in range(i, nb):
+            np.multiply(sum(GA[i][l] * grads[:, j, l] for l in range(dim)), measure,
                         out=local[:, i, j])
     del GA  # gone before _fill gathers, the call's last transient
     return _fill(space, local)
@@ -134,12 +138,12 @@ def strip_averages(space: FeSpace, values: np.ndarray,
     ``values`` broadcasts to (nq, nc, k); the result has shape (strips, k).
     """
     cd = space.cell_data()
+    strips = len(edges) - 1
     bins = np.clip(np.searchsorted(edges, cd.points[..., 0], side="right") - 1,
-                   0, len(edges) - 2).ravel()
+                   0, strips - 1).ravel()
     w = cd.weights[:, None] * cd.measure[None, :]               # (nq, nc)
     weighted = w[..., None] * values
-    sums = np.zeros((len(edges) - 1, weighted.shape[-1]))
-    vols = np.zeros(len(edges) - 1)
-    np.add.at(vols, bins, w.ravel())
-    np.add.at(sums, bins, weighted.reshape(-1, weighted.shape[-1]))
-    return sums / vols[:, None]
+    # bincount sums each strip in index order from 0.0, as assemble_load does
+    sums = np.column_stack([np.bincount(bins, weighted[..., j].ravel(), strips)
+                            for j in range(weighted.shape[-1])])
+    return sums / np.bincount(bins, w.ravel(), strips)[:, None]

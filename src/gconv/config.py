@@ -11,6 +11,7 @@ import copy
 import json
 import math
 import os
+import reprlib
 from dataclasses import fields
 
 from .families import (
@@ -38,7 +39,8 @@ MAX_BASIS_DOUBLES = 2 ** 27
 
 
 class ConfigError(ValueError):
-    """Configuration rejected; the message names the offending key."""
+    """Configuration rejected; the message names the offending key and echoes a
+    value only as its bounded ``reprlib.repr``, one line whatever its size."""
 
 
 # the family class each family-valued config key takes
@@ -131,7 +133,8 @@ def _validate_level(data, schema, prefix):
         elif isinstance(tag, dict):
             out[key] = _validate_level(value, tag, path)
         elif not _type_ok(tag, value):
-            raise ConfigError(f"config key '{path}': expected {tag}, got {value!r}")
+            raise ConfigError(f"config key '{path}': expected {tag}, got "
+                              f"{reprlib.repr(value)} (type {type(value).__name__})")
         elif least and min(value if tag == "int_list" else [value]) < least[0]:
             entries = "entries " if tag == "int_list" else ""
             raise ConfigError(f"config key '{path}': {entries}must be >= {least[0]}")
@@ -177,9 +180,11 @@ def validate_config(data: dict) -> ExperimentConfig:
                               f"writes no {fmt.upper()} report")
         if name is not None and (name in ("", ".", "..") or "\0" in name
                                  or os.path.basename(name) != name):
-            raise ConfigError(f"config key 'output.{fmt}': {name!r} is not a plain file name")
+            raise ConfigError(f"config key 'output.{fmt}': {reprlib.repr(name)} "
+                              "is not a plain file name")
     if reports.get("csv") == reports["json"]:
-        raise ConfigError(f"config key 'output.json': {reports['json']!r} names the CSV report too")
+        raise ConfigError(f"config key 'output.json': {reprlib.repr(reports['json'])} "
+                          "names the CSV report too")
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
     dim = getattr(family, "dim", 1)
@@ -273,8 +278,9 @@ def apply_overrides(data: dict, overrides) -> dict:
         for part in parents:
             child = node.get(part)
             if child is not None and not isinstance(child, dict):
-                raise ConfigError(f"override key '{path}': config key '{part}' "
-                                  f"holds {child!r}, not an object")
+                raise ConfigError(f"override key '{path}': config key '{part}' holds "
+                                  f"{reprlib.repr(child)}, not an object "
+                                  f"(type {type(child).__name__})")
             node[part] = dict(child or {})  # null starts a fresh object, as absence does
             node = node[part]
         node[leaf] = value

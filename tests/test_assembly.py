@@ -294,6 +294,23 @@ def test_local_integrals_are_the_einsum_bit_for_bit_property(cells, rule, scale,
     keep = cd.dofs >= 0
     np.add.at(ref, cd.dofs[keep], local[keep])
     assert assembly.assemble_load(sp, source).tobytes() == ref.tobytes()
+    # strip averages sum each strip in index order from 0.0, as np.add.at
+    # does: one column broadcast over the points, as the source sweep passes
+    # its gradients, and one column per axis at every point
+    edges = np.linspace(0.0, 1.0, 9)
+    rng = np.random.default_rng(seed)
+    dim = len(cells)
+    for shape in {(1, mesh.num_cells, 1), cd.points.shape[:2] + (dim,)}:
+        values = rng.normal(size=shape)
+        bins = np.clip(np.searchsorted(edges, cd.points[..., 0], side="right") - 1,
+                       0, len(edges) - 2).ravel()
+        w = cd.weights[:, None] * cd.measure[None, :]
+        sums, vols = np.zeros((len(edges) - 1, shape[-1])), np.zeros(len(edges) - 1)
+        np.add.at(vols, bins, w.ravel())
+        np.add.at(sums, bins, (w[..., None] * values).reshape(-1, shape[-1]))
+        got = assembly.strip_averages(sp, values, edges)
+        assert got.shape == sums.shape
+        assert got.tobytes() == (sums / vols[:, None]).tobytes()
 
 
 def test_mass_takes_only_the_one_rule():

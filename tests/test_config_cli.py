@@ -184,6 +184,24 @@ def test_config_nested_too_deeply_exit_1(tmp_path, depth, message):
     assert message in err
 
 
+@pytest.mark.parametrize("doc,overrides,message", [
+    (_minimal(h_list=[0.5] * 100_000), [],
+     "config key 'h_list': expected int_list, got [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...] "
+     "(type list)"),
+    (_minimal(solver=[0.5] * 100_000), ["--set", "solver.eig_tol=1e-8"],
+     "config key 'solver' holds [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...], not an object "
+     "(type list)"),
+    (_minimal(output={"json": "a/" * 100_000}), [], "config key 'output.json': 'a/a/"),
+    (_minimal(output={"csv": "r" * 100_000, "json": "r" * 100_000}), [],
+     "config key 'output.json': 'rrrrrrrrrrrr...rrrrrrrrrrrrr' names the CSV report too"),
+], ids=["type", "override", "file-name", "same-name"])
+def test_large_config_value_message_is_bounded(tmp_path, doc, overrides, message):
+    # a message echoes a bounded repr of the value, never the whole of it
+    code, err = _gconv("validate", "--config", str(_write(tmp_path, doc)), *overrides)
+    assert code == 1 and "Traceback" not in err
+    assert message in err and len(err.encode()) < 300
+
+
 def test_override_nested_too_deeply_exit_1(tmp_path):
     cfg = _write(tmp_path, _minimal())
     code, err = _gconv("validate", "--config", str(cfg), "--set", f"h_list={_nested(5000)}")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gconv import assembly
@@ -191,6 +191,72 @@ def test_pattern_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * sum(a.nbytes for a in pattern)
+
+
+@pytest.mark.parametrize("space", [
+    lambda: build_space(build_rect_mesh(128, 128), PERIODIC),
+    lambda: build_space(build_interval_mesh(16384), DIRICHLET),
+], ids=["2d-periodic", "1d-dirichlet"])
+def test_cell_data_build_peak_memory(space):
+    # one corner gather, then the points, then the gradients, each temporary
+    # gone before the next is made: the build's peak stays within a small
+    # margin over the arrays it keeps
+    sp = space()
+    tracemalloc.start()
+    try:
+        cd = sp.cell_data()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * sum(a.nbytes for a in (cd.dofs, cd.measure, cd.grads, cd.points))
+
+
+def _reference_cell_data(space):
+    """dofs, measure, grads and points of every cell from its vertices[cells]
+    corners, cell-major, in the arithmetic the space's cell data keeps."""
+    mesh, dim = space.mesh, space.mesh.dimension
+    corners = mesh.vertices[mesh.cells]                 # (nc, dim + 1, dim)
+    e = corners[:, 1:] - corners[:, :1]                 # e[c, m]: edge m
+    grads = np.empty((mesh.num_cells, dim + 1, dim))
+    if dim == 1:
+        measure = e[:, 0, 0]
+        grads[:, 1, 0] = 1.0 / measure
+    else:
+        measure = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+        det = 2.0 * measure
+        grads[:, 1, 0] = e[:, 1, 1] / det
+        grads[:, 1, 1] = -e[:, 1, 0] / det
+        grads[:, 2, 0] = -e[:, 0, 1] / det
+        grads[:, 2, 1] = e[:, 0, 0] / det
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    ref = QUADRATURE[dim][0]
+    points = corners[None, :, 0]
+    for k in range(dim):  # (x0 + r0 e0) + r1 e1
+        points = points + ref[:, k, None, None] * e[None, :, k]
+    return space.dof_of_vertex[mesh.cells], measure, grads, points
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(cells=st.one_of(st.tuples(st.integers(1, 512)),
+                       st.tuples(st.integers(1, 40), st.integers(1, 40))),
+       rule=st.sampled_from([DIRICHLET, PERIODIC]))
+@example(cells=(255,), rule=DIRICHLET)  # linspace steps that differ by an ulp
+@example(cells=(37,), rule=PERIODIC)
+@example(cells=(3, 7), rule=DIRICHLET)
+@example(cells=(33, 40), rule=PERIODIC)
+def test_cell_data_matches_the_explicit_construction(cells, rule):
+    mesh = (build_interval_mesh if len(cells) == 1 else build_rect_mesh)(*cells)
+    sp = build_space(mesh, rule)
+    cd = sp.cell_data()
+    for got, want in zip(cd, _reference_cell_data(sp)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit
+        assert not got.flags.writeable
+    # stored by component: every column a kernel reads is one contiguous run
+    nb, dim = cd.grads.shape[1:]
+    columns = [cd.grads[:, i, k] for i in range(nb) for k in range(dim)]
+    for col in columns + [cd.points[..., k] for k in range(dim)]:
+        assert col.flags.c_contiguous and not col.flags.writeable
 
 
 def _float_interpolation(space_from, u, space_to):
