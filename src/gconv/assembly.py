@@ -1,13 +1,13 @@
 """P1 assembly of stiffness, weighted mass and load vectors.
 
-Element integrals use the one rule per dimension of ``mesh.QUADRATURE``.
-Oscillatory coefficients are additionally guarded by the points-per-feature
-rule of the families module, which keeps coefficient aliasing below
-discretization error.  Dirichlet dofs are eliminated at assembly, never
-penalized.
+Element integrals use the one rule per dimension of ``mesh.QUADRATURE``, and
+the families module's points-per-feature rule keeps coefficient aliasing
+below discretization error.  Dirichlet dofs are eliminated at assembly,
+never penalized.
 
-Each call only evaluates its coefficient and the local integrals; the cell
-geometry, quadrature points and sparsity pattern are cached on the space.
+Each call only samples its coefficient's scalar field (``values_at``; a
+stiffness also reads the constant ``matrix`` it scales) and forms the local
+integrals; the cell data and sparsity pattern are cached on the space.
 Global matrices are exactly symmetric by construction: both orientations of
 every off-diagonal entry are summed from the same upper-triangle local
 entries in the same order (``mesh.SymmetricPattern``), so the two sums
@@ -40,34 +40,34 @@ def _fill(space: FeSpace, local: np.ndarray) -> sparse.csr_matrix:
 
 
 def cell_means(space: FeSpace, family, h: int = 1) -> np.ndarray:
-    """Cell averages of the coefficient matrices A_h, shape (nc, dim, dim)."""
+    """Cell averages of the coefficient's scalar field a_h, shape (nc,)."""
     cd = space.cell_data()
-    return np.einsum("q,qcij->cij", cd.weights, family.matrix_at(h, cd.points))
+    return np.einsum("q,qc->c", cd.weights, family.values_at(h, cd.points))
 
 
 def assemble_stiffness(space: FeSpace, family, h: int = 1,
                        means=None) -> sparse.csr_matrix:
-    """Stiffness matrix K[i,j] = integral(A_h grad(phi_j) . grad(phi_i)).
+    """Stiffness matrix K[i,j] = integral(a_h matrix grad(phi_j) . grad(phi_i)).
 
     Symmetric positive definite on Dirichlet spaces; on periodic spaces the
-    kernel is the constant vector.  A P1 stiffness reads A_h only through
-    its cell means: ``means`` passes ``cell_means(space, family, h)`` already
-    sampled, and ``family`` is then only checked against the resolution rule.
+    kernel is the constant vector.  A P1 stiffness reads the field a_h only
+    through its cell means: ``means`` passes ``cell_means(space, family, h)``
+    already sampled; ``family`` then gives only its ``matrix`` and feature scale.
     """
     _check(space, "assemble_stiffness", family, h)
     space.pattern  # its first build is the largest transient: before any array here
     _, measure, grads = space.cell_data()[:3]
-    A = cell_means(space, family, h) if means is None else means
-    nb, dim = grads.shape[1:]
+    a = cell_means(space, family, h) if means is None else means
+    A, (nb, dim) = family.matrix, grads.shape[1:]
     # allocated before the grads A columns, whose many (nc,) blocks would
     # otherwise split the free heap that _fill's gather then needs whole
     local = np.empty((measure.shape[0], nb, nb))
-    # grads A grads^T from the contiguous (nc,) columns grads[:, i, k], one
+    # grads A grads^T a from the contiguous (nc,) columns grads[:, i, k], one
     # product per small axis: np.matmul is as fast, but BLAS kernels with
     # fused multiply-add change the last bits
-    GA = [[sum(grads[:, i, k] * A[:, k, l] for k in range(dim)) for l in range(dim)]
+    GA = [[sum(grads[:, i, k] * A[k, l] for k in range(dim)) * a for l in range(dim)]
           for i in range(nb)]
-    del A  # each temporary goes once the next one exists
+    del a  # each temporary goes once the next one exists
     # one (nc,) column per local entry, scaled into place; _fill reads only
     # the upper triangle, so the lower one is never written
     for i in range(nb):

@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, sweep
 from .config import ConfigError, apply_overrides, load_config, schema_help, validate_config
 from .linalg import NumericalError
@@ -87,7 +89,8 @@ def _run_experiment(args, config: ExperimentConfig) -> int:
         raise ConfigError(f"option '--out': {exc}") from exc
     # looked up per call, so a wrapped runner in the sweep module is the one run
     runner = getattr(sweep, experiment.runner)
-    report = runner(config)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # no inf or nan report
+        report = runner(config)
     paths = []
     for fmt, name in experiment.reports(config.echo["output"]).items():
         paths.append(out / name)
@@ -116,9 +119,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"gconv: config error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"gconv: numerical failure at stage '{exc.stage}': {exc}",
-              file=sys.stderr)
+    except (NumericalError, FloatingPointError) as exc:  # the latter from np.errstate
+        stage = getattr(exc, "stage", "arithmetic")
+        print(f"gconv: numerical failure at stage '{stage}': {exc}", file=sys.stderr)
         return 2
 
 

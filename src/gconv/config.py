@@ -121,7 +121,7 @@ def _validate_level(data, schema, prefix):
     for key in data:
         if key not in schema:
             path = f"{prefix}.{key}" if prefix else key
-            raise ConfigError(f"config key '{path}': unknown key")
+            raise ConfigError(f"config key {reprlib.repr(path)}: unknown key")
     out = {}
     for key, (tag, default, _desc, *least) in schema.items():
         path = f"{prefix}.{key}" if prefix else key
@@ -153,7 +153,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     kind = effective["experiment"]
     if kind not in EXPERIMENTS:
         raise ConfigError(
-            f"config key 'experiment': unknown kind '{kind}' "
+            f"config key 'experiment': unknown kind {reprlib.repr(kind)} "
             f"(choose from {', '.join(EXPERIMENTS)})"
         )
     experiment = EXPERIMENTS[kind]
@@ -265,7 +265,7 @@ def apply_overrides(data: dict, overrides) -> dict:
     data = dict(data)
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"override '{item}': expected key=value")
+            raise ConfigError(f"override {reprlib.repr(item)}: expected key=value")
         path, raw = item.split("=", 1)
         try:
             value = json.loads(raw, object_pairs_hook=_unique_keys)

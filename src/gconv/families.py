@@ -3,14 +3,15 @@
 Built-in families, one ``BUILTINS`` entry each, realize the canonical settings
 of periodic homogenization (oscillation at frequency h) plus a concentration
 family for the weakly but not uniformly convergent potential regime.  Every
-callable a family holds reads points (..., dim).  Every family carries what
-its limit oracle reads (a unit-cell profile, or an analytic limit), and
-oscillatory families expose the length of their finest feature so numerical
-consumers can refuse to sample below RESOLUTION_POINTS points per feature
-instead of silently aliasing.
+callable a family holds reads points (..., dim), and ``values_at`` is the one
+sampling method: a coefficient is that scalar field times its ``matrix``.
+Every family carries what its limit oracle reads (a unit-cell profile, or an
+analytic limit), and oscillatory families expose their finest feature's length
+so consumers can refuse to sample below RESOLUTION_POINTS points per feature.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -72,22 +73,19 @@ class CoefficientFamily(_Oscillating):
     feature_fraction: float | None = None   # finest feature = fraction / h
 
     def values_at(self, h: int, x) -> np.ndarray:
-        """Isotropic multiplier a_h at sample points (..., dim)."""
+        """The scalar field a_h at sample points (..., dim)."""
         return np.asarray(self.unit_profile(h * np.asarray(x, dtype=float)), dtype=float)
 
-    def matrix_at(self, h: int, x) -> np.ndarray:
-        """Full coefficient matrices a_h(x) * I with shape (..., dim, dim)."""
-        a = self.values_at(h, x)
-        out = np.zeros(a.shape + (self.dim, self.dim))
-        for d in range(self.dim):
-            out[..., d, d] = a
-        return out
+    @property
+    def matrix(self) -> np.ndarray:
+        """The constant matrix that a_h multiplies: the identity."""
+        return np.eye(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
 class ConstantMatrixCoefficient:
-    """Fixed symmetric matrix coefficient: a constant pencil, or the G-limit
-    A* an oracle returns, with where it came from and its error estimate."""
+    """The field 1 times a fixed symmetric ``matrix``: a constant pencil, or the
+    G-limit A* an oracle returns, with where it came from and its error estimate."""
 
     matrix: np.ndarray
     provenance: str = "exact"
@@ -109,8 +107,8 @@ class ConstantMatrixCoefficient:
     def feature_scale(self, h: int) -> None:
         return None
 
-    def matrix_at(self, h: int, x) -> np.ndarray:
-        return np.broadcast_to(self.matrix, np.shape(x)[:-1] + self.matrix.shape).copy()
+    def values_at(self, h: int, x) -> np.ndarray:
+        return np.ones(np.shape(x)[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,11 +251,12 @@ def make_builtin_family(name: str, params=()):
     the required bounds (ellipticity alpha > 0, nonnegative potentials).
     """
     if name not in BUILTINS:
-        raise ValueError(f"unknown family '{name}' (choose from {', '.join(BUILTINS)})")
+        raise ValueError(f"unknown family {reprlib.repr(name)} "
+                         f"(choose from {', '.join(BUILTINS)})")
     build, most = BUILTINS[name]
     params = [float(p) for p in params]
     if not np.all(np.isfinite(params)):  # NaN passes every builder's bound check
-        raise ValueError(f"'{name}' parameters must be finite, got {params}")
+        raise ValueError(f"'{name}' parameters must be finite, got {reprlib.repr(params)}")
     if len(params) > most:
         takes = f"at most {most} parameter{'s' * (most > 1)}" if most else "no parameters"
         raise ValueError(f"'{name}' takes {takes}, got {len(params)}")

@@ -3,10 +3,10 @@
 The G-limit of -div(A_h grad) is -div(A* grad) with a constant tensor A*,
 returned as a ``ConstantMatrixCoefficient`` that assembly reads directly.
 The limit of a 1D periodic family is the harmonic mean of its profile; in
-2D the limit tensor is assembled from periodic cell problems: two corrector
-solves on the unit cell, by CG preconditioned with a factored half-resolution
-companion.  These oracles make every convergence sweep checkable against an
-independent reference.
+2D it comes from two periodic corrector solves K chi = b on the unit cell,
+by CG preconditioned with a factored half-resolution companion, as the
+symmetric part of integral(A) - b^T chi.  These oracles make every
+convergence sweep checkable against an independent reference.
 """
 from __future__ import annotations
 
@@ -67,15 +67,17 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     """Effective 2x2 tensor of a 1-periodic coefficient field on the unit cell.
 
     Solves the corrector problems div(A(y)(e_i + grad chi_i)) = 0 on the
-    periodic cell space.  ``profile`` is a 2D coefficient family, or a
+    periodic cell space, K chi = b, and returns the symmetric part of
+    integral(A (I + grad chi)) = integral(A) - b^T chi (Jikov, Kozlov &
+    Oleinik 1994, ch. 1).  ``profile`` is a 2D coefficient family, or a
     callable mapping points (..., 2) to a(y), taken as the family a(y) I.
 
     An even resolution >= 32 first solves a half-resolution companion by its
     factor (one dof grounded); the tensors' difference is the error estimate,
     nan without a companion.  The full-resolution correctors are solved by CG
     on the singular stiffness, preconditioned by a two-grid cycle on that
-    factor; no fine dof is grounded and no mean is taken out of chi, as the
-    tensor reads only grad chi.  CG short of ``CG_RTOL`` raises ConvergenceError.
+    factor; no fine dof is grounded and no mean is taken out of chi, as b has
+    mean zero.  CG short of ``CG_RTOL`` raises ConvergenceError.
     """
     family = profile if isinstance(profile, CoefficientFamily) else CoefficientFamily(
         "unit-cell-profile", 2, float("nan"), float("nan"), profile, 1.0)
@@ -87,40 +89,37 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     def grid(res):  # bare: P is built from two, so no level's pattern stays alive
         return build_space(build_rect_mesh(res, res), PERIODIC)
 
-    def level(res):  # periodic stiffness, corrector right-hand sides, tensor map
+    def level(res):  # periodic stiffness, corrector right-hand sides, integral of A
         space = grid(res)
         dofs, measure, grads = space.cell_data()[:3]
-        # the level's one sampling of the field, read by the stiffness, the
-        # right-hand sides and the tensor map; the samples go with this call
-        Abar = assembly.cell_means(space, family)
-        K = assembly.assemble_stiffness(space, family, means=Abar)
-        # rhs[i, j] = -integral( A e_j . grad phi_i ); batched matmul beats einsum
-        local = -(grads @ Abar) * measure[:, None, None]
+        # the level's one sampling of a, for the stiffness and the right-hand sides
+        mean = assembly.cell_means(space, family)
+        K = assembly.assemble_stiffness(space, family, means=mean)
+        # b[i, j] = -integral( a e_j . grad phi_i ), as A = a I
+        local = -grads * (mean * measure)[:, None, None]
         b = np.column_stack([np.bincount(dofs.ravel(), local[..., j].ravel(),
                                          space.num_dofs) for j in range(2)])
         b -= b.mean(axis=0)  # zero up to round-off; exactly zero keeps CG consistent
+        return K, b, (mean @ measure) * np.eye(2)
 
-        def tensor(chi):  # symmetrized integral of A (I + grad chi), chi (n, 2)
-            grad_chi = grads.transpose(0, 2, 1) @ chi[dofs]      # (nc, 2, 2)
-            eff = np.tensordot(measure, Abar @ (np.eye(2) + grad_chi), axes=1)
-            return 0.5 * (eff + eff.T)
-
-        return K, b, tensor
+    def tensor(b, integral, chi):  # b[:, j] . chi[:, k] = -integral(A grad chi_k . e_j)
+        eff = integral - b.T @ chi
+        return 0.5 * (eff + eff.T)
 
     refine = cell_resolution >= 32 and cell_resolution % 2 == 0
-    Kc, bc, tensor_c = level(cell_resolution // 2 if refine else cell_resolution)
+    Kc, bc, integral_c = level(cell_resolution // 2 if refine else cell_resolution)
     with prefix_failures(context):
         factor = cholesky(Kc[1:, 1:].tocsc())
 
     def coarse_solve(r):  # dof 0 grounded
         return np.insert(factor.solve(r[1:]), 0, 0.0, axis=0)
 
-    eff_c = tensor_c(coarse_solve(bc))
+    eff_c = tensor(bc, integral_c, coarse_solve(bc))
     if not refine:
         return ConstantMatrixCoefficient(eff_c, CELL_PROBLEM, float("nan"))
-    del Kc, bc, tensor_c  # only the companion's factor is read from here on
+    del Kc, bc  # only the companion's factor is read from here on
 
-    K, b, tensor = level(cell_resolution)
+    K, b, integral = level(cell_resolution)
     P = transfer(grid(cell_resolution // 2), grid(cell_resolution))
     jacobi = (2.0 / 3.0) / K.diagonal()
 
@@ -149,7 +148,7 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
             raise ConvergenceError(
                 f"{context}: corrector {j} CG stopped at step {step}, relative "
                 f"residual {rel:.3e} > {CG_RTOL:.1e}", "cell problem")
-    eff = tensor(chi)
+    eff = tensor(b, integral, chi)
     return ConstantMatrixCoefficient(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
 
 

@@ -400,7 +400,7 @@ def run_source_homog(config: ExperimentConfig) -> SweepReport:
         values = np.concatenate([[l2_err], probes(space, u_h)])
         abs_err = np.abs(values - reference)
         rel = np.empty_like(abs_err)
-        rel[0] = l2_err / ref_norm
+        rel[0] = l2_err / (ref_norm or 1.0)  # as the probes: 1 where the reference is 0
         denom = np.where(np.abs(ref_probes) > 0, np.abs(ref_probes), 1.0)
         rel[1:] = abs_err[1:] / denom
         records.append(SweepRecord(h=h, values=values, abs_errors=abs_err,

@@ -3,7 +3,7 @@
 All the h-indexed diagnostics here run on one matched fine mesh sized for
 the largest h in the ladder, so the discretization error is common mode
 across the sweep and the traces isolate the convergence of the coefficient
-or potential sequence itself.
+or potential sequence itself.  Energies and fluxes scale ``grad u @ matrix`` by a_h.
 """
 from __future__ import annotations
 
@@ -199,11 +199,11 @@ def dirichlet_solves(family, source: SourceFamily, n: int) -> tuple:
 
 
 def _energy_pairing(space, family, h, u, phi):
-    """integral( phi * (A_h grad u . grad u) ) for P1 u and phi."""
+    """integral( phi * (a_h matrix grad u . grad u) ) for P1 u and phi."""
     dofs, measure, _, pts, gw, phi_vals = space.cell_data()
     grad_u = assembly.cell_gradients(space, u)            # (nc, d)
-    A = family.matrix_at(h, pts)                          # (nq, nc, d, d)
-    energy_density = np.einsum("qcde,ce,cd->qc", A, grad_u, grad_u)
+    energy = np.einsum("cd,cd->c", grad_u @ family.matrix, grad_u)
+    energy_density = family.values_at(h, pts) * energy    # (nq, nc)
     phic = np.where(dofs >= 0, np.asarray(phi)[np.clip(dofs, 0, None)], 0.0)
     phi_at_q = np.einsum("ci,qi->qc", phic, phi_vals)
     return float(np.einsum("q,qc,qc,c->", gw, phi_at_q, energy_density, measure))
@@ -231,8 +231,7 @@ def div_curl_test(coeff_family, h_list, source: SourceFamily, phi_support,
 
 
 def window_flux(space, family, h, u, edges):
-    """Per-strip averages of the flux A_h grad u, binned by quadrature point."""
-    grad_u = assembly.cell_gradients(space, u)                  # (nc, d)
-    A = family.matrix_at(h, space.cell_data().points)           # (nq, nc, d, d)
-    flux_q = np.einsum("qcde,ce->qcd", A, grad_u)               # (nq, nc, d)
-    return assembly.strip_averages(space, flux_q, edges)
+    """Per-strip averages of the flux a_h matrix grad u, binned by quadrature point."""
+    a = family.values_at(h, space.cell_data().points)           # (nq, nc)
+    flux = assembly.cell_gradients(space, u) @ family.matrix    # (nc, d)
+    return assembly.strip_averages(space, a[..., None] * flux, edges)

@@ -197,6 +197,21 @@ def test_only_mesh_reads_the_grid_layout():
     assert not readers, f"modules that read Mesh.structure: {readers}"
 
 
+def test_no_module_samples_a_coefficient_per_point_matrix():
+    # a coefficient is a scalar field (values_at) times a constant matrix; a
+    # per-point (..., dim, dim) sample, matrix_at, would bring the zeros back
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _attribute_names(tree, None) | {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))} | {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if "matrix_at" in names:
+            users.append(path.stem)
+    assert not users, f"modules that define or read matrix_at: {users}"
+
+
 def test_only_linalg_imports_scipy_solvers():
     # ARPACK, SuperLU, LAPACK and the size of ARPACK's basis stay behind one
     # module; another module asks linalg for a factor or an eigensolve

@@ -79,6 +79,18 @@ def test_load_affine_source(quarter_space):
     assert np.allclose(b, 0.25 * quarter_space.dof_coordinates()[:, 0], atol=1e-16)
 
 
+def _random_coefficient(seed, dim):
+    """A positive scalar field drawn afresh per point, the same draws on every
+    call, times a random SPD matrix."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(dim, dim))
+
+    def values_at(h, x):
+        return np.random.default_rng(seed + 1).lognormal(size=np.shape(x)[:-1])
+    return SimpleNamespace(name="random-spd", feature_scale=lambda h: None,
+                           values_at=values_at, matrix=B @ B.T + 0.1 * np.eye(dim))
+
+
 def test_bitwise_symmetry():
     # Mass with two weights, then stiffness, all on one space: each matrix is
     # exactly symmetric and equals, bit for bit, the same assembly on a fresh
@@ -94,17 +106,12 @@ def test_bitwise_symmetry():
         (lambda: build_space(build_rect_mesh(24, 24), PERIODIC), lam, 1),
     ]
 
-    def spd(h, x):  # a full SPD field, the same on every call
-        B = np.random.default_rng(7).normal(size=(*x.shape, x.shape[-1]))
-        return B @ np.swapaxes(B, -1, -2) + np.eye(x.shape[-1])
-
     # a periodic axis of 2 cells maps one local pair onto a dof pair both
     # ways round, so both orientations of an entry gather the same cells
     for cells in ((2,), (2, 5), (2, 2), (5, 2)):
         mesh = build_interval_mesh if len(cells) == 1 else build_rect_mesh
         cases.append((lambda mesh=mesh, cells=cells: build_space(mesh(*cells), PERIODIC),
-                      SimpleNamespace(name="spd", feature_scale=lambda h: None,
-                                      matrix_at=spd), 1))
+                      _random_coefficient(7, len(cells)), 1))
     for build, coeff, h in cases:
         steps = [lambda sp: assembly.assemble_mass(sp),
                  lambda sp: assembly.assemble_mass(sp, radial),
@@ -202,15 +209,6 @@ def _csr_bytes(K) -> int:
     return K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
 
 
-def _random_spd_field(seed):
-    """A full SPD tensor drawn afresh per point, the same draws on every call."""
-    def matrix_at(h, x):
-        B = np.random.default_rng(seed).normal(size=np.shape(x)[:-1] + (2, 2))
-        return B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(2)
-    return SimpleNamespace(name="random-spd", feature_scale=lambda h: None,
-                           matrix_at=matrix_at)
-
-
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("field", ["laminate2d", "random-spd"])
 def test_one_point_rule_on_cell_means_is_exact(n, field):
@@ -218,7 +216,7 @@ def test_one_point_rule_on_cell_means_is_exact(n, field):
     # is then the field's own stiffness bit for bit
     sp = build_space(build_rect_mesh(n, n), PERIODIC)
     family = (make_builtin_family("laminate2d", [1.0, 4.0]) if field == "laminate2d"
-              else _random_spd_field(n))
+              else _random_coefficient(n, 2))
     K1 = assembly.assemble_stiffness(sp, family, means=assembly.cell_means(sp, family))
     K = assembly.assemble_stiffness(sp, family)
     for part in ("data", "indices", "indptr"):
@@ -336,15 +334,14 @@ def test_grid_invariants_property(cells, rule):
     M = assembly.assemble_mass(sp)
     for mat in (K, M):
         assert np.array_equal(mat.toarray(), mat.T.toarray())
-    # on a full SPD field the local stiffness is the einsum contraction's
-    # arithmetic, bit for bit
+    # on a random positive field times a random SPD matrix the local
+    # stiffness is the einsum contraction's arithmetic, bit for bit
     cd = sp.cell_data()
     rng = np.random.default_rng(sp.num_dofs)
-    B = rng.normal(size=(*cd.points.shape[:2], dim, dim))
-    A = B @ np.swapaxes(B, -1, -2) + np.eye(dim)
-    Ka = assembly.assemble_stiffness(sp, SimpleNamespace(
-        name="random", feature_scale=lambda h: None, matrix_at=lambda h, x: A))
-    GA = np.einsum("cik,ckl->cil", cd.grads, np.einsum("q,qcij->cij", cd.weights, A))
+    coefficient = _random_coefficient(sp.num_dofs, dim)
+    Ka = assembly.assemble_stiffness(sp, coefficient)
+    a = np.einsum("q,qc->c", cd.weights, coefficient.values_at(1, cd.points))
+    GA = np.einsum("cik,kl->cil", cd.grads, coefficient.matrix) * a[:, None, None]
     local = np.einsum("cil,cjl->cij", GA, cd.grads) * cd.measure[:, None, None]
     data = np.add.reduceat(local.ravel()[sp.pattern.gather], sp.pattern.starts)
     assert Ka.data.tobytes() == data.tobytes()

@@ -194,7 +194,19 @@ def test_config_nested_too_deeply_exit_1(tmp_path, depth, message):
     (_minimal(output={"json": "a/" * 100_000}), [], "config key 'output.json': 'a/a/"),
     (_minimal(output={"csv": "r" * 100_000, "json": "r" * 100_000}), [],
      "config key 'output.json': 'rrrrrrrrrrrr...rrrrrrrrrrrrr' names the CSV report too"),
-], ids=["type", "override", "file-name", "same-name"])
+    (_minimal(family={"name": "osc1d", "params": [1e999] * 100_000}), [],
+     "config key 'family': 'osc1d' parameters must be finite, "
+     "got [inf, inf, inf, inf, inf, inf, ...]"),
+    (_minimal(family={"name": "f" * 100_000}), [],
+     "config key 'family': unknown family 'ffffffffffff...fffffffffffff' (choose from "),
+    (_minimal(experiment="k" * 100_000), [],
+     "config key 'experiment': unknown kind 'kkkkkkkkkkkk...kkkkkkkkkkkkk' (choose from "),
+    (_minimal(**{"u" * 100_000: 1}), [],
+     "config key 'uuuuuuuuuuuu...uuuuuuuuuuuuu': unknown key"),
+    (_minimal(), ["--set", "s" * 100_000],
+     "override 'ssssssssssss...sssssssssssss': expected key=value"),
+], ids=["type", "override", "file-name", "same-name", "params", "family-name", "kind",
+        "unknown-key", "set-item"])
 def test_large_config_value_message_is_bounded(tmp_path, doc, overrides, message):
     # a message echoes a bounded repr of the value, never the whole of it
     code, err = _gconv("validate", "--config", str(_write(tmp_path, doc)), *overrides)
@@ -375,6 +387,35 @@ def test_cli_source_sweep_failure_names_rung(tmp_path, capsys, monkeypatch, dofs
     assert main(["sweep-source", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert (f"stage 'factorization': {rung}: not positive definite: pivot 1 of {dofs} "
             "is 0" in capsys.readouterr().err)
+
+
+def test_cli_zero_source_reports_its_errors(tmp_path):
+    # the reference solution is 0, so its L2 error is relative to 1, as the
+    # probes' errors are where their reference is 0
+    doc = _minimal("source-homog", source={"name": "const-source", "params": [0.0]})
+    code, err = _gconv("sweep-source", "--config", str(_write(tmp_path, doc)),
+                       "--out", str(tmp_path))
+    assert code == 0 and "Traceback" not in err
+    name = EXPERIMENTS["source-homog"].reports(validate_config(doc).echo["output"])["json"]
+    records = json.loads((tmp_path / name).read_text())["records"]
+    assert len(records) == 2
+    assert all(rec["rel_errors"][0] == rec["abs_errors"][0] for rec in records)
+
+
+@pytest.mark.parametrize("kind,subcommand,params", [
+    # the solution is about 1e200, so its L2 norm squared overflows
+    ("source-homog", "sweep-source", [1e-200]),
+    # 1 / 5e-324 overflows in the harmonic mean of the limit oracle
+    ("homogenize", "homogenize", [5e-324]),
+])
+def test_cli_float_overflow_exit_2(tmp_path, capsys, kind, subcommand, params):
+    # a validated config whose numbers leave the float range ends in exit 2,
+    # not in a report of inf and nan
+    cfg = _write(tmp_path, _minimal(kind, family={"name": "const", "params": params}))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "numerical failure at stage 'arithmetic': overflow encountered in" \
+        in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -953,8 +994,11 @@ def _small_configs(draw, kind):
     for key in experiment.requires + experiment.optional:
         if key in experiment.requires or draw(st.booleans()):
             name = draw(st.sampled_from(_NAMES[key]))
+            # zero, negative and boundary values too, which a builder refuses
+            # with exit 1 or a run must survive
+            param = st.sampled_from([0.0, -1.0, 0.5, 1.0]) | st.floats(-4.0, 4.0)
             doc[key] = {"name": name, "params": draw(
-                st.lists(st.floats(1.5, 4.0), max_size=BUILTINS[name][1]))}
+                st.lists(param, max_size=BUILTINS[name][1]))}
     top = 2 if doc.get("family", {}).get("name") == "laminate2d" else 4
     doc |= {"h_list": sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=3))),
            "points_per_period": draw(st.sampled_from([16, 20, 32])),
@@ -967,7 +1011,7 @@ def _small_configs(draw, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
-@settings(derandomize=True, deadline=None, max_examples=20,
+@settings(derandomize=True, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_small_configs_end_in_report_or_named_exit(kind, data):

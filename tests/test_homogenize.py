@@ -145,7 +145,7 @@ def _direct_tensor(profile, res):
     K = assembly.assemble_stiffness(space, family).tocsc()
     lu = splu(K[1:, 1:], permc_spec="MMD_AT_PLUS_A")
     dofs, measure, grads, pts, gw, _ = space.cell_data()
-    Abar = np.einsum("q,qcij->cij", gw, family.matrix_at(1, pts))
+    Abar = np.einsum("q,qc->c", gw, family.values_at(1, pts))[:, None, None] * np.eye(2)
     eff = np.zeros((2, 2))
     for j in range(2):
         b = np.zeros(space.num_dofs)
@@ -193,6 +193,14 @@ def test_cell_problem_dykhne_field_converges_to_identity():
         assert gap <= t.est_error <= 4.0 * gap
 
 
+@pytest.mark.parametrize("res", [32, 64, 128, 256])
+def test_cell_problem_two_phase_laminate_is_exact(res):
+    # the interfaces lie on mesh lines, so the P1 tensor is diag(1.6, 2.5)
+    # up to round-off, which integral(A) - b^T chi keeps within 1e-14
+    t = cell_problem_2d(make_builtin_family("laminate2d", [1.0, 4.0]), res)
+    assert np.abs(t.matrix - np.diag([1.6, 2.5])).max() <= 1e-14
+
+
 @pytest.mark.parametrize("res", [31, 33])
 def test_cell_problem_odd_resolution_has_no_companion(res):
     t = cell_problem_2d(lambda pts: np.full(pts.shape[:-1], 2.5), res)
@@ -233,17 +241,17 @@ def test_cell_problem_two_grid_property(half, coef):
 
 
 def test_cell_problem_evaluates_the_coefficient_once_per_level(monkeypatch):
-    # each level's stiffness, corrector right-hand sides and tensor map read
-    # one evaluation of the field: the half-resolution companion's and the
-    # full resolution's
+    # each level's stiffness and corrector right-hand sides read one
+    # evaluation of the field: the half-resolution companion's and the full
+    # resolution's
     shapes = []
-    matrix_at = CoefficientFamily.matrix_at
+    values_at = CoefficientFamily.values_at
 
     def counting(self, h, x):
         shapes.append(np.shape(x))
-        return matrix_at(self, h, x)
+        return values_at(self, h, x)
 
-    monkeypatch.setattr(CoefficientFamily, "matrix_at", counting)
+    monkeypatch.setattr(CoefficientFamily, "values_at", counting)
     cell_problem_2d(make_builtin_family("laminate2d", [1.0, 4.0]), 32)
     assert shapes == [(3, 2 * 16 * 16, 2), (3, 2 * 32 * 32, 2)]
 
