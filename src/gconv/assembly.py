@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .families import check_resolution
-from .mesh import FeSpace
+from .mesh import PATTERN_BLOCK, FeSpace
 
 
 def _check(space: FeSpace, caller: str, family, h: int) -> None:
@@ -32,9 +32,22 @@ def _check(space: FeSpace, caller: str, family, h: int) -> None:
 
 
 def _fill(space: FeSpace, local: np.ndarray) -> sparse.csr_matrix:
-    """Sum local matrices into the space's cached symmetric CSR pattern."""
+    """Sum local matrices into the space's cached symmetric CSR pattern.
+
+    The sums run over blocks of ``PATTERN_BLOCK`` CSR entries, each gathering
+    only its own segment of ``local.ravel()[pattern.gather]``: no copy the
+    size of ``local``, and no intp copy of ``starts``, is ever made.  Every
+    entry sums the same values in the same order as one whole
+    ``np.add.reduceat`` would, so the matrix is the same bit for bit.
+    """
     pattern = space.pattern
-    data = np.add.reduceat(local.ravel()[pattern.gather], pattern.starts)
+    flat, gather, starts = local.ravel(), pattern.gather, pattern.starts
+    data = np.empty(starts.size)
+    for a in range(0, starts.size, PATTERN_BLOCK):
+        b = min(a + PATTERN_BLOCK, starts.size)
+        lo, hi = starts[a], starts[b] if b < starts.size else gather.size
+        np.add.reduceat(flat[gather[lo:hi]], np.subtract(starts[a:b], lo, dtype=np.intp),
+                        out=data[a:b])
     return sparse.csr_matrix((data, pattern.indices, pattern.indptr),
                              shape=(space.num_dofs, space.num_dofs))
 

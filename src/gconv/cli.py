@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success with reports written, 1 on configuration or
 validation errors (the diagnostic names the offending key, or ``--out``), 2
-on numerical failures (the diagnostic names the failing stage).
+on numerical failures (the diagnostic names the failing stage, ``memory``
+when an allocation fails).
 """
 from __future__ import annotations
 
@@ -122,6 +123,10 @@ def main(argv=None) -> int:
     except (NumericalError, FloatingPointError) as exc:  # the latter from np.errstate
         stage = getattr(exc, "stage", "arithmetic")
         print(f"gconv: numerical failure at stage '{stage}': {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"gconv: numerical failure at stage 'memory': {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2
 
 

@@ -72,12 +72,17 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     Oleinik 1994, ch. 1).  ``profile`` is a 2D coefficient family, or a
     callable mapping points (..., 2) to a(y), taken as the family a(y) I.
 
-    An even resolution >= 32 first solves a half-resolution companion by its
+    An even resolution >= 32 also solves a half-resolution companion by its
     factor (one dof grounded); the tensors' difference is the error estimate,
     nan without a companion.  The full-resolution correctors are solved by CG
     on the singular stiffness, preconditioned by a two-grid cycle on that
     factor; no fine dof is grounded and no mean is taken out of chi, as b has
     mean zero.  CG short of ``CG_RTOL`` raises ConvergenceError.
+
+    The fine level and the prolongation are built first, the companion and
+    its factor last: the factor is the largest array that stays, so no
+    level's transients (its pattern build above all) stack on top of it,
+    and the peak is the factorization's, over the fine level and P.
     """
     family = profile if isinstance(profile, CoefficientFamily) else CoefficientFamily(
         "unit-cell-profile", 2, float("nan"), float("nan"), profile, 1.0)
@@ -107,9 +112,14 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
         return 0.5 * (eff + eff.T)
 
     refine = cell_resolution >= 32 and cell_resolution % 2 == 0
-    Kc, bc, integral_c = level(cell_resolution // 2 if refine else cell_resolution)
+    coarse = cell_resolution // 2 if refine else cell_resolution
+    if refine:
+        K, b, integral = level(cell_resolution)
+        P = transfer(grid(coarse), grid(cell_resolution))
+    Kc, bc, integral_c = level(coarse)
     with prefix_failures(context):
         factor = cholesky(Kc[1:, 1:].tocsc())
+    del Kc  # only the companion's factor is read from here on
 
     def coarse_solve(r):  # dof 0 grounded
         return np.insert(factor.solve(r[1:]), 0, 0.0, axis=0)
@@ -117,10 +127,6 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     eff_c = tensor(bc, integral_c, coarse_solve(bc))
     if not refine:
         return ConstantMatrixCoefficient(eff_c, CELL_PROBLEM, float("nan"))
-    del Kc, bc  # only the companion's factor is read from here on
-
-    K, b, integral = level(cell_resolution)
-    P = transfer(grid(cell_resolution // 2), grid(cell_resolution))
     jacobi = (2.0 / 3.0) / K.diagonal()
 
     def two_grid(r):

@@ -26,6 +26,10 @@ from scipy import sparse
 
 DIRICHLET = "dirichlet-zero"
 PERIODIC = "periodic"
+# entries per block of the passes over a pattern's sorted entries (its build's
+# keys, assembly's sums): a block's transients take about 0.5 MiB, where a
+# whole pass's are the size of the pattern
+PATTERN_BLOCK = 1 << 14
 
 
 def _read_only(*arrays):
@@ -195,8 +199,8 @@ class FeSpace:
         sizes = [(1 + (i != j)) * np.count_nonzero(kept[:, i] & kept[:, j])
                  for i, j in pairs]
         # sort key row * n + col and local entry of every orientation, each
-        # cell's two side by side, filled in place: this build sets the peak
-        # memory of a large periodic cell problem, so each temporary goes once used
+        # cell's two side by side, filled in place: this build is the largest
+        # transient of a large periodic level, so each temporary goes once used
         key = np.empty(sum(sizes), dtype=np.int64)
         src = np.empty(sum(sizes), dtype=np.int32)
         at = 0
@@ -211,13 +215,19 @@ class FeSpace:
         order = np.argsort(key, kind="stable")
         gather = src[order]
         del src
-        key = key[order]
-        del order
-        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        key = key[starts]
+        # the sorted keys by block, never whole: where each new key starts
+        starts, keys, prev = [], [], -1
+        for lo in range(0, order.size, PATTERN_BLOCK):
+            block = key[order[lo:lo + PATTERN_BLOCK]]
+            new = np.flatnonzero(np.diff(block, prepend=prev))  # ascending keys
+            starts.append((new + lo).astype(np.int32))
+            keys.append(block[new])
+            prev = block[-1]
+        del key, order
+        starts, key = np.concatenate(starts), np.concatenate(keys)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-        return SymmetricPattern(*_read_only(gather, starts.astype(np.int32),
+        return SymmetricPattern(*_read_only(gather, starts,
                                             (key % n).astype(np.int32), indptr))
 
 

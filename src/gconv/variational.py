@@ -16,7 +16,7 @@ from scipy import sparse
 from . import assembly
 from .families import PotentialFamily, SourceFamily
 from .homogenize import homogenized_tensor
-from .linalg import cholesky
+from .linalg import cholesky, prefix_failures
 from .mesh import FeSpace, build_dirichlet_space
 
 # weight mu of the Moreau-Yosida envelopes.  A larger mu brings e_h nearer
@@ -193,7 +193,8 @@ def dirichlet_solves(family, source: SourceFamily, n: int) -> tuple:
     @cache
     def u(h):
         fam, src, k = (family, source, h) if h else (limit, source.limit_family(), 1)
-        return dirichlet_solve(space, fam, src, k)
+        with prefix_failures(f"h={h}" if h else "reference"):
+            return dirichlet_solve(space, fam, src, k)
 
     return space, limit, u
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,3 +42,14 @@ def fem_laplacian_eigenvalues(n_cells: int, count: int) -> np.ndarray:
     d = 1.0 / n_cells
     j = np.arange(1, count + 1)
     return (6.0 / d**2) * (1.0 - np.cos(j * np.pi * d)) / (2.0 + np.cos(j * np.pi * d))
+
+
+def peak_bytes(fn):
+    """(peak bytes traced while ``fn()`` runs, its result); numpy reports its
+    array buffers to tracemalloc, so the peak counts every array made."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -1,4 +1,3 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +21,8 @@ from gconv.mesh import (
     build_rect_mesh,
     build_space,
 )
+
+from conftest import peak_bytes
 
 
 def test_unit_stiffness_quarter_mesh(quarter_space, unit_family):
@@ -226,36 +227,53 @@ def test_one_point_rule_on_cell_means_is_exact(n, field):
 def test_stiffness_peak_memory_is_a_few_matrices():
     # past the space's cached set-up (pattern, quadrature points), assembly
     # holds the cell means, grads A and the local matrices one after another,
-    # never all at once: its peak stays within a few times the bytes of the
-    # matrix it returns
+    # never all at once, and _fill gathers one block at a time: its peak
+    # stays within a few times the bytes of the matrix it returns
     sp = build_space(build_rect_mesh(128, 128), PERIODIC)
     sp.pattern, sp.cell_data()
-    tracemalloc.start()
-    try:
-        K = assembly.assemble_stiffness(sp, make_builtin_family("laminate2d", [1.0, 4.0]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * _csr_bytes(K)
+    fam = make_builtin_family("laminate2d", [1.0, 4.0])
+    peak, K = peak_bytes(lambda: assembly.assemble_stiffness(sp, fam))
+    assert peak <= 3.4 * _csr_bytes(K)
 
 
 @pytest.mark.parametrize("build,weight,h,bound", [
-    (lambda: build_space(build_rect_mesh(128, 128), PERIODIC), None, 1, 4.6),
+    (lambda: build_space(build_rect_mesh(128, 128), PERIODIC), None, 1, 2.9),
     (lambda: build_space(build_interval_mesh(16384), DIRICHLET),
-     make_builtin_family("sin2-potential"), 8, 3.6),
+     make_builtin_family("sin2-potential"), 8, 2.45),
 ], ids=["2d-unit", "1d-sin2"])
 def test_mass_peak_memory_is_a_few_matrices(build, weight, h, bound):
     # the weight is folded into the quadrature weights at once and the local
     # entries are written column by column: no (nc, nq, ...) product is held
     sp = build()
     sp.pattern, sp.cell_data()
-    tracemalloc.start()
-    try:
-        M = assembly.assemble_mass(sp, weight, h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, M = peak_bytes(lambda: assembly.assemble_mass(sp, weight, h))
     assert peak <= bound * _csr_bytes(M)
+
+
+@pytest.mark.parametrize("build,blocks", [
+    (lambda: build_space(build_interval_mesh(40), DIRICHLET), 1),
+    (lambda: build_space(build_interval_mesh(20000), DIRICHLET), 4),
+    (lambda: build_space(build_interval_mesh(12000), PERIODIC), 3),
+    (lambda: build_space(build_rect_mesh(60, 50), DIRICHLET), 2),
+    (lambda: build_space(build_rect_mesh(64, 64), PERIODIC), 2),
+    (lambda: build_space(build_rect_mesh(2, 2400), PERIODIC), 2),
+], ids=["1d-one-block", "1d-dirichlet", "1d-periodic", "2d-dirichlet", "2d-periodic",
+        "2d-two-cell-axis"])
+def test_blocked_fill_is_the_whole_reduceat(monkeypatch, build, blocks):
+    # the blocks sum each CSR entry's segment as one reduceat over the whole
+    # gather does, bit for bit, wherever the block edges fall
+    sp = build()
+    pattern = sp.pattern
+    assert -(-len(pattern.starts) // assembly.PATTERN_BLOCK) == blocks
+    nd = sp.mesh.dimension + 1
+    local = np.random.default_rng(sp.num_dofs).standard_normal((sp.mesh.num_cells, nd, nd))
+    whole = np.add.reduceat(local.ravel()[pattern.gather], pattern.starts)
+    for block in (assembly.PATTERN_BLOCK, 1, 7, 1000):
+        monkeypatch.setattr(assembly, "PATTERN_BLOCK", block)
+        K = assembly._fill(sp, local)
+        assert K.data.tobytes() == whole.tobytes(), block
+        assert np.array_equal(K.indices, pattern.indices)
+        assert np.array_equal(K.indptr, pattern.indptr)
 
 
 def _random_values(seed, scale, positive):

@@ -374,19 +374,32 @@ def test_cli_cell_problem_factor_failure_names_resolution(tmp_path, capsys, monk
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("dofs,rung", [(255, "reference"), (127, "h=4")])
-def test_cli_source_sweep_failure_names_rung(tmp_path, capsys, monkeypatch, dofs, rung):
-    # h=4 solves on 128 cells, h=8 and the reference on the finest, 256
-    dpttrf = linalg.dpttrf
+@pytest.mark.parametrize("subcommand,kind,dofs,call,rung", [
+    ("sweep-source", "source-homog", 255, 1, "reference"),
+    ("sweep-source", "source-homog", 127, 1, "h=4"),
+    ("divcurl", "divcurl", 255, 1, "reference"),
+    ("divcurl", "divcurl", 255, 2, "h=4"),
+], ids=["255-reference", "127-h=4", "divcurl-reference", "divcurl-h=4"])
+def test_cli_source_sweep_failure_names_rung(tmp_path, capsys, monkeypatch,
+                                             subcommand, kind, dofs, call, rung):
+    # sweep-source: h=4 solves on 128 cells, h=8 and the reference on the
+    # finest, 256; divcurl solves the reference, then h=4, h=8 on the finest
+    dpttrf, seen = linalg.dpttrf, []
 
-    def fails_at(d, e):  # a zero first pivot at the given size
-        return (0.0 * d, e, 1) if d.size == dofs else dpttrf(d, e)
+    def fails_at(d, e):  # a zero first pivot at the given call of the given size
+        if d.size == dofs:
+            seen.append(d.size)
+            if len(seen) == call:
+                return 0.0 * d, e, 1
+        return dpttrf(d, e)
 
     monkeypatch.setattr(linalg, "dpttrf", fails_at)
-    cfg = _write(tmp_path, _minimal("source-homog"))
-    assert main(["sweep-source", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    cfg = _write(tmp_path, _minimal(kind))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
     assert (f"stage 'factorization': {rung}: not positive definite: pivot 1 of {dofs} "
-            "is 0" in capsys.readouterr().err)
+            "is 0" in err)
+    assert "Traceback" not in err
 
 
 def test_cli_zero_source_reports_its_errors(tmp_path):
@@ -415,6 +428,26 @@ def test_cli_float_overflow_exit_2(tmp_path, capsys, kind, subcommand, params):
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "numerical failure at stage 'arithmetic': overflow encountered in" \
         in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 8.00 GiB for an array with shape (1073741824,)",
+     "Unable to allocate 8.00 GiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_cli_memory_error_exit_2(tmp_path, capsys, monkeypatch, message, shown):
+    # an allocation the host cannot give ends in exit 2 at stage 'memory',
+    # not in a traceback, and no report is written
+    def runs_out(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sweep, "run_homogenize", runs_out)
+    cfg = _write(tmp_path, _minimal("homogenize"))
+    assert main(["homogenize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"gconv: numerical failure at stage 'memory': {shown}" in err
+    assert "Traceback" not in err
     assert not list((tmp_path / "out").iterdir())
 
 

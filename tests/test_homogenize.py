@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from gconv import assembly
+from gconv import assembly, homogenize
 from gconv.families import (
     CoefficientFamily,
     ConstantMatrixCoefficient,
@@ -21,6 +20,8 @@ from gconv.homogenize import (
     locality_check,
 )
 from gconv.mesh import PERIODIC, build_rect_mesh, build_space, transfer
+
+from conftest import peak_bytes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -242,33 +243,34 @@ def test_cell_problem_two_grid_property(half, coef):
 
 def test_cell_problem_evaluates_the_coefficient_once_per_level(monkeypatch):
     # each level's stiffness and corrector right-hand sides read one
-    # evaluation of the field: the half-resolution companion's and the full
-    # resolution's
-    shapes = []
-    values_at = CoefficientFamily.values_at
+    # evaluation of the field: the full resolution's first, then the
+    # half-resolution companion's, and only then is the companion factored
+    events = []
+    values_at, cholesky = CoefficientFamily.values_at, homogenize.cholesky
 
     def counting(self, h, x):
-        shapes.append(np.shape(x))
+        events.append(np.shape(x))
         return values_at(self, h, x)
 
+    def factoring(matrix):
+        events.append("cholesky")
+        return cholesky(matrix)
+
     monkeypatch.setattr(CoefficientFamily, "values_at", counting)
+    monkeypatch.setattr(homogenize, "cholesky", factoring)
     cell_problem_2d(make_builtin_family("laminate2d", [1.0, 4.0]), 32)
-    assert shapes == [(3, 2 * 16 * 16, 2), (3, 2 * 32 * 32, 2)]
+    assert events == [(3, 2 * 32 * 32, 2), (3, 2 * 16 * 16, 2), "cholesky"]
 
 
 def test_cell_problem_peak_memory_is_a_few_stiffnesses():
     # each level samples the field once and assembles without full-size
-    # temporaries, and the companion keeps only its factor: the peak stays
-    # within a fixed multiple of the bytes of the fine stiffness
+    # temporaries, and the companion is factored last, so no level's build
+    # runs on top of the factor: the peak stays within a fixed multiple of
+    # the bytes of the fine stiffness
     fam = make_builtin_family("laminate2d", [1.0, 4.0])
     K = assembly.assemble_stiffness(build_space(build_rect_mesh(128, 128), PERIODIC), fam)
-    tracemalloc.start()
-    try:
-        cell_problem_2d(fam, 128)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 15 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+    peak = peak_bytes(lambda: cell_problem_2d(fam, 128))[0]
+    assert peak <= 10.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
 def test_cell_problem_resolution_rule():

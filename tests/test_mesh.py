@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from gconv.mesh import (
     build_space,
     transfer,
 )
+
+from conftest import peak_bytes
 
 
 def test_interval_mesh_uniform():
@@ -180,17 +181,29 @@ def test_interpolate_nodal_values():
 
 
 def test_pattern_build_peak_memory():
-    # the pattern build sets the peak memory of a large periodic cell
-    # problem; numpy reports its array buffers to tracemalloc
+    # the pattern build is the largest transient of a periodic stiffness's
+    # first assembly: the sorted keys are taken one block at a time
     sp = build_space(build_rect_mesh(128, 128), PERIODIC)
     sp.cell_data()   # the geometry it reads is built before, and kept
-    tracemalloc.start()
-    try:
-        pattern = sp.pattern
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * sum(a.nbytes for a in pattern)
+    peak, pattern = peak_bytes(lambda: sp.pattern)
+    assert peak <= 3.8 * sum(a.nbytes for a in pattern)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_space(build_interval_mesh(3000), DIRICHLET),
+    lambda: build_space(build_rect_mesh(30, 20), PERIODIC),
+    lambda: build_space(build_rect_mesh(2, 300), PERIODIC),
+], ids=["1d-dirichlet", "2d-periodic", "2d-two-cell-axis"])
+def test_pattern_is_the_same_in_any_blocks(monkeypatch, build):
+    # the keys are sorted whole and read one block at a time: wherever the
+    # block edges fall, between equal keys too, the pattern is the one-block one
+    monkeypatch.setattr("gconv.mesh.PATTERN_BLOCK", 1 << 40)
+    whole = build().pattern
+    assert len(whole.gather) > 1000
+    for block in (1, 2, 7, 1000):
+        monkeypatch.setattr("gconv.mesh.PATTERN_BLOCK", block)
+        for got, want in zip(build().pattern, whole):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
 
 
 @pytest.mark.parametrize("space", [
@@ -202,12 +215,7 @@ def test_cell_data_build_peak_memory(space):
     # gone before the next is made: the build's peak stays within a small
     # margin over the arrays it keeps
     sp = space()
-    tracemalloc.start()
-    try:
-        cd = sp.cell_data()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, cd = peak_bytes(sp.cell_data)
     assert peak <= 1.4 * sum(a.nbytes for a in (cd.dofs, cd.measure, cd.grads, cd.points))
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +27,8 @@ from gconv.sweep import (
     run_source_homog,
 )
 from gconv.variational import dirichlet_solves, div_curl_test, window_flux
+
+from conftest import peak_bytes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -220,13 +221,7 @@ def test_gamma_runner_holds_one_target_block():
                            potential=make_builtin_family("sin2-potential"),
                            targets=1000, seed=3)
     block = 8 * (cfg.points_per_period * 16 - 1) * cfg.targets
-    tracemalloc.start()
-    try:
-        run_gamma(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * block
+    assert peak_bytes(lambda: run_gamma(cfg))[0] <= 1.25 * block
 
 
 @pytest.mark.parametrize("name,params,limit", [
