@@ -96,7 +96,9 @@ SCHEMA = {
     "targets": ("int", DEFAULTS["targets"], "random targets of the envelope check", 1),
     # the cell oracle's resolution rule
     "cell_resolution": ("int", DEFAULTS["cell_resolution"],
-                        "2D unit-cell resolution for the limit tensor", RESOLUTION_POINTS),
+                        "2D unit-cell resolution of the cell problem, which only "
+                        "homogenize solves",
+                        RESOLUTION_POINTS),
 }
 
 

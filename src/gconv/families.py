@@ -62,7 +62,9 @@ class CoefficientFamily(_Oscillating):
     ``alpha`` and ``beta`` are the least and greatest values of a, not only
     bounds on it.  ``unit_profile`` is the 1-periodic profile a on the unit
     cell: it reads points (..., dim), h x here and unit-cell points in the
-    homogenization oracles.
+    homogenization oracles.  Every built-in profile reads only the first
+    coordinate, a laminate's, so ``homogenize`` gives each the lamination
+    formula.
     """
 
     name: str

@@ -2,11 +2,16 @@
 
 The G-limit of -div(A_h grad) is -div(A* grad) with a constant tensor A*,
 returned as a ``ConstantMatrixCoefficient`` that assembly reads directly.
-The limit of a 1D periodic family is the harmonic mean of its profile; in
-2D it comes from two periodic corrector solves K chi = b on the unit cell,
-by CG preconditioned with a factored half-resolution companion, as the
-symmetric part of integral(A) - b^T chi.  These oracles make every
-convergence sweep checkable against an independent reference.
+Every family the program builds is a laminate, whose profile reads only
+its first coordinate, so its limit is in closed form: the lamination
+formula, the harmonic mean of the profile across the layers and the
+arithmetic mean along them, which in 1D is the harmonic mean alone.  The
+2D periodic cell problem, two corrector solves K chi = b on the unit cell
+by CG preconditioned with a factored half-resolution companion, gives A*
+of any 2D field as the symmetric part of integral(A) - b^T chi;
+``homogenize`` runs it on a 2D laminate as a check on the formula.  These
+oracles make every convergence sweep checkable against an independent
+reference.
 """
 from __future__ import annotations
 
@@ -27,16 +32,20 @@ CELL_PROBLEM = "cell-problem"
 MIN_QUAD_POINTS = 64
 CG_RTOL = 1e-12      # full-resolution corrector solves: relative residual
 CG_MAXITER = 500     # and the step budget
-CELL_RESOLUTION = 128  # default unit-cell resolution of the 2D limit tensor
+CELL_RESOLUTION = 128  # default unit-cell resolution of the 2D cell problem
 
 
-def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficient:
-    """Limit coefficient (integral of 1/a over one period)^-1 of a 1D profile.
+def lamination_formula(profile, dim: int, quad_points: int = 512) -> ConstantMatrixCoefficient:
+    """Limit tensor harm(a) e1 e1^T + arith(a) (I - e1 e1^T) of a laminate.
 
-    ``profile`` reads points (..., 1), as a family's ``unit_profile`` does.
-    The error estimate comes from one quadrature refinement: the value is
-    computed at ``quad_points`` and ``2 * quad_points`` subintervals and the
-    finer value is returned.
+    ``profile`` reads points (..., dim), as a family's ``unit_profile`` does,
+    and only their first coordinate.  Across the layers the limit is the
+    harmonic mean of a over one period, (integral of 1/a)^-1, and along them
+    the arithmetic mean (Milton 2002, ch. 9; Allaire 2002, ch. 2); in 1D it
+    is the harmonic mean alone.  Both means come from one pass of a composite
+    ``QUADRATURE[1]`` rule, at ``quad_points`` and at ``2 * quad_points``
+    subintervals: the finer tensor is returned, and the largest change of an
+    entry is the error estimate.
     """
     if quad_points < MIN_QUAD_POINTS:
         raise ValueError(
@@ -45,22 +54,33 @@ def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficie
     ref, gw = QUADRATURE[1]
     gq = ref[:, 0]
 
-    def value(n):
-        # composite 4-point Gauss rule on n subintervals of (0, 1)
+    def tensor(n):
+        # composite 4-point Gauss rule on n subintervals of (0, 1), on the first axis
         width = 1.0 / n
         offsets = np.arange(n) * width
         nodes = (offsets[:, None] + width * gq[None, :]).ravel()
         weights = np.tile(width * gw, n)
-        a = np.asarray(profile(nodes[:, None]), dtype=float)
+        points = np.zeros((nodes.size, dim))
+        points[:, 0] = nodes
+        a = np.asarray(profile(points), dtype=float)
         if a.shape != nodes.shape:  # (n, 1) would broadcast against the weights
-            raise ValueError(f"profile maps points (n, 1) to shape {a.shape}, not (n,)")
+            raise ValueError(f"profile maps points (n, {dim}) to shape {a.shape}, not (n,)")
         if np.any(a <= 0.0):
             raise ValueError("profile is not positive on the unit cell")
-        return 1.0 / float(np.sum(weights / a))
+        across = 1.0 / float(np.sum(weights / a))
+        if dim == 1:
+            return np.array([[across]])
+        return np.diag([across] + [float(np.sum(weights * a))] * (dim - 1))
 
-    coarse = value(quad_points)
-    fine = value(2 * quad_points)
-    return ConstantMatrixCoefficient(np.array([[fine]]), CLOSED_FORM, abs(fine - coarse))
+    coarse = tensor(quad_points)
+    fine = tensor(2 * quad_points)
+    return ConstantMatrixCoefficient(fine, CLOSED_FORM, float(np.max(np.abs(fine - coarse))))
+
+
+def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficient:
+    """Limit coefficient (integral of 1/a over one period)^-1 of a 1D profile:
+    the lamination formula in 1D."""
+    return lamination_formula(profile, 1, quad_points)
 
 
 def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
@@ -79,10 +99,12 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     factor; no fine dof is grounded and no mean is taken out of chi, as b has
     mean zero.  CG short of ``CG_RTOL`` raises ConvergenceError.
 
-    The fine level and the prolongation are built first, the companion and
-    its factor last: the factor is the largest array that stays, so no
-    level's transients (its pattern build above all) stack on top of it,
-    and the peak is the factorization's, over the fine level and P.
+    Each grid is built once.  The fine level comes first, then the
+    prolongation P from the companion's grid onto the fine space, which is
+    released before the companion level and its factor: the factor is the
+    largest array that stays, so no level's transients (its pattern build
+    above all) stack on top of it, and the peak is the factorization's, over
+    the fine level's matrices and P.
     """
     family = profile if isinstance(profile, CoefficientFamily) else CoefficientFamily(
         "unit-cell-profile", 2, float("nan"), float("nan"), profile, 1.0)
@@ -91,11 +113,10 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     context = f"cell_problem_2d(resolution={cell_resolution})"
     check_resolution(1.0, 1.0 / cell_resolution, context)
 
-    def grid(res):  # bare: P is built from two, so no level's pattern stays alive
+    def grid(res):
         return build_space(build_rect_mesh(res, res), PERIODIC)
 
-    def level(res):  # periodic stiffness, corrector right-hand sides, integral of A
-        space = grid(res)
+    def level(space):  # periodic stiffness, corrector right-hand sides, integral of A
         dofs, measure, grads = space.cell_data()[:3]
         # the level's one sampling of a, for the stiffness and the right-hand sides
         mean = assembly.cell_means(space, family)
@@ -113,10 +134,14 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
 
     refine = cell_resolution >= 32 and cell_resolution % 2 == 0
     coarse = cell_resolution // 2 if refine else cell_resolution
+    space = grid(cell_resolution)
     if refine:
-        K, b, integral = level(cell_resolution)
-        P = transfer(grid(coarse), grid(cell_resolution))
-    Kc, bc, integral_c = level(coarse)
+        K, b, integral = level(space)
+        fine, space = space, grid(coarse)
+        P = transfer(space, fine)
+        del fine  # its cell data and pattern go before the companion's are built
+    Kc, bc, integral_c = level(space)
+    del space  # the companion's cell data and pattern go before its factor is made
     with prefix_failures(context):
         factor = cholesky(Kc[1:, 1:].tocsc())
     del Kc  # only the companion's factor is read from here on
@@ -158,16 +183,14 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     return ConstantMatrixCoefficient(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
 
 
-def homogenized_tensor(family: CoefficientFamily, *,
-                       cell_resolution: int = CELL_RESOLUTION) -> ConstantMatrixCoefficient:
-    """Dispatch a coefficient family to its limit oracle.
+def homogenized_tensor(family: CoefficientFamily) -> ConstantMatrixCoefficient:
+    """Limit tensor of a coefficient family from its oracle.
 
-    1D families use the harmonic mean of their unit profile, 2D families the
-    periodic cell problem.
+    Every built-in family is a laminate, so this is the lamination formula
+    of its unit profile, provenance ``closed-form``.  A 2D family whose
+    field reads both coordinates would take ``cell_problem_2d`` here.
     """
-    if family.dim == 1:
-        return harmonic_mean_1d(family.unit_profile)
-    return cell_problem_2d(family, cell_resolution)
+    return lamination_formula(family.unit_profile, family.dim)
 
 
 def locality_check(family: PiecewiseCoefficient, subdomain) -> ConstantMatrixCoefficient:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, assembly
 from .families import ConstantMatrixCoefficient
-from .homogenize import CELL_RESOLUTION, homogenized_tensor
+from .homogenize import CELL_RESOLUTION, cell_problem_2d, homogenized_tensor
 from .linalg import EIG_TOL, cholesky, eig_smallest, prefix_failures, residuals
 from .mesh import FeSpace, build_dirichlet_space, transfer
 from .variational import (
@@ -284,7 +284,7 @@ UNIT = ConstantMatrixCoefficient(np.eye(1))  # the coefficient of K0 = -Laplacia
 
 def _limit(config: ExperimentConfig) -> ConstantMatrixCoefficient:
     """The family's limit coefficient -div(A* grad), from its oracle."""
-    return homogenized_tensor(config.family, cell_resolution=config.cell_resolution)
+    return homogenized_tensor(config.family)
 
 
 def _finest(config: ExperimentConfig, dim: int):
@@ -506,22 +506,44 @@ def run_divcurl(config: ExperimentConfig) -> DivCurlReport:
 
 @dataclass(eq=False)
 class HomogenizeReport(Report):
-    """Limit tensor of a coefficient family."""
+    """Limit tensor of a coefficient family.
+
+    For a 2D family the tensor is the cell problem's, and the report adds
+    the lamination formula's tensor it is checked against and the largest
+    entry of their difference; no other report has these two fields.
+    """
 
     family: str
     tensor: np.ndarray
     provenance: str
     est_error: float
+    closed_form: np.ndarray | None = None
+    closed_form_gap: float | None = None
+
+    def body(self) -> dict:  # a field left None is not written
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def lines(self) -> list:
-        return [str(self.tensor.tolist())]
+        if self.closed_form is None:
+            return [str(self.tensor.tolist())]
+        return [str(self.tensor.tolist()), f"  closed form {self.closed_form.tolist()}, "
+                f"gap {self.closed_form_gap:.3e}"]
 
 
 def run_homogenize(config: ExperimentConfig) -> HomogenizeReport:
-    """Limit tensor of the configured family from its oracle."""
-    limit = _limit(config)
-    return HomogenizeReport(config.family.name, limit.matrix, limit.provenance,
-                            limit.est_error)
+    """Limit tensor of the configured family.
+
+    A 1D family reports its oracle's tensor.  A 2D family solves its cell
+    problem at ``cell_resolution``: the report's tensor is the cell
+    problem's, checked against the oracle's lamination formula.
+    """
+    family, limit = config.family, _limit(config)
+    if family.dim == 1:
+        return HomogenizeReport(family.name, limit.matrix, limit.provenance,
+                                limit.est_error)
+    cell = cell_problem_2d(family, config.cell_resolution)
+    return HomogenizeReport(family.name, cell.matrix, cell.provenance, cell.est_error,
+                            limit.matrix, float(np.max(np.abs(cell.matrix - limit.matrix))))
 
 
 def emit_report(report: Report, fmt: str, path, config: ExperimentConfig) -> None:

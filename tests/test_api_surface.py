@@ -256,3 +256,25 @@ def test_every_property_is_derandomized():
             if not fixed:
                 loose.append(f"{path.name}::{node.name}")
     assert not loose, f"@given tests without @settings(derandomize=True): {loose}"
+
+
+def test_only_the_oracle_and_homogenize_reach_the_cell_problem():
+    # a laminate's limit is the lamination formula; no runner pays for a
+    # cell problem that a closed form answers, so cell_problem_2d is named
+    # only where the oracle dispatches and where homogenize checks the two
+    allowed = {"homogenize.homogenized_tensor", "sweep.run_homogenize"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(f"{path.stem}.{node.name}", node) for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        scopes.append((path.stem, ast.Module(
+            body=[node for node in tree.body
+                  if not isinstance(node, (ast.FunctionDef, ast.ClassDef))],
+            type_ignores=[])))
+        for name, scope in scopes:
+            if any(getattr(node, "id", None) == "cell_problem_2d"
+                   or getattr(node, "attr", None) == "cell_problem_2d"
+                   for node in ast.walk(scope)):
+                callers.add(name)
+    assert callers <= allowed, f"cell_problem_2d named outside the oracle: {callers - allowed}"

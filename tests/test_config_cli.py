@@ -354,8 +354,8 @@ def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_cell_problem_factor_failure_names_resolution(tmp_path, capsys, monkeypatch):
-    # the 128^2 cell problem factors its 64^2 companion, one dof grounded,
-    # before the sweep's first operator
+    # the 128^2 cell problem factors its 64^2 companion, one dof grounded;
+    # a laminate's sweeps take the closed form, so homogenize runs it
     splu = linalg.splu
 
     def singular(A, **kwargs):
@@ -364,9 +364,9 @@ def test_cli_cell_problem_factor_failure_names_resolution(tmp_path, capsys, monk
         return splu(A, **kwargs)
 
     monkeypatch.setattr(linalg, "splu", singular)
-    cfg = _write(tmp_path, _minimal(family={"name": "laminate2d", "params": [1.0, 4.0]},
-                                    h_list=[1, 2]))
-    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    cfg = _write(tmp_path, _minimal("homogenize", cell_resolution=128,
+                                    family={"name": "laminate2d", "params": [1.0, 4.0]}))
+    assert main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert ("gconv: numerical failure at stage 'factorization': "
             "cell_problem_2d(resolution=128): not positive definite: "
@@ -861,8 +861,8 @@ def test_cli_json_reports_are_strict(tmp_path, subcommand, config, override, rep
         assert doc["est_error"] is None
 
 
-def test_cli_homogenize_laminate(tmp_path):
-    code = main(["homogenize", "--config", str(CONFIGS / "a4_laminate.json"),
+def test_cli_homogenize_laminate(tmp_path, capsys):
+    code = main(["homogenize", "-v", "--config", str(CONFIGS / "a4_laminate.json"),
                  "--out", str(tmp_path), "--set", "cell_resolution=32"])
     assert code == 0
     with open(tmp_path / "a4_laminate.json") as fh:
@@ -870,6 +870,19 @@ def test_cli_homogenize_laminate(tmp_path):
     t = doc["tensor"]
     assert abs(t[0][0] - 1.6) / 1.6 <= 1e-2
     assert abs(t[1][1] - 2.5) / 2.5 <= 1e-2
+    # the cell problem's tensor, checked against the lamination formula
+    assert doc["provenance"] == "cell-problem"
+    assert doc["closed_form"] == [[1.6, 0.0], [0.0, 2.5]]
+    assert doc["closed_form_gap"] == max(abs(t[i][j] - doc["closed_form"][i][j])
+                                         for i in range(2) for j in range(2))
+    assert doc["closed_form_gap"] <= 1e-13
+    out = capsys.readouterr().out
+    assert "closed form [[1.6, 0.0], [0.0, 2.5]], gap " in out
+    # a 1D family's tensor is the closed form itself: nothing to check it against
+    assert main(["homogenize", "--config", str(CONFIGS / "a1_harmonic.json"),
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "a1_harmonic.json").read_text())
+    assert doc["provenance"] == "closed-form" and "closed_form" not in doc
 
 
 def test_cli_gamma_check(tmp_path):

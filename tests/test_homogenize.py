@@ -8,6 +8,7 @@ from scipy.sparse.linalg import splu
 
 from gconv import assembly, homogenize
 from gconv.families import (
+    BUILTINS,
     CoefficientFamily,
     ConstantMatrixCoefficient,
     make_builtin_family,
@@ -20,6 +21,7 @@ from gconv.homogenize import (
     locality_check,
 )
 from gconv.mesh import PERIODIC, build_rect_mesh, build_space, transfer
+from gconv.sweep import ExperimentConfig, run_eigen_homog, run_source_homog
 
 from conftest import peak_bytes
 
@@ -282,9 +284,91 @@ def test_cell_problem_resolution_rule():
 def test_homogenized_tensor_dispatch():
     t1 = homogenized_tensor(make_builtin_family("osc1d", [2.0]))
     assert abs(t1.matrix[0, 0] - SQRT3) <= 1e-10
-    t2 = homogenized_tensor(make_builtin_family("laminate2d", [1.0, 4.0]),
-                            cell_resolution=32)
-    assert np.abs(np.diag(t2.matrix) - [1.6, 2.5]).max() <= 1e-10
+    t2 = homogenized_tensor(make_builtin_family("laminate2d", [1.0, 4.0]))
+    assert t2.provenance == "closed-form"
+    assert np.abs(t2.matrix - np.diag([1.6, 2.5])).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name,params,tensor,est_error", [
+    ("osc1d", [2.0], "0x1.bb67ae8584cabp+0", "0x0.0p+0"),
+    ("osc1d", [1.01], "0x1.225aa716cda9ep-3", "0x1.0000000000000p-54"),
+    ("twophase1d", [1.0, 4.0], "0x1.999999999999ap+0", "0x0.0p+0"),
+    ("twophase1d", [0.3, 7.0], "0x1.269349a4d2694p-1", "0x0.0p+0"),
+    ("const", [3.0], "0x1.8000000000003p+1", "0x0.0p+0"),
+])
+def test_1d_limit_tensors_keep_their_bits(name, params, tensor, est_error):
+    # the harmonic mean as it was computed before the lamination formula
+    # took it over as its 1D case
+    t = homogenized_tensor(make_builtin_family(name, params))
+    assert t.matrix.shape == (1, 1)
+    assert t.matrix[0, 0].hex() == tensor and t.est_error.hex() == est_error
+
+
+def test_harmonic_mean_estimate_keeps_its_bits():
+    # an interface off the quadrature breaks, so the refinement moves the mean
+    t = harmonic_mean_1d(lambda y: np.where(y[..., 0] < 1.0 / 3.0, 1.0, 4.0))
+    assert t.matrix[0, 0].hex() == "0x1.ffe001ffe0020p+0"
+    assert t.est_error.hex() == "0x1.8018048078000p-10"
+
+
+def test_every_builtin_coefficient_is_a_laminate():
+    # homogenized_tensor gives every family the lamination formula, which
+    # holds only for a field of the first coordinate; a 2D family reading
+    # its second needs the cell problem back in the dispatch
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-2.0, 2.0, size=(64, 2))
+    moved = y.copy()
+    moved[:, 1] = rng.uniform(-2.0, 2.0, size=64)
+    for build, _ in BUILTINS.values():
+        family = build()
+        if isinstance(family, CoefficientFamily) and family.dim == 2:
+            assert np.array_equal(family.unit_profile(y), family.unit_profile(moved))
+    for params in ([2.0], [1.0, 4.0]):
+        family = make_builtin_family("laminate2d", params)
+        assert np.array_equal(family.unit_profile(y), family.unit_profile(moved))
+
+
+@pytest.mark.parametrize("params", [[1.0, 4.0], [0.5, 7.0]])
+@pytest.mark.parametrize("res", [32, 64, 128, 256])
+def test_cell_problem_matches_two_phase_lamination_formula(params, res):
+    # the interfaces lie on mesh lines, so the cell problem is exact up to
+    # round-off: measured within 2.95e-14 of the closed form
+    family = make_builtin_family("laminate2d", params)
+    closed = homogenized_tensor(family)
+    assert closed.provenance == "closed-form"
+    assert np.abs(cell_problem_2d(family, res).matrix - closed.matrix).max() <= 1e-13
+
+
+def test_cell_problem_converges_to_sinusoidal_lamination_formula():
+    # the P1 tensor's gap to diag(sqrt 3, 2) falls at O(res^-2): measured
+    # 9.26e-4, 2.32e-4, 5.80e-5, 1.45e-5 at 32..256, and the Richardson
+    # estimate reads about 3 times the gap
+    family = make_builtin_family("laminate2d", [2.0])
+    closed = homogenized_tensor(family).matrix
+    assert np.abs(closed - np.diag([SQRT3, 2.0])).max() <= 1e-15
+    gaps = []
+    for res in (32, 64, 128, 256):
+        t = cell_problem_2d(family, res)
+        gaps.append(np.abs(t.matrix - closed).max())
+        assert gaps[-1] <= t.est_error <= 4.0 * gaps[-1]
+    assert np.all(np.abs(np.array(gaps[:-1]) / gaps[1:] - 4.0) <= 0.1)
+
+
+def test_laminate_sweeps_solve_no_cell_problem(monkeypatch):
+    # a laminate's limit is the lamination formula, so neither sweep on
+    # laminate2d reaches the cell problem
+    def refused(*args, **kwargs):
+        raise AssertionError("cell problem solved")
+
+    monkeypatch.setattr(homogenize, "cell_problem_2d", refused)
+    family = make_builtin_family("laminate2d", [1.0, 4.0])
+    eigen = run_eigen_homog(ExperimentConfig("eigen-homog", (1, 2), 16, family=family))
+    source = run_source_homog(ExperimentConfig(
+        "source-homog", (1, 2), 16, family=family,
+        source=make_builtin_family("const-source")))
+    for report in (eigen, source):
+        assert report.reference_meta["provenance"] == "closed-form"
+        assert np.array_equal(report.reference_meta["tensor"], np.diag([1.6, 2.5]))
 
 
 def _piecewise():
