@@ -1,11 +1,22 @@
 """Sparse SPD factorization and a shift-invert generalized eigensolver.
 
 ``cholesky`` is the one factorization, and it reads the matrix to choose
-the backend.  A tridiagonal matrix, such as every 1D P1 operator, gets
-LAPACK's ``pttrf``, a factor of two length-n arrays.  Any other matrix gets
-a SuperLU decomposition run in symmetric mode with a fill-reducing
-ordering and diagonal pivoting disabled, which for a symmetric positive
-definite matrix is a Cholesky factorization up to a diagonal scaling.
+one of three backends:
+
+- A tridiagonal matrix, such as every 1D P1 operator, gets LAPACK's
+  ``pttrf``, a factor of two length-n arrays.
+- A Kronecker sum ``d I - alpha (S x I) - beta (I x S)`` on an m x m grid,
+  S the path adjacency, is not factored: the type-I sine transform
+  diagonalizes it (the fast Poisson solver of Buzbee, Golub and Nielson,
+  SIAM J. Numer. Anal. 7, 1970).  Each square of the grid is cut along its
+  00-11 diagonal, whose couplings vanish for a diagonal tensor, so this is
+  the P1 stiffness of a constant diagonal tensor on a Dirichlet grid of the
+  unit square: the 2D reference of a sweep, and any 2D constant-coefficient
+  Dirichlet solve, on a grid whose step is a power of two.
+- Any other matrix gets a SuperLU decomposition run in symmetric mode with
+  a fill-reducing ordering and diagonal pivoting disabled, which for a
+  symmetric positive definite matrix is a Cholesky factorization up to a
+  diagonal scaling.
 
 The eigensolver extracts the k smallest eigenvalues of K x = lambda M x
 with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode at
@@ -17,6 +28,7 @@ size of ARPACK's basis, which validation holds to a memory budget.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -53,11 +65,15 @@ class ConvergenceError(NumericalError):
 
 @contextlib.contextmanager
 def prefix_failures(context: str):
-    """Prefix a ``NumericalError`` raised inside with ``context``; class and stage stay."""
+    """Prefix a ``NumericalError`` raised inside with ``context``; class and stage
+    stay.  A ``FloatingPointError`` (an overflow, a division by zero or a NaN
+    under ``np.errstate``) leaves as a ``NumericalError`` at stage ``arithmetic``."""
     try:
         yield
     except NumericalError as exc:
         raise type(exc)(f"{context}: {exc}", exc.stage) from exc
+    except FloatingPointError as exc:
+        raise NumericalError(f"{context}: {exc}", "arithmetic") from exc
 
 
 @dataclass(eq=False)
@@ -74,14 +90,66 @@ class CholeskyFactor:
         return self._lu.solve(b)
 
 
+def _dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal type-I sine transform along the last axis, its own inverse:
+    the imaginary part of the ``rfft`` of the odd extension [0, -x, 0, x reversed]."""
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    np.negative(x, out=ext[..., 1:m + 1])
+    ext[..., m + 2:] = x[..., ::-1]
+    return np.fft.rfft(ext, norm="ortho").imag[..., 1:m + 1]
+
+
+def _kronecker_sum(A) -> tuple | None:
+    """``(m, d, alpha, beta)`` when A is exactly ``d I - alpha (S x I) - beta (I x S)``,
+    S the m x m path adjacency (ones beside the diagonal), m >= 2; else None."""
+    n = A.shape[0]
+    m = math.isqrt(n)
+    if m < 2 or m * m != n:
+        return None
+    diag = A.diagonal()
+    if not np.all(diag == diag[0]):  # the cheap test first: rejects oscillating rungs
+        return None
+    alpha, beta = -A[m, 0], -A[1, 0]
+    path = sparse.diags([1.0, 1.0], [-1, 1], shape=(m, m))
+    grid = sparse.kronsum(-beta * path, -alpha * path, format="csc") + sparse.diags(diag)
+    return None if (A != grid).nnz else (m, diag[0], alpha, beta)
+
+
+def _sine_eigenvalues(m: int, d: float, alpha: float, beta: float) -> np.ndarray:
+    """Eigenvalues ``(m, m)`` of the Kronecker sum at sine modes (p, q); sin^2 in
+    place of 2 - 2 cos, which loses about three digits at p = 1."""
+    s = np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+    return (d - 2.0 * alpha - 2.0 * beta) + 4.0 * alpha * s[:, None] + 4.0 * beta * s
+
+
+def _sine_solve(eigenvalues: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # b's columns as m x m grids (axis 0 strides m); each grid is transformed
+    # along its rows, transposed, and again, so the middle is indexed [q, p].
+    # The least eigenvalue divides last: the transforms then sum numbers of
+    # b's size, and only a solution beyond the float range overflows
+    m, least = eigenvalues.shape[0], eigenvalues.min()
+    x = b.T.reshape(-1, m, m)
+    y = _dst(_dst(x).swapaxes(1, 2)) / (eigenvalues.T / least)
+    return (_dst(_dst(y).swapaxes(1, 2)) / least).reshape(b.T.shape).T
+
+
 def cholesky(matrix) -> CholeskyFactor:
     """Factor a sparse symmetric positive definite matrix.
 
     A matrix whose every stored entry, an explicit zero too, lies within one
-    of the diagonal is factored by ``pttrf``, any other by SuperLU.  Raises
-    ``ValueError`` unless the matrix is square and symmetric, and
-    ``NotPositiveDefiniteError`` on a non-positive pivot: violated
-    ellipticity, or the constant kernel of a periodic-space stiffness.
+    of the diagonal is factored by ``pttrf``.  A Kronecker sum on an m x m
+    grid (n = m^2, m >= 2, its entries exactly ``d`` on the diagonal,
+    ``-beta`` at offsets +-1 within a grid row, ``-alpha`` at +-m, and
+    nothing else but zeros) is inverted by the sine transform, with no
+    factor.  The P1 stiffness of a constant diagonal tensor on a Dirichlet
+    grid is such a matrix only when the grid's step is a power of two (8,
+    128 and 256 cells are; 24, 96 and 100 are not: their entries differ in
+    the last bits), and goes to SuperLU otherwise, as does any other
+    matrix.  Raises ``ValueError`` unless the matrix is
+    square and symmetric, and ``NotPositiveDefiniteError`` on a non-positive
+    pivot (for the sine transform, an eigenvalue): violated ellipticity, or
+    the constant kernel of a periodic-space stiffness.
     """
     A = sparse.csc_matrix(matrix)
     n = A.shape[0]
@@ -98,6 +166,10 @@ def cholesky(matrix) -> CholeskyFactor:
         pivots, e, _ = dpttrf(A.diagonal(), sub if n > 1 else np.zeros(1))
         # L D L' as two arrays; dpttrs's info is nonzero only on a b of another length
         factor = SimpleNamespace(solve=lambda b: dpttrs(pivots, e, b)[0], nnz=2 * n - 1)
+    elif (grid := _kronecker_sum(A)) is not None:
+        # Q diag(pivots) Q with Q the orthonormal 2D sine transform
+        pivots = _sine_eigenvalues(*grid)
+        factor = SimpleNamespace(solve=lambda b: _sine_solve(pivots, b), nnz=n)
     else:
         asym = abs(A - A.T)
         if asym.nnz and asym.max() != 0.0:
@@ -112,7 +184,7 @@ def cholesky(matrix) -> CholeskyFactor:
     if not ok.all():
         i = int(np.argmin(ok))
         raise NotPositiveDefiniteError(
-            f"not positive definite: pivot {i + 1} of {n} is {pivots[i]:.3e}")
+            f"not positive definite: pivot {i + 1} of {n} is {pivots.flat[i]:.3e}")
     return CholeskyFactor(n, factor)
 
 

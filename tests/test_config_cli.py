@@ -8,6 +8,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -330,27 +331,51 @@ def test_exactly_resolved_meshes_validate(h_list):
 
 
 def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
-    # SuperLU factors the 2D laminate2d operators, LAPACK's pttrf the 1D ones;
-    # either failing exits 2 at the factorization of the first one, the reference
+    # SuperLU factors the 2D laminate2d rungs, the sine transform inverts the
+    # constant-coefficient 2D reference, LAPACK's pttrf factors the 1D
+    # operators; each failing exits 2 at the first operator it takes, named
     splu = linalg.splu
 
-    def singular(A, **kwargs):  # at the 63^2-dof reference, not the cell problem
+    def singular(A, **kwargs):  # at the 63^2-dof rung h=2, not the 31^2-dof h=1
         if A.shape[0] == 63 ** 2:
             raise RuntimeError("Factor is exactly singular")
         return splu(A, **kwargs)
 
     laminate = _minimal(family={"name": "laminate2d", "params": [1.0, 4.0]}, h_list=[1, 2])
     for backend, fails, doc, message in [
-            ("splu", singular, laminate, "Factor is exactly singular"),
-            ("dpttrf", lambda d, e: (0.0 * d, e, 1), _minimal(), "pivot 1 of 255 is 0")]:
+            ("splu", singular, laminate, "h=2: not positive definite: Factor is exactly singular"),
+            ("_sine_eigenvalues", lambda m, *constants: np.zeros((m, m)), laminate,
+             "reference: not positive definite: pivot 1 of 3969 is 0"),
+            ("dpttrf", lambda d, e: (0.0 * d, e, 1), _minimal(),
+             "reference: not positive definite: pivot 1 of 255 is 0")]:
         with monkeypatch.context() as patch:
             patch.setattr(linalg, backend, fails)
             cfg = _write(tmp_path, doc)
             assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert ("gconv: numerical failure at stage 'factorization': reference: not "
-                f"positive definite: {message}") in err
+        assert f"gconv: numerical failure at stage 'factorization': {message}" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dofs,rung", [(255, "reference"), (127, "h=4")])
+def test_cli_overflow_names_rung(tmp_path, capsys, monkeypatch, dofs, rung):
+    # an overflow inside an eigensolve exits 2 at 'arithmetic', naming the
+    # operator: the reference and h=8 solve on 256 cells, h=4 on 128
+    eigsh = linalg.eigsh
+
+    def overflows(K, k, **kwargs):
+        if K.shape[0] == dofs:
+            np.float64(1e308) * 10.0  # raises under the run's np.errstate
+        return eigsh(K, k, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", overflows)
+    cfg = _write(tmp_path, _minimal())
+    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert (f"gconv: numerical failure at stage 'arithmetic': {rung}: overflow encountered "
+            "in scalar multiply") in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_cli_cell_problem_factor_failure_names_resolution(tmp_path, capsys, monkeypatch):

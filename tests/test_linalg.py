@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -6,6 +8,7 @@ from scipy.sparse.linalg import SuperLU
 
 from gconv import assembly, linalg
 from gconv.families import ConstantMatrixCoefficient, make_builtin_family
+from gconv.homogenize import homogenized_tensor
 from gconv.linalg import (
     ConvergenceError,
     NotPositiveDefiniteError,
@@ -13,7 +16,14 @@ from gconv.linalg import (
     eig_smallest,
     lanczos_vectors,
 )
-from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
+from gconv.mesh import (
+    DIRICHLET,
+    PERIODIC,
+    build_dirichlet_space,
+    build_interval_mesh,
+    build_rect_mesh,
+    build_space,
+)
 
 from conftest import fem_laplacian_eigenvalues
 
@@ -127,6 +137,99 @@ def test_superlu_solve_checks_rhs_length(length):
     assert isinstance(factor._lu, SuperLU)
     with pytest.raises(ValueError, match="rhs has length .*, expected 3"):
         factor.solve(np.ones(length))
+
+
+LIMIT = ConstantMatrixCoefficient(np.diag([1.6, 2.5]))  # laminate2d [1, 4]'s A*
+
+
+def _superlu_calls(monkeypatch) -> list:
+    """Shapes of the matrices cholesky hands to SuperLU from now on."""
+    splu, seen = linalg.splu, []
+
+    def recording(A, **kwargs):
+        seen.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    return seen
+
+
+@pytest.mark.parametrize("cells", [4, 8, 16])
+def test_sine_transform_solves_constant_grid_operators(monkeypatch, cells):
+    # the P1 stiffness of a constant diagonal tensor is a Kronecker sum, which
+    # the sine transform inverts without a factor: n stored numbers
+    K = assembly.assemble_stiffness(build_dirichlet_space(2, cells), LIMIT)
+    seen = _superlu_calls(monkeypatch)
+    factor = cholesky(K)
+    assert not seen and factor._lu.nnz == K.shape[0]
+    b = np.random.default_rng(cells).normal(size=(K.shape[0], 3))
+    x = factor.solve(b)
+    ref = np.linalg.solve(K.toarray(), b)
+    assert np.all(np.linalg.norm(x - ref, axis=0) <= 1e-13 * np.linalg.norm(ref, axis=0))
+    for j in range(3):  # a block solves each column to the bits of its own solve
+        assert np.array_equal(factor.solve(b[:, j]), x[:, j])
+
+
+def test_sine_transform_overflows_only_with_its_solution():
+    # scaled by 1e-307 the solution peaks at 9.1e307, within the float range;
+    # dividing by each eigenvalue before the inverse transform would overflow
+    K = assembly.assemble_stiffness(build_dirichlet_space(2, 16), LIMIT)
+    b = np.ones(K.shape[0])
+    x = cholesky(K).solve(b)
+    with np.errstate(over="raise"):
+        tiny = cholesky(1e-307 * K).solve(b)
+    assert np.abs(1e-307 * tiny - x).max() <= 1e-13 * np.abs(x).max()
+
+
+def _periodic_stiffness(cells):
+    return assembly.assemble_stiffness(build_space(build_rect_mesh(cells, cells), PERIODIC),
+                                       LIMIT)
+
+
+@pytest.mark.parametrize("matrix", [
+    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 32),
+                                        make_builtin_family("laminate2d", [1.0, 4.0]), h=1),
+    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 8), ConstantMatrixCoefficient(
+        np.array([[2.0, 0.5], [0.5, 1.0]]))),
+    lambda: _periodic_stiffness(8),
+    lambda: _periodic_stiffness(8)[1:, 1:],
+    lambda: assembly.assemble_stiffness(build_space(build_rect_mesh(8, 4)), LIMIT),
+    # a step that is no power of two: the entries differ in their last bits
+    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 96), LIMIT),
+], ids=["oscillating-rung", "full-tensor", "periodic", "grounded", "non-square-n",
+        "96-cells"])
+def test_other_grid_operators_go_to_superlu(monkeypatch, matrix):
+    A = matrix()
+    seen = _superlu_calls(monkeypatch)
+    with contextlib.suppress(NotPositiveDefiniteError):  # the periodic kernel
+        cholesky(A)
+    assert seen == [A.shape]
+
+
+def test_sine_transform_rejects_an_indefinite_operator(monkeypatch):
+    # alpha < 0 on a 7 x 7 grid: the first non-positive eigenvalue in grid
+    # order is at (p, q) = (2, 1), 4 alpha sin^2(2 pi/16) + 4 beta sin^2(pi/16)
+    K = assembly.assemble_stiffness(build_dirichlet_space(2, 8),
+                                    ConstantMatrixCoefficient(np.diag([-1.6, 2.5])))
+    seen = _superlu_calls(monkeypatch)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="not positive definite: pivot 8 of 49 is -5.567e-01"):
+        cholesky(K)
+    assert not seen
+
+
+def test_2d_reference_eigenvalues_match_a_longdouble_rayleigh_quotient():
+    # the 128^2 reference of laminate2d [1, 4], against x'Kx / x'Mx of its own
+    # eigenvectors in longdouble (accurate to the residual squared)
+    space = build_dirichlet_space(2, 128)
+    K = assembly.assemble_stiffness(
+        space, homogenized_tensor(make_builtin_family("laminate2d", [1.0, 4.0])))
+    M = assembly.assemble_mass(space)
+    res = eig_smallest(K, M, 3)
+    X = res.vectors.astype(np.longdouble)
+    quotient = np.einsum("ij,ij->j", X, K.astype(np.longdouble) @ X) / np.einsum(
+        "ij,ij->j", X, M.astype(np.longdouble) @ X)
+    assert np.all(np.abs(res.values - quotient) <= 1e-14 * quotient)
 
 
 def test_solve_identity():
