@@ -121,6 +121,12 @@ def assemble_mass(space: FeSpace, weight=None, h: int = 1,
     return _fill(space, local)
 
 
+def assemble_operator(space: FeSpace, coefficient, potential=None, h: int = 1):
+    """-div(A_h grad) + V_h: the stiffness, plus the potential's weighted mass."""
+    K = assemble_stiffness(space, coefficient, h=h)
+    return K if potential is None else (K + assemble_mass(space, potential, h=h)).tocsr()
+
+
 def assemble_load(space: FeSpace, source, h: int = 1) -> np.ndarray:
     """Load vector b[i] = integral(f_h phi_i)."""
     _check(space, "assemble_load", source, h)

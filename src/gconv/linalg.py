@@ -67,13 +67,16 @@ class ConvergenceError(NumericalError):
 def prefix_failures(context: str):
     """Prefix a ``NumericalError`` raised inside with ``context``; class and stage
     stay.  A ``FloatingPointError`` (an overflow, a division by zero or a NaN
-    under ``np.errstate``) leaves as a ``NumericalError`` at stage ``arithmetic``."""
+    under ``np.errstate``) leaves as a ``NumericalError`` at stage ``arithmetic``,
+    and a ``MemoryError`` as one at stage ``memory``."""
     try:
         yield
     except NumericalError as exc:
         raise type(exc)(f"{context}: {exc}", exc.stage) from exc
     except FloatingPointError as exc:
         raise NumericalError(f"{context}: {exc}", "arithmetic") from exc
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        raise NumericalError(f"{context}: {str(exc) or 'out of memory'}", "memory") from exc
 
 
 @dataclass(eq=False)

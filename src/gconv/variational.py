@@ -15,7 +15,7 @@ from scipy import sparse
 
 from . import assembly
 from .families import PotentialFamily, SourceFamily
-from .homogenize import homogenized_tensor
+from .homogenize import limit_of
 from .linalg import cholesky, prefix_failures
 from .mesh import FeSpace, build_dirichlet_space
 
@@ -108,7 +108,7 @@ def potential_ladder(space: FeSpace, family: PotentialFamily, h_list) -> Potenti
     h_list = [int(h) for h in h_list]
     if sorted(h_list) != h_list:
         raise ValueError("h_list must be ascending")
-    limit = assembly.assemble_mass(space, family.limit_family(), 1)
+    limit = assembly.assemble_mass(space, limit_of(potential=family).potential, 1)
     matrices = tuple(assembly.assemble_mass(space, family, h) for h in h_list)
     return PotentialLadder(np.asarray(h_list), limit, matrices)
 
@@ -184,19 +184,19 @@ def dirichlet_solve(space: FeSpace, coefficient, source: SourceFamily,
 
 
 def dirichlet_solves(family, source: SourceFamily, n: int) -> tuple:
-    """(space, limit, u) on the n-cell Dirichlet space: ``limit`` is the family's
-    limit coefficient from its oracle, ``u(h)`` solves -div(A_h grad u) = f_h
+    """(space, limit, u) on the n-cell Dirichlet space: ``limit`` is the
+    coefficient of the run's ``Limit``, ``u(h)`` solves -div(A_h grad u) = f_h
     once per h and ``u(None)`` is u_star."""
     space = build_dirichlet_space(family.dim, n)
-    limit = homogenized_tensor(family)
+    limit = limit_of(family, source=source)
 
     @cache
     def u(h):
-        fam, src, k = (family, source, h) if h else (limit, source.limit_family(), 1)
+        fam, src, k = (family, source, h) if h else (limit.coefficient, limit.source, 1)
         with prefix_failures(f"h={h}" if h else "reference"):
             return dirichlet_solve(space, fam, src, k)
 
-    return space, limit, u
+    return space, limit.coefficient, u
 
 
 def _energy_pairing(space, family, h, u, phi):

@@ -37,11 +37,12 @@ def fem_laplacian_eigenvalues(n_cells: int, count: int) -> np.ndarray:
     """Closed-form eigenvalues of the 1D unit P1 pencil on (0,1).
 
     Derived from the discrete sine eigenvectors of the tridiagonal stiffness
-    and mass matrices: lambda_j = (6/d^2)(1 - cos(j pi d))/(2 + cos(j pi d)).
+    and mass matrices: lambda_j = (6/d^2)(1 - cos(j pi d))/(2 + cos(j pi d)),
+    written with s = sin^2(j pi d / 2) as (6/d^2) 2s/(3 - 2s): 1 - cos loses
+    about six digits at d = 2^-11.
     """
-    d = 1.0 / n_cells
-    j = np.arange(1, count + 1)
-    return (6.0 / d**2) * (1.0 - np.cos(j * np.pi * d)) / (2.0 + np.cos(j * np.pi * d))
+    s = np.sin(np.arange(1, count + 1) * (np.pi / (2 * n_cells))) ** 2
+    return (12.0 * n_cells**2) * s / (3.0 - 2.0 * s)
 
 
 def peak_bytes(fn):

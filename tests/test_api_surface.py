@@ -269,12 +269,11 @@ def test_every_property_is_derandomized():
     assert not loose, f"@given tests without @settings(derandomize=True): {loose}"
 
 
-def test_only_the_oracle_and_homogenize_reach_the_cell_problem():
-    # a laminate's limit is the lamination formula; no runner pays for a
-    # cell problem that a closed form answers, so cell_problem_2d is named
-    # only where the oracle dispatches and where homogenize checks the two
-    allowed = {"homogenize.homogenized_tensor", "sweep.run_homogenize"}
-    callers = set()
+def _scopes_naming(names) -> set:
+    """``module.definition`` of each top-level def or class of ``src`` whose
+    body names one of ``names`` (a bare name or an attribute), and ``module``
+    where a statement outside every definition does."""
+    found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         scopes = [(f"{path.stem}.{node.name}", node) for node in tree.body
@@ -284,8 +283,24 @@ def test_only_the_oracle_and_homogenize_reach_the_cell_problem():
                   if not isinstance(node, (ast.FunctionDef, ast.ClassDef))],
             type_ignores=[])))
         for name, scope in scopes:
-            if any(getattr(node, "id", None) == "cell_problem_2d"
-                   or getattr(node, "attr", None) == "cell_problem_2d"
+            if any(getattr(node, "id", None) in names or getattr(node, "attr", None) in names
                    for node in ast.walk(scope)):
-                callers.add(name)
+                found.add(name)
+    return found
+
+
+def test_only_the_oracle_and_homogenize_reach_the_cell_problem():
+    # a laminate's limit is the lamination formula; no runner pays for a
+    # cell problem that a closed form answers, so cell_problem_2d is named
+    # only where the oracle dispatches and where homogenize checks the two
+    allowed = {"homogenize.homogenized_tensor", "sweep.run_homogenize"}
+    callers = _scopes_naming({"cell_problem_2d"})
     assert callers <= allowed, f"cell_problem_2d named outside the oracle: {callers - allowed}"
+
+
+def test_only_limit_of_builds_a_limit():
+    # every runner takes its limit operators from the one Limit that limit_of
+    # builds; a piece's limit is the locality check's own question
+    allowed = {"homogenize.limit_of", "homogenize.locality_check"}
+    builders = _scopes_naming({"homogenized_tensor", "limit_family"})
+    assert builders <= allowed, f"limits built outside limit_of: {builders - allowed}"

@@ -332,8 +332,9 @@ def test_exactly_resolved_meshes_validate(h_list):
 
 def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
     # SuperLU factors the 2D laminate2d rungs, the sine transform inverts the
-    # constant-coefficient 2D reference, LAPACK's pttrf factors the 1D
-    # operators; each failing exits 2 at the first operator it takes, named
+    # constant-coefficient 2D reference, LAPACK's pttrf factors the 1D rungs
+    # (a 1D reference is in closed form); each failing exits 2 at the first
+    # operator it takes, named
     splu = linalg.splu
 
     def singular(A, **kwargs):  # at the 63^2-dof rung h=2, not the 31^2-dof h=1
@@ -347,7 +348,7 @@ def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
             ("_sine_eigenvalues", lambda m, *constants: np.zeros((m, m)), laminate,
              "reference: not positive definite: pivot 1 of 3969 is 0"),
             ("dpttrf", lambda d, e: (0.0 * d, e, 1), _minimal(),
-             "reference: not positive definite: pivot 1 of 255 is 0")]:
+             "h=4: not positive definite: pivot 1 of 127 is 0")]:
         with monkeypatch.context() as patch:
             patch.setattr(linalg, backend, fails)
             cfg = _write(tmp_path, doc)
@@ -357,20 +358,25 @@ def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("dofs,rung", [(255, "reference"), (127, "h=4")])
-def test_cli_overflow_names_rung(tmp_path, capsys, monkeypatch, dofs, rung):
-    # an overflow inside an eigensolve exits 2 at 'arithmetic', naming the
-    # operator: the reference and h=8 solve on 256 cells, h=4 on 128
-    eigsh = linalg.eigsh
+@pytest.mark.parametrize("subcommand,kind,solver,dofs,rung", [
+    ("sweep-source", "source-homog", "dpttrf", 255, "reference"),
+    ("sweep-eigen", "eigen-homog", "eigsh", 127, "h=4"),
+], ids=["255-reference", "127-h=4"])
+def test_cli_overflow_names_rung(tmp_path, capsys, monkeypatch, subcommand, kind, solver,
+                                 dofs, rung):
+    # an overflow inside a solve or an eigensolve exits 2 at 'arithmetic',
+    # naming the operator: the source sweep's reference solves first on the
+    # finest 256 cells, the eigen sweep's h=4 on 128
+    original = getattr(linalg, solver)
 
-    def overflows(K, k, **kwargs):
-        if K.shape[0] == dofs:
+    def overflows(A, *args, **kwargs):
+        if A.shape[0] == dofs:
             np.float64(1e308) * 10.0  # raises under the run's np.errstate
-        return eigsh(K, k, **kwargs)
+        return original(A, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eigsh", overflows)
-    cfg = _write(tmp_path, _minimal())
-    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    monkeypatch.setattr(linalg, solver, overflows)
+    cfg = _write(tmp_path, _minimal(kind))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert (f"gconv: numerical failure at stage 'arithmetic': {rung}: overflow encountered "
             "in scalar multiply") in err
@@ -476,6 +482,25 @@ def test_cli_memory_error_exit_2(tmp_path, capsys, monkeypatch, message, shown):
     assert not list((tmp_path / "out").iterdir())
 
 
+def test_cli_memory_error_in_a_rung_names_it(tmp_path, capsys, monkeypatch):
+    # an allocation that fails inside a rung's eigensolve names the rung:
+    # h=4 solves on 128 cells, 127 dofs
+    eigsh = linalg.eigsh
+
+    def runs_out(K, k, **kwargs):
+        if K.shape[0] == 127:
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        return eigsh(K, k, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", runs_out)
+    cfg = _write(tmp_path, _minimal())
+    assert main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "gconv: numerical failure at stage 'memory': h=4: Unable to allocate 8.00 GiB" in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("overrides,key", [
     (["output.json=sub/dir.json"], "output.json"),
     (['output.json=""'], "output.json"),
@@ -536,7 +561,8 @@ def test_cli_eigensolver_failure_exit_2(tmp_path, capsys):
 
 
 def test_cli_unreachable_tolerance_fails_fast_naming_rung(tmp_path, capsys):
-    # the residual floor of the 32768-cell limit pencil lies above eig_tol 1e-10
+    # the residual floor of the 16384-cell h=512 rung, 1.36e-10, lies above
+    # eig_tol 1e-10; the reference is in closed form and solves nothing
     cfg = _write(tmp_path, {"experiment": "eigen-homog",
                             "family": {"name": "osc1d", "params": [2.0]},
                             "h_list": [128, 256, 512, 1024],
@@ -544,8 +570,20 @@ def test_cli_unreachable_tolerance_fails_fast_naming_rung(tmp_path, capsys):
     code = main(["sweep-eigen", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "stage 'eigensolver': reference: " in err
+    assert "stage 'eigensolver': h=512: " in err
     assert "worst residual" in err and "exceeds tol 1.0e-10" in err
+
+
+def test_cli_a3_long_ladder_fails_at_its_top_rung_not_the_reference(tmp_path, capsys):
+    # the closed-form reference solves nothing; the h=512 rung's residual
+    # floor, 1.36e-10, still lies above eig_tol 1e-10
+    path = Path(__file__).resolve().parent.parent / "configs" / "a3_osc1d.json"
+    code = main(["sweep-eigen", "--config", str(path), "--out", str(tmp_path),
+                 "--set", "h_list=[64,128,256,512]"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage 'eigensolver': h=512: eig_smallest: worst residual" in err
+    assert "reference" not in err
 
 
 def test_cli_cell_problem_cg_failure_names_stage_and_resolution(tmp_path, capsys,

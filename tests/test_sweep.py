@@ -10,12 +10,21 @@ from gconv import __version__, assembly, sweep, variational
 from gconv.cli import main
 from gconv.config import ConfigError, load_config, validate_config
 from gconv.families import BUILTINS, ConstantMatrixCoefficient, make_builtin_family
-from gconv.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, build_space
+from gconv.homogenize import limit_of
+from gconv.linalg import eig_smallest
+from gconv.mesh import (
+    DIRICHLET,
+    build_dirichlet_space,
+    build_interval_mesh,
+    build_rect_mesh,
+    build_space,
+)
 from gconv.sweep import (
     CLUSTER_GAP,
     PHI_SUPPORT,
     WINDOW_EDGES,
     ExperimentConfig,
+    _eigen_sweep,
     _jsonify,
     emit_report,
     fit_rate,
@@ -28,7 +37,7 @@ from gconv.sweep import (
 )
 from gconv.variational import dirichlet_solves, div_curl_test, window_flux
 
-from conftest import peak_bytes
+from conftest import fem_laplacian_eigenvalues, peak_bytes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -287,15 +296,57 @@ def test_potential_sweep_shares_the_finest_mass(mass_calls):
     assert len(mass_calls) == 2 * len(cfg.h_list) + 1
 
 
-def test_potential_sweep_builds_each_unit_stiffness_once(monkeypatch):
-    # one K0 per distinct space: the reference and the top rung share the
-    # finest space, so a5's five rungs need five, not six
+def test_potential_sweep_assembles_the_limit_stiffness_and_one_per_rung(monkeypatch):
+    # as a family sweep: the limit pencil's K0 and one per rung, each of the
+    # identity coefficient; the reference and the top rung share the finest space
     path = Path(__file__).resolve().parent.parent / "configs" / "a5_sin2.json"
     cfg = validate_config(load_config(path))
     calls = _count_calls(monkeypatch, "assemble_stiffness")
     run_eigen_potential(cfg)
-    assert len(calls) == len(cfg.h_list) == 5
+    assert len(calls) == len(cfg.h_list) + 1 == 6
     assert len({id(args[0]) for args in calls}) == 5
+    assert all(np.array_equal(args[1].matrix, np.eye(1)) for args in calls)
+
+
+@pytest.mark.parametrize("config", ["a3_osc1d", "a5_sin2", "a6_spike", "a5_osc1d_sin2"])
+def test_1d_reference_is_the_closed_form(monkeypatch, config):
+    # the nodal sines, normalized in M, with no eigensolve; their values lie
+    # within 9.1e-11 (a5_sin2) of a* lambda_k + V, and within 1.4e-12 of the
+    # eigensolve of the assembled limit pencil
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{config}.json"
+    cfg = validate_config(load_config(path))
+    solves = []
+    monkeypatch.setattr(sweep, "eig_smallest", lambda *a, **kw: solves.append(a) or
+                        eig_smallest(*a, **kw))
+    rep = _eigen_sweep(cfg)
+    assert len(solves) == len(cfg.h_list)
+    limit = limit_of(cfg.family, cfg.potential)
+    space = build_dirichlet_space(1, rep.reference_meta["finest_cells"])
+    K, M = pencil = limit.pencil(space)
+    k, n = cfg.eigen_count, space.mesh.num_cells
+    ref = limit.spectrum(space, pencil, k)
+    np.testing.assert_array_equal(rep.reference, ref.values)
+    # sin(j pi x) has the M-norm sqrt((3 - 2 s) / 6), s = sin^2(j pi / 2n)
+    j = np.arange(1, k + 1)
+    s = np.sin(j * np.pi / (2 * n)) ** 2
+    sines = np.sin(np.pi * np.outer(space.dof_coordinates()[:, 0], j)) / np.sqrt((3 - 2 * s) / 6)
+    np.testing.assert_allclose(ref.vectors, sines, rtol=0, atol=1e-12)
+    a = limit.coefficient.matrix[0, 0]
+    v = 0.0 if limit.potential is None else limit.potential.values_at(1, np.zeros((1, 1)))[0]
+    closed = a * fem_laplacian_eigenvalues(n, k) + v
+    np.testing.assert_allclose(rep.reference, closed, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(rep.reference, eig_smallest(K, M, k).values, rtol=1e-11, atol=0)
+
+
+def test_2d_reference_is_eigen_solved(monkeypatch):
+    solves = []
+    monkeypatch.setattr(sweep, "eig_smallest", lambda *a, **kw: solves.append(a) or
+                        eig_smallest(*a, **kw))
+    cfg = _eigen_cfg(family=make_builtin_family("laminate2d", [1.0, 4.0]), h_list=(1, 2))
+    limit, space = limit_of(cfg.family), build_dirichlet_space(2, 8)
+    assert limit.spectrum(space, limit.pencil(space), 2) is None
+    run_eigen_homog(cfg)
+    assert len(solves) == len(cfg.h_list) + 1
 
 
 def test_eigen_homog_sweep_assembles_no_potential(monkeypatch, mass_calls):
