@@ -5,14 +5,14 @@ one of three backends:
 
 - A tridiagonal matrix, such as every 1D P1 operator, gets LAPACK's
   ``pttrf``, a factor of two length-n arrays.
-- A Kronecker sum ``d I - alpha (S x I) - beta (I x S)`` on an m x m grid,
-  S the path adjacency, is not factored: the type-I sine transform
-  diagonalizes it (the fast Poisson solver of Buzbee, Golub and Nielson,
-  SIAM J. Numer. Anal. 7, 1970).  Each square of the grid is cut along its
-  00-11 diagonal, whose couplings vanish for a diagonal tensor, so this is
-  the P1 stiffness of a constant diagonal tensor on a Dirichlet grid of the
-  unit square: the 2D reference of a sweep, and any 2D constant-coefficient
-  Dirichlet solve, on a grid whose step is a power of two.
+- A matrix ``T x I + W x L`` on an m x m grid, T tridiagonal, ``W = diag(w)``
+  and L the path Laplacian, is split by the type-I sine transform along the
+  grid rows into m tridiagonal systems (Hockney's method), each factored
+  from its row excess.  The grid's squares are cut along their 00-11
+  diagonals, whose couplings vanish for a diagonal tensor, so this is the P1
+  stiffness of a diagonal tensor times a field of x1 alone on a Dirichlet
+  grid of the unit square whose step is a power of two: every 2D laminate
+  rung, and every 2D constant-coefficient reference and Dirichlet solve.
 - Any other matrix gets a SuperLU decomposition run in symmetric mode with
   a fill-reducing ordering and diagonal pivoting disabled, which for a
   symmetric positive definite matrix is a Cholesky factorization up to a
@@ -103,56 +103,77 @@ def _dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext, norm="ortho").imag[..., 1:m + 1]
 
 
-def _kronecker_sum(A) -> tuple | None:
-    """``(m, d, alpha, beta)`` when A is exactly ``d I - alpha (S x I) - beta (I x S)``,
-    S the m x m path adjacency (ones beside the diagonal), m >= 2; else None."""
+def _layer_pivots(d: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pivots ``(m, m)`` of ``T + mu_q W``, one row per sine mode q of L, from the
+    row excess: each term is non-negative where the excess is, so the smallest
+    pivots keep their relative accuracy (Alfa, Xue and Ye, Math. Comp. 71, 2002)."""
+    m = d.size
+    mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+    left, right = np.insert(np.abs(s), 0, 0.0), np.append(np.abs(s), 0.0)
+    delta = ((d - 2.0 * w) - left - right)[:, None] + w[:, None] * mu
+    p, r, q = np.empty_like(delta), 0.0, 1.0
+    for i in range(m):  # r_i = p_i - |s_i|, the excess of the factored row
+        r = delta[i] + left[i] * r / q
+        p[i] = q = r + right[i]
+    return p.T.copy()
+
+
+def _layered(A) -> tuple | None:
+    """``(pivots, factor)`` when A is exactly ``T x I + W x L`` on an m x m grid
+    (n = m^2, m >= 2): ``d_i`` on the diagonal of grid row i, ``s_i`` between rows
+    i and i + 1, ``-w_i`` within row i, and nothing else but zeros; else None.
+    The sine transform along the rows splits it into m tridiagonal systems
+    ``T + mu_q W`` (Hockney, J. ACM 12, 1965), factored as one stack of n rows."""
     n = A.shape[0]
     m = math.isqrt(n)
     if m < 2 or m * m != n:
         return None
-    diag = A.diagonal()
-    if not np.all(diag == diag[0]):  # the cheap test first: rejects oscillating rungs
+    # cheap tests first: a periodic space couples m (m - 1) apart, and across
+    # row ends; the first and last entries of each sorted column lie farthest
+    A = A if A.has_sorted_indices else A.sorted_indices()
+    cols = np.flatnonzero(np.diff(A.indptr))
+    if max((cols - A.indices[A.indptr[cols]]).max(initial=0),
+           (A.indices[A.indptr[cols + 1] - 1] - cols).max(initial=0)) > m + 1:
         return None
-    alpha, beta = -A[m, 0], -A[1, 0]
-    path = sparse.diags([1.0, 1.0], [-1, 1], shape=(m, m))
-    grid = sparse.kronsum(-beta * path, -alpha * path, format="csc") + sparse.diags(diag)
-    return None if (A != grid).nnz else (m, diag[0], alpha, beta)
+    d, fast = A.diagonal().reshape(m, m), A.diagonal(1)
+    if fast[m - 1::m].any() or not np.all(d == d[:, :1]):
+        return None
+    slow = np.repeat(A.diagonal(m)[::m], m)
+    within = np.pad(np.repeat(fast[::m, None], m - 1, 1), ((0, 0), (0, 1))).ravel()[:-1]
+    if (A != sparse.diags([slow, within, d.ravel(), within, slow], [-m, -1, 0, 1, m],
+                          format="csc")).nnz:
+        return None
+    # in units of a power of two near the largest entry: the pivots and the
+    # solves stay in b's range, and only a solution beyond it overflows
+    scale = np.ldexp(1.0, np.frexp(d.max())[1])
+    s = slow[::m] / scale
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot fails the check
+        p = _layer_pivots(d[:, 0] / scale, s, -fast[::m] / scale)
+        mult = np.pad(s / p[:, :-1], ((0, 0), (0, 1))).ravel()[:-1]
 
+    def solve(b: np.ndarray) -> np.ndarray:
+        # b's columns as m x m grids [i, j]: transformed along j, stacked by
+        # mode [q, i] for dpttrs, and transformed back
+        y = _dst(b.T.reshape(-1, m, m)).swapaxes(1, 2).reshape(-1, n)
+        y = dpttrs(p.ravel(), mult, y.T)[0].T.reshape(-1, m, m).swapaxes(1, 2)
+        return (_dst(y) / scale).reshape(b.T.shape).T
 
-def _sine_eigenvalues(m: int, d: float, alpha: float, beta: float) -> np.ndarray:
-    """Eigenvalues ``(m, m)`` of the Kronecker sum at sine modes (p, q); sin^2 in
-    place of 2 - 2 cos, which loses about three digits at p = 1."""
-    s = np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
-    return (d - 2.0 * alpha - 2.0 * beta) + 4.0 * alpha * s[:, None] + 4.0 * beta * s
-
-
-def _sine_solve(eigenvalues: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # b's columns as m x m grids (axis 0 strides m); each grid is transformed
-    # along its rows, transposed, and again, so the middle is indexed [q, p].
-    # The least eigenvalue divides last: the transforms then sum numbers of
-    # b's size, and only a solution beyond the float range overflows
-    m, least = eigenvalues.shape[0], eigenvalues.min()
-    x = b.T.reshape(-1, m, m)
-    y = _dst(_dst(x).swapaxes(1, 2)) / (eigenvalues.T / least)
-    return (_dst(_dst(y).swapaxes(1, 2)) / least).reshape(b.T.shape).T
+    return p * scale, SimpleNamespace(solve=solve, nnz=2 * n - 1)
 
 
 def cholesky(matrix) -> CholeskyFactor:
     """Factor a sparse symmetric positive definite matrix.
 
     A matrix whose every stored entry, an explicit zero too, lies within one
-    of the diagonal is factored by ``pttrf``.  A Kronecker sum on an m x m
-    grid (n = m^2, m >= 2, its entries exactly ``d`` on the diagonal,
-    ``-beta`` at offsets +-1 within a grid row, ``-alpha`` at +-m, and
-    nothing else but zeros) is inverted by the sine transform, with no
-    factor.  The P1 stiffness of a constant diagonal tensor on a Dirichlet
-    grid is such a matrix only when the grid's step is a power of two (8,
-    128 and 256 cells are; 24, 96 and 100 are not: their entries differ in
-    the last bits), and goes to SuperLU otherwise, as does any other
-    matrix.  Raises ``ValueError`` unless the matrix is
-    square and symmetric, and ``NotPositiveDefiniteError`` on a non-positive
-    pivot (for the sine transform, an eigenvalue): violated ellipticity, or
-    the constant kernel of a periodic-space stiffness.
+    of the diagonal is factored by ``pttrf``; a matrix ``T x I + W x L`` on an
+    m x m grid (``_layered``) by the sine transform and stacked ``pttrs``
+    solves.  The P1 stiffness of a diagonal tensor times a field of x1 alone
+    on a Dirichlet grid is such a matrix when the grid's step is a power of
+    two (8, 128 and 256 cells are; 24, 96 and 100 are not: their entries
+    differ in the last bits).  Any other matrix goes to SuperLU.  Raises
+    ``ValueError`` unless the matrix is square and symmetric, and
+    ``NotPositiveDefiniteError`` on a non-positive pivot: violated
+    ellipticity, or the constant kernel of a periodic-space stiffness.
     """
     A = sparse.csc_matrix(matrix)
     n = A.shape[0]
@@ -169,10 +190,8 @@ def cholesky(matrix) -> CholeskyFactor:
         pivots, e, _ = dpttrf(A.diagonal(), sub if n > 1 else np.zeros(1))
         # L D L' as two arrays; dpttrs's info is nonzero only on a b of another length
         factor = SimpleNamespace(solve=lambda b: dpttrs(pivots, e, b)[0], nnz=2 * n - 1)
-    elif (grid := _kronecker_sum(A)) is not None:
-        # Q diag(pivots) Q with Q the orthonormal 2D sine transform
-        pivots = _sine_eigenvalues(*grid)
-        factor = SimpleNamespace(solve=lambda b: _sine_solve(pivots, b), nnz=n)
+    elif (layered := _layered(A)) is not None:
+        pivots, factor = layered
     else:
         asym = abs(A - A.T)
         if asym.nnz and asym.max() != 0.0:

@@ -331,22 +331,28 @@ def test_exactly_resolved_meshes_validate(h_list):
 
 
 def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
-    # SuperLU factors the 2D laminate2d rungs, the sine transform inverts the
-    # constant-coefficient 2D reference, LAPACK's pttrf factors the 1D rungs
-    # (a 1D reference is in closed form); each failing exits 2 at the first
-    # operator it takes, named
-    splu = linalg.splu
+    # the layer pivots factor the 2D laminate2d rungs and the constant-coefficient
+    # 2D reference on grids whose step is a power of two, SuperLU on others,
+    # LAPACK's pttrf the 1D rungs (a 1D reference is in closed form); each
+    # failing exits 2 at the first operator it takes, named
+    splu, pivots = linalg.splu, linalg._layer_pivots
 
-    def singular(A, **kwargs):  # at the 63^2-dof rung h=2, not the 31^2-dof h=1
-        if A.shape[0] == 63 ** 2:
+    def singular(A, **kwargs):  # at the 23^2-dof rung h=1 of 24 points per period
+        if A.shape[0] == 23 ** 2:
             raise RuntimeError("Factor is exactly singular")
         return splu(A, **kwargs)
 
+    def zero_on_rung(d, s, w):  # the 63^2-dof rung h=2, whose layers vary; not the reference
+        return np.zeros((d.size, d.size)) if d.size == 63 and np.ptp(w) else pivots(d, s, w)
+
     laminate = _minimal(family={"name": "laminate2d", "params": [1.0, 4.0]}, h_list=[1, 2])
     for backend, fails, doc, message in [
-            ("splu", singular, laminate, "h=2: not positive definite: Factor is exactly singular"),
-            ("_sine_eigenvalues", lambda m, *constants: np.zeros((m, m)), laminate,
+            ("splu", singular, {**laminate, "points_per_period": 24},
+             "h=1: not positive definite: Factor is exactly singular"),
+            ("_layer_pivots", lambda d, s, w: np.zeros((d.size, d.size)), laminate,
              "reference: not positive definite: pivot 1 of 3969 is 0"),
+            ("_layer_pivots", zero_on_rung, laminate,
+             "h=2: not positive definite: pivot 1 of 3969 is 0"),
             ("dpttrf", lambda d, e: (0.0 * d, e, 1), _minimal(),
              "h=4: not positive definite: pivot 1 of 127 is 0")]:
         with monkeypatch.context() as patch:
@@ -460,6 +466,16 @@ def test_cli_float_overflow_exit_2(tmp_path, capsys, kind, subcommand, params):
     assert "numerical failure at stage 'arithmetic': overflow encountered in" \
         in capsys.readouterr().err
     assert not list((tmp_path / "out").iterdir())
+
+
+def test_cli_subnormal_laminate_exit_0(tmp_path, capsys):
+    # laminate2d [1e-308, 4e-308] has subnormal stiffness entries: its rungs'
+    # and reference's pivots and solves run in units of a power of two, so no
+    # step overflows under the run's np.errstate
+    doc = _minimal(family={"name": "laminate2d", "params": [1e-308, 4e-308]}, h_list=[1, 2])
+    assert main(["sweep-eigen", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("message,shown", [

@@ -1,7 +1,11 @@
 import contextlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import SuperLU
@@ -157,11 +161,11 @@ def _superlu_calls(monkeypatch) -> list:
 @pytest.mark.parametrize("cells", [4, 8, 16])
 def test_sine_transform_solves_constant_grid_operators(monkeypatch, cells):
     # the P1 stiffness of a constant diagonal tensor is a Kronecker sum, which
-    # the sine transform inverts without a factor: n stored numbers
+    # the sine transform splits into tridiagonal systems: two length-n arrays
     K = assembly.assemble_stiffness(build_dirichlet_space(2, cells), LIMIT)
     seen = _superlu_calls(monkeypatch)
     factor = cholesky(K)
-    assert not seen and factor._lu.nnz == K.shape[0]
+    assert not seen and factor._lu.nnz == 2 * K.shape[0] - 1
     b = np.random.default_rng(cells).normal(size=(K.shape[0], 3))
     x = factor.solve(b)
     ref = np.linalg.solve(K.toarray(), b)
@@ -186,9 +190,28 @@ def _periodic_stiffness(cells):
                                        LIMIT)
 
 
+def _laminate_rung(cells, h, params):
+    # the resolution rule is off: any grid samples the layers
+    family = replace(make_builtin_family("laminate2d", params), feature_fraction=None)
+    return assembly.assemble_stiffness(build_dirichlet_space(2, cells), family, h=h)
+
+
+def _layers_along_rows(K):
+    """P K P', the grid transposed: the layers then run along the fast axis."""
+    m = math.isqrt(K.shape[0])
+    order = np.arange(K.shape[0]).reshape(m, m).T.ravel()
+    return K[order][:, order]
+
+
+def _goes_to_superlu(A) -> bool:
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _superlu_calls(patch)
+        with contextlib.suppress(NotPositiveDefiniteError):  # the periodic kernel
+            cholesky(A)
+    return seen == [A.shape]
+
+
 @pytest.mark.parametrize("matrix", [
-    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 32),
-                                        make_builtin_family("laminate2d", [1.0, 4.0]), h=1),
     lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 8), ConstantMatrixCoefficient(
         np.array([[2.0, 0.5], [0.5, 1.0]]))),
     lambda: _periodic_stiffness(8),
@@ -196,24 +219,62 @@ def _periodic_stiffness(cells):
     lambda: assembly.assemble_stiffness(build_space(build_rect_mesh(8, 4)), LIMIT),
     # a step that is no power of two: the entries differ in their last bits
     lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 96), LIMIT),
-], ids=["oscillating-rung", "full-tensor", "periodic", "grounded", "non-square-n",
-        "96-cells"])
-def test_other_grid_operators_go_to_superlu(monkeypatch, matrix):
-    A = matrix()
-    seen = _superlu_calls(monkeypatch)
-    with contextlib.suppress(NotPositiveDefiniteError):  # the periodic kernel
-        cholesky(A)
-    assert seen == [A.shape]
+    lambda: _layers_along_rows(_laminate_rung(32, 1, [1.0, 4.0])),
+    # the mass's 00-11 couplings are not zero
+    lambda: _laminate_rung(32, 1, [1.0, 4.0]) + assembly.assemble_mass(
+        build_dirichlet_space(2, 32)),
+], ids=["full-tensor", "periodic", "grounded", "non-square-n", "96-cells",
+        "layers-along-rows", "rung-plus-mass"])
+def test_other_grid_operators_go_to_superlu(matrix):
+    assert _goes_to_superlu(matrix())
+
+
+@pytest.mark.parametrize("family", [LIMIT, make_builtin_family("laminate2d", [1.0, 4.0])],
+                         ids=["constant", "laminate"])
+def test_periodic_operators_build_no_comparison_grid(monkeypatch, family):
+    # their diagonals are constant along the grid rows; the wrap couplings,
+    # m (m - 1) apart, refuse them before a grid-sized comparison is built
+    A = assembly.assemble_stiffness(build_space(build_rect_mesh(16, 16), PERIODIC), family)
+    diags, built = sparse.diags, []
+    monkeypatch.setattr(sparse, "diags", lambda *args, **kwargs: built.append(args) or diags(
+        *args, **kwargs))
+    assert _goes_to_superlu(A) and not built
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(params=st.one_of(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+                        st.tuples(st.floats(1.1, 10.0))),
+       cells=st.sampled_from([2, 4, 8, 16, 32]), h=st.integers(1, 4))
+def test_laminate_rungs_solve_without_superlu(params, cells, h):
+    # a rung is T x I + W x L, the layers across the slow axis; permuted or
+    # summed with a mass, it is not
+    K = _laminate_rung(cells, h, list(params))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _superlu_calls(patch)
+        factor = cholesky(K)
+    assert not seen
+    b = np.random.default_rng(cells).normal(size=(K.shape[0], 3))
+    x = factor.solve(b)
+    ref = np.linalg.solve(K.toarray(), b)
+    assert np.all(np.linalg.norm(x - ref, axis=0) <= 1e-13 * np.linalg.norm(ref, axis=0))
+    for j in range(3):
+        assert np.array_equal(factor.solve(b[:, j]), x[:, j])
+    if K.shape[0] > 1:
+        M = assembly.assemble_mass(build_dirichlet_space(2, cells))
+        assert _goes_to_superlu(K + M)
+        # a field that samples as a constant is transposed into itself
+        P = _layers_along_rows(K)
+        assert (P != K).nnz == 0 or _goes_to_superlu(P)
 
 
 def test_sine_transform_rejects_an_indefinite_operator(monkeypatch):
-    # alpha < 0 on a 7 x 7 grid: the first non-positive eigenvalue in grid
-    # order is at (p, q) = (2, 1), 4 alpha sin^2(2 pi/16) + 4 beta sin^2(pi/16)
+    # alpha < 0 on a 7 x 7 grid: the first pivot of the q = 1 system is its
+    # first diagonal entry, 2 alpha + 4 beta sin^2(pi/16)
     K = assembly.assemble_stiffness(build_dirichlet_space(2, 8),
                                     ConstantMatrixCoefficient(np.diag([-1.6, 2.5])))
     seen = _superlu_calls(monkeypatch)
     with pytest.raises(NotPositiveDefiniteError,
-                       match="not positive definite: pivot 8 of 49 is -5.567e-01"):
+                       match="not positive definite: pivot 1 of 49 is -2.819e\\+00"):
         cholesky(K)
     assert not seen
 
@@ -224,6 +285,19 @@ def test_2d_reference_eigenvalues_match_a_longdouble_rayleigh_quotient():
     space = build_dirichlet_space(2, 128)
     K = assembly.assemble_stiffness(
         space, homogenized_tensor(make_builtin_family("laminate2d", [1.0, 4.0])))
+    M = assembly.assemble_mass(space)
+    res = eig_smallest(K, M, 3)
+    X = res.vectors.astype(np.longdouble)
+    quotient = np.einsum("ij,ij->j", X, K.astype(np.longdouble) @ X) / np.einsum(
+        "ij,ij->j", X, M.astype(np.longdouble) @ X)
+    assert np.all(np.abs(res.values - quotient) <= 1e-14 * quotient)
+
+
+@pytest.mark.parametrize("h", [1, 2, 4])
+def test_laminate_rung_eigenvalues_match_a_longdouble_rayleigh_quotient(h):
+    # the 32^2, 64^2 and 128^2 rungs of laminate2d [1, 4], by the reference's recipe
+    space = build_dirichlet_space(2, 32 * h)
+    K = assembly.assemble_stiffness(space, make_builtin_family("laminate2d", [1.0, 4.0]), h=h)
     M = assembly.assemble_mass(space)
     res = eig_smallest(K, M, 3)
     X = res.vectors.astype(np.longdouble)
