@@ -27,10 +27,11 @@ from .linalg import lanczos_vectors
 from .mesh import axis_step
 from .sweep import EXPERIMENTS, ExperimentConfig
 
-# most dofs of one mesh, by dimension.  A 2D factor fills about 5.4 times
-# per 4 times the dofs: a laminate2d sweep's rung factored to 1.0M, 5.6M and
-# 30.0M nnz at 128^2, 256^2 and 512^2, the last in 17 s at a 1.0 GiB peak
-# on a 2-core, 8 GiB host, where a 1000^2 mesh would not fit in memory
+# most dofs of one mesh, by dimension.  On a power-of-two grid a laminate2d
+# rung's factor is two length-n arrays (512^2: 2.5 s at a 332 MiB peak on a
+# 2-core, 8 GiB host).  On other grids SuperLU's factor fills about 5.4 times
+# per 4 times the dofs, 1.0M, 5.6M and 30.0M nnz at 128^2, 256^2 and 512^2,
+# the last in 17 s at a 1.0 GiB peak, where a 1000^2 mesh would not fit
 MAX_DOFS = {1: 1_000_000, 2: 512 ** 2}
 # most doubles of one dense block on the finest mesh's n dofs, 1 GiB: ARPACK's
 # Lanczos basis of linalg.lanczos_vectors(n, k) vectors, or the gamma

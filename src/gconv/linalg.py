@@ -128,13 +128,6 @@ def _layered(A) -> tuple | None:
     m = math.isqrt(n)
     if m < 2 or m * m != n:
         return None
-    # cheap tests first: a periodic space couples m (m - 1) apart, and across
-    # row ends; the first and last entries of each sorted column lie farthest
-    A = A if A.has_sorted_indices else A.sorted_indices()
-    cols = np.flatnonzero(np.diff(A.indptr))
-    if max((cols - A.indices[A.indptr[cols]]).max(initial=0),
-           (A.indices[A.indptr[cols + 1] - 1] - cols).max(initial=0)) > m + 1:
-        return None
     d, fast = A.diagonal().reshape(m, m), A.diagonal(1)
     if fast[m - 1::m].any() or not np.all(d == d[:, :1]):
         return None

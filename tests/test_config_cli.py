@@ -471,7 +471,10 @@ def test_cli_float_overflow_exit_2(tmp_path, capsys, kind, subcommand, params):
 def test_cli_subnormal_laminate_exit_0(tmp_path, capsys):
     # laminate2d [1e-308, 4e-308] has subnormal stiffness entries: its rungs'
     # and reference's pivots and solves run in units of a power of two, so no
-    # step overflows under the run's np.errstate
+    # step overflows under the run's np.errstate.  Exit 0 is all this checks:
+    # ARPACK reports eigenvalues that are not the smallest on a stiffness this
+    # far below its mass (at 1e-200 too), a known fault outside the solves;
+    # test_linalg's subnormal rung test checks the solves themselves
     doc = _minimal(family={"name": "laminate2d", "params": [1e-308, 4e-308]}, h_list=[1, 2])
     assert main(["sweep-eigen", "--config", str(_write(tmp_path, doc)),
                  "--out", str(tmp_path)]) == 0

@@ -185,6 +185,17 @@ def test_sine_transform_overflows_only_with_its_solution():
     assert np.abs(1e-307 * tiny - x).max() <= 1e-13 * np.abs(x).max()
 
 
+def test_subnormal_laminate_rung_solves_in_units_of_a_power_of_two():
+    # laminate2d [1e-308, 4e-308]'s rung has subnormal entries; without the
+    # scale the pivots' products underflow and the solve overflows
+    K = _laminate_rung(32, 1, [1.0, 4.0])
+    b = np.full(K.shape[0], 1e-3)  # the tiny rung's solution peaks at 4.3e305
+    x = cholesky(K).solve(b)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        tiny = cholesky(1e-308 * K).solve(b)
+    assert np.abs(1e-308 * tiny - x).max() <= 1e-14 * np.abs(x).max()
+
+
 def _periodic_stiffness(cells):
     return assembly.assemble_stiffness(build_space(build_rect_mesh(cells, cells), PERIODIC),
                                        LIMIT)
@@ -227,18 +238,6 @@ def _goes_to_superlu(A) -> bool:
         "layers-along-rows", "rung-plus-mass"])
 def test_other_grid_operators_go_to_superlu(matrix):
     assert _goes_to_superlu(matrix())
-
-
-@pytest.mark.parametrize("family", [LIMIT, make_builtin_family("laminate2d", [1.0, 4.0])],
-                         ids=["constant", "laminate"])
-def test_periodic_operators_build_no_comparison_grid(monkeypatch, family):
-    # their diagonals are constant along the grid rows; the wrap couplings,
-    # m (m - 1) apart, refuse them before a grid-sized comparison is built
-    A = assembly.assemble_stiffness(build_space(build_rect_mesh(16, 16), PERIODIC), family)
-    diags, built = sparse.diags, []
-    monkeypatch.setattr(sparse, "diags", lambda *args, **kwargs: built.append(args) or diags(
-        *args, **kwargs))
-    assert _goes_to_superlu(A) and not built
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
