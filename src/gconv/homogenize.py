@@ -7,9 +7,11 @@ its first coordinate, so its limit is in closed form: the lamination
 formula, the harmonic mean of the profile across the layers and the
 arithmetic mean along them, which in 1D is the harmonic mean alone.  The
 2D periodic cell problem, two corrector solves K chi = b on the unit cell
-by CG preconditioned with a factored half-resolution companion, gives A*
-of any 2D field as the symmetric part of integral(A) - b^T chi;
-``homogenize`` runs it on a 2D laminate as a check on the formula.  These
+by CG preconditioned with a half-resolution companion that ``cholesky``
+solves, gives A* of any 2D field as the symmetric part of
+integral(A) - b^T chi - chi^T (b - K chi); ``homogenize`` runs it on a 2D
+laminate as a check on the formula, and there the companion takes the
+layered backend's transform, not a SuperLU factor.  These
 oracles make every convergence sweep checkable against an independent
 reference: ``limit_of`` builds the one ``Limit`` every runner takes it from.
 """
@@ -85,28 +87,48 @@ def harmonic_mean_1d(profile, quad_points: int = 512) -> ConstantMatrixCoefficie
     return lamination_formula(profile, 1, quad_points)
 
 
+def _by_edges(K, x: np.ndarray) -> np.ndarray:
+    """K x for a CSR K, formed by edges: sum_j K_ij (x_j - x_i) plus the row sum
+    times x_i.  A constant part of x, which the stored row sums nearly cancel,
+    then costs no more rounding than its variation."""
+    counts, starts = np.diff(K.indptr), K.indptr[:-1]
+    rowsum = np.add.reduceat(K.data, starts)
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):  # one column at a time: nnz-sized transients
+        c = x[:, j]
+        out[:, j] = np.add.reduceat(K.data * (c[K.indices] - np.repeat(c, counts)), starts)
+        out[:, j] += rowsum * c
+    return out
+
+
 def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     """Effective 2x2 tensor of a 1-periodic coefficient field on the unit cell.
 
     Solves the corrector problems div(A(y)(e_i + grad chi_i)) = 0 on the
     periodic cell space, K chi = b, and returns the symmetric part of
     integral(A (I + grad chi)) = integral(A) - b^T chi (Jikov, Kozlov &
-    Oleinik 1994, ch. 1).  ``profile`` is a 2D coefficient family, or a
-    callable mapping points (..., 2) to a(y), taken as the family a(y) I.
+    Oleinik 1994, ch. 1), less chi^T r for the residual r = b - K chi, which
+    makes the tensor's error second order in chi's: r is formed by edges
+    (``_by_edges``), so chi's constant part costs it no digits.  ``profile``
+    is a 2D coefficient family, or a callable mapping points (..., 2) to
+    a(y), taken as the family a(y) I.
 
-    An even resolution >= 32 also solves a half-resolution companion by its
-    factor (one dof grounded); the tensors' difference is the error estimate,
-    nan without a companion.  The full-resolution correctors are solved by CG
-    on the singular stiffness, preconditioned by a two-grid cycle on that
-    factor; no fine dof is grounded and no mean is taken out of chi, as b has
-    mean zero.  CG short of ``CG_RTOL`` raises ConvergenceError.
+    An even resolution >= 32 also solves a half-resolution companion through
+    ``cholesky`` (one dof grounded); the tensors' difference is the error
+    estimate, nan without a companion.  A laminate's companion on a grid whose
+    step is a power of two takes the layered backend, a real DFT along the
+    layers and stacked tridiagonal solves across them; any other goes to
+    SuperLU.  The full-resolution correctors are solved by CG on the singular
+    stiffness, preconditioned by a two-grid cycle on that companion solve; no
+    fine dof is grounded and no mean is taken out of chi, as b has mean zero.
+    CG short of ``CG_RTOL`` raises ConvergenceError.
 
     Each grid is built once.  The fine level comes first, then the
     prolongation P from the companion's grid onto the fine space, which is
-    released before the companion level and its factor: the factor is the
-    largest array that stays, so no level's transients (its pattern build
-    above all) stack on top of it, and the peak is the factorization's, over
-    the fine level's matrices and P.
+    released before the companion level and its factor, so no level's
+    transients (its pattern build above all) stack on each other.  The peak
+    is the fine stiffness's assembly; a SuperLU factor of a companion at 256^2
+    and more can pass it.
     """
     family = profile if isinstance(profile, CoefficientFamily) else CoefficientFamily(
         "unit-cell-profile", 2, float("nan"), float("nan"), profile, 1.0)
@@ -130,8 +152,11 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
         b -= b.mean(axis=0)  # zero up to round-off; exactly zero keeps CG consistent
         return K, b, (mean @ measure) * np.eye(2)
 
-    def tensor(b, integral, chi):  # b[:, j] . chi[:, k] = -integral(A grad chi_k . e_j)
-        eff = integral - b.T @ chi
+    def tensor(K, b, integral, chi):
+        # b[:, j] . chi[:, k] = -integral(A grad chi_k . e_j); less chi^T r, the
+        # tensor's error is second order in chi's, (chi - K^+ b)^T K (chi - K^+ b)
+        r = b - _by_edges(K, chi)
+        eff = integral - b.T @ chi - chi.T @ r
         return 0.5 * (eff + eff.T)
 
     refine = cell_resolution >= 32 and cell_resolution % 2 == 0
@@ -146,12 +171,12 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     del space  # the companion's cell data and pattern go before its factor is made
     with prefix_failures(context):
         factor = cholesky(Kc[1:, 1:].tocsc())
-    del Kc  # only the companion's factor is read from here on
 
     def coarse_solve(r):  # dof 0 grounded
         return np.insert(factor.solve(r[1:]), 0, 0.0, axis=0)
 
-    eff_c = tensor(bc, integral_c, coarse_solve(bc))
+    eff_c = tensor(Kc, bc, integral_c, coarse_solve(bc))
+    del Kc  # only the companion's factor is read from here on
     if not refine:
         return ConstantMatrixCoefficient(eff_c, CELL_PROBLEM, float("nan"))
     jacobi = (2.0 / 3.0) / K.diagonal()
@@ -181,7 +206,7 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
             raise ConvergenceError(
                 f"{context}: corrector {j} CG stopped at step {step}, relative "
                 f"residual {rel:.3e} > {CG_RTOL:.1e}", "cell problem")
-    eff = tensor(b, integral, chi)
+    eff = tensor(K, b, integral, chi)
     return ConstantMatrixCoefficient(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
 
 

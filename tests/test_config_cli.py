@@ -342,14 +342,15 @@ def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
             raise RuntimeError("Factor is exactly singular")
         return splu(A, **kwargs)
 
-    def zero_on_rung(d, s, w):  # the 63^2-dof rung h=2, whose layers vary; not the reference
-        return np.zeros((d.size, d.size)) if d.size == 63 and np.ptp(w) else pivots(d, s, w)
+    def zero_on_rung(delta, s):  # the 63^2-dof rung h=2, whose layers vary; not the reference
+        return np.zeros(delta.shape[::-1]) if delta.shape[0] == 63 and np.ptp(s) else pivots(
+            delta, s)
 
     laminate = _minimal(family={"name": "laminate2d", "params": [1.0, 4.0]}, h_list=[1, 2])
     for backend, fails, doc, message in [
             ("splu", singular, {**laminate, "points_per_period": 24},
              "h=1: not positive definite: Factor is exactly singular"),
-            ("_layer_pivots", lambda d, s, w: np.zeros((d.size, d.size)), laminate,
+            ("_layer_pivots", lambda delta, s: np.zeros(delta.shape[::-1]), laminate,
              "reference: not positive definite: pivot 1 of 3969 is 0"),
             ("_layer_pivots", zero_on_rung, laminate,
              "h=2: not positive definite: pivot 1 of 3969 is 0"),
@@ -391,16 +392,18 @@ def test_cli_overflow_names_rung(tmp_path, capsys, monkeypatch, subcommand, kind
 
 
 def test_cli_cell_problem_factor_failure_names_resolution(tmp_path, capsys, monkeypatch):
-    # the 128^2 cell problem factors its 64^2 companion, one dof grounded;
-    # a laminate's sweeps take the closed form, so homogenize runs it
-    splu = linalg.splu
+    # the 128^2 cell problem factors its 64^2 companion, one dof grounded, by
+    # the layer pivots of its 63 inner layers; a laminate's sweeps take the
+    # closed form, so homogenize runs it
+    pivots = linalg._layer_pivots
 
-    def singular(A, **kwargs):
-        if A.shape[0] == 64 ** 2 - 1:
-            raise RuntimeError("Factor is exactly singular")
-        return splu(A, **kwargs)
+    def singular(delta, s):
+        if delta.shape[0] == 63:
+            raise linalg.NotPositiveDefiniteError(
+                "not positive definite: Factor is exactly singular")
+        return pivots(delta, s)
 
-    monkeypatch.setattr(linalg, "splu", singular)
+    monkeypatch.setattr(linalg, "_layer_pivots", singular)
     cfg = _write(tmp_path, _minimal("homogenize", cell_resolution=128,
                                     family={"name": "laminate2d", "params": [1.0, 4.0]}))
     assert main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -471,13 +474,25 @@ def test_cli_float_overflow_exit_2(tmp_path, capsys, kind, subcommand, params):
 def test_cli_subnormal_laminate_exit_0(tmp_path, capsys):
     # laminate2d [1e-308, 4e-308] has subnormal stiffness entries: its rungs'
     # and reference's pivots and solves run in units of a power of two, so no
-    # step overflows under the run's np.errstate.  Exit 0 is all this checks:
-    # ARPACK reports eigenvalues that are not the smallest on a stiffness this
-    # far below its mass (at 1e-200 too), a known fault outside the solves;
-    # test_linalg's subnormal rung test checks the solves themselves
-    doc = _minimal(family={"name": "laminate2d", "params": [1e-308, 4e-308]}, h_list=[1, 2])
-    assert main(["sweep-eigen", "--config", str(_write(tmp_path, doc)),
-                 "--out", str(tmp_path)]) == 0
+    # step overflows under the run's np.errstate; test_linalg's subnormal rung
+    # test checks the solves themselves.  A stiffness 1e-200 times [1, 4]'s,
+    # far below its mass, has the eigenvalues of [1, 4] times 1e-200, in 2D
+    # and 1D: eig_smallest solves in units of a power of two near K's largest
+    # diagonal entry, so ARPACK's iterates do not leave the mass's range
+    def values(name, h_list, scale):
+        doc = _minimal(family={"name": name, "params": [scale, 4.0 * scale]}, h_list=h_list)
+        out = tmp_path / f"{name}-{scale}"
+        assert main(["sweep-eigen", "--config", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        with open(out / "report.json") as fh:
+            report = json.load(fh)
+        return np.array([rec["values"] for rec in report["records"]] + [report["reference"]])
+
+    values("laminate2d", [1, 2], 1e-308)
+    for name, h_list in [("laminate2d", [1, 2]), ("twophase1d", [4, 8])]:
+        unit = values(name, h_list, 1.0)
+        assert np.all(np.abs(values(name, h_list, 1e-200) - 1e-200 * unit)
+                      <= 1e-12 * 1e-200 * unit)
     assert "Traceback" not in capsys.readouterr().err
 
 

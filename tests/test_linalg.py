@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy import sparse
-from scipy.sparse.linalg import SuperLU
+from scipy.sparse.linalg import SuperLU, splu
 
 from gconv import assembly, linalg
-from gconv.families import ConstantMatrixCoefficient, make_builtin_family
+from gconv.families import CoefficientFamily, ConstantMatrixCoefficient, make_builtin_family
 from gconv.homogenize import homogenized_tensor
 from gconv.linalg import (
     ConvergenceError,
@@ -196,15 +196,17 @@ def test_subnormal_laminate_rung_solves_in_units_of_a_power_of_two():
     assert np.abs(1e-308 * tiny - x).max() <= 1e-14 * np.abs(x).max()
 
 
-def _periodic_stiffness(cells):
+def _periodic_stiffness(cells, coefficient=LIMIT):
     return assembly.assemble_stiffness(build_space(build_rect_mesh(cells, cells), PERIODIC),
-                                       LIMIT)
+                                       coefficient)
+
+
+def _laminate(params):  # the resolution rule is off: any grid samples the layers
+    return replace(make_builtin_family("laminate2d", params), feature_fraction=None)
 
 
 def _laminate_rung(cells, h, params):
-    # the resolution rule is off: any grid samples the layers
-    family = replace(make_builtin_family("laminate2d", params), feature_fraction=None)
-    return assembly.assemble_stiffness(build_dirichlet_space(2, cells), family, h=h)
+    return assembly.assemble_stiffness(build_dirichlet_space(2, cells), _laminate(params), h=h)
 
 
 def _layers_along_rows(K):
@@ -222,22 +224,112 @@ def _goes_to_superlu(A) -> bool:
     return seen == [A.shape]
 
 
+FULL_TENSOR = ConstantMatrixCoefficient(np.array([[2.0, 0.5], [0.5, 1.0]]))
+
+
+def _companion(cells, coefficient):
+    """The cell problem's grounded companion Kc[1:, 1:] on a cells^2 periodic grid."""
+    return _periodic_stiffness(cells, coefficient)[1:, 1:]
+
+
+def _checkerboard(pts):
+    return np.where((pts[..., 0] < 0.5) ^ (pts[..., 1] < 0.5), 100.0, 1.0)
+
+
 @pytest.mark.parametrize("matrix", [
-    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 8), ConstantMatrixCoefficient(
-        np.array([[2.0, 0.5], [0.5, 1.0]]))),
+    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 8), FULL_TENSOR),
     lambda: _periodic_stiffness(8),
-    lambda: _periodic_stiffness(8)[1:, 1:],
+    lambda: _companion(8, FULL_TENSOR),
+    lambda: _companion(16, CoefficientFamily("checkerboard", 2, 1.0, 100.0, _checkerboard, 1.0)),
     lambda: assembly.assemble_stiffness(build_space(build_rect_mesh(8, 4)), LIMIT),
     # a step that is no power of two: the entries differ in their last bits
     lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 96), LIMIT),
+    lambda: _companion(48, _laminate([1.0, 4.0])),  # resolution 96's companion
     lambda: _layers_along_rows(_laminate_rung(32, 1, [1.0, 4.0])),
     # the mass's 00-11 couplings are not zero
     lambda: _laminate_rung(32, 1, [1.0, 4.0]) + assembly.assemble_mass(
         build_dirichlet_space(2, 32)),
-], ids=["full-tensor", "periodic", "grounded", "non-square-n", "96-cells",
-        "layers-along-rows", "rung-plus-mass"])
+], ids=["full-tensor", "periodic", "grounded-full-tensor", "grounded-checkerboard",
+        "non-square-n", "96-cells", "48-cell-companion", "layers-along-rows",
+        "rung-plus-mass"])
 def test_other_grid_operators_go_to_superlu(matrix):
     assert _goes_to_superlu(matrix())
+
+
+EPS = np.finfo(float).eps
+
+
+def _backward_error(A, x, b):
+    """max over columns of ||b - A x|| / (||A|| ||x|| + ||b||), in the max norm."""
+    r = b - A @ x
+    norm = abs(A).sum(axis=1).max()
+    return np.max(np.abs(r).max(0) / (norm * np.abs(x).max(0) + np.abs(b).max(0)))
+
+
+@pytest.mark.parametrize("cells,coefficient", [
+    (8, LIMIT), (32, _laminate([1.0, 4.0])), (64, _laminate([0.5, 7.0])),
+    (128, _laminate([0.3, 7.7]))], ids=["grounded", "32-1-4", "64-0.5-7", "128-0.3-7.7"])
+def test_cell_problem_companions_solve_without_superlu(monkeypatch, cells, coefficient):
+    # a grounded periodic laminate: the real DFT along the layers, stacked
+    # pttrs across them, and layer 0's circulant; stored, about 3n/2 numbers
+    A = _companion(cells, coefficient).tocsc()
+    seen = _superlu_calls(monkeypatch)
+    factor = cholesky(A)
+    half = cells // 2 + 1
+    assert not seen and factor._lu.nnz == 3 * half * (cells - 1) - 1 + half
+    b = np.random.default_rng(cells).normal(size=(A.shape[0], 2))
+    x = factor.solve(b)
+    assert _backward_error(A, x, b) <= 4 * EPS
+    ref = splu(A).solve(b)
+    assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def _grounded_layers(across, within, shift):
+    """Kc[1:, 1:] for Kc = T x I + W x L on the m x m periodic grid: -across_i
+    between layers i and i + 1 (cyclic), -within_i along layer i, and on the
+    diagonal the sum of the row's couplings, plus ``shift``."""
+    m = across.size
+    rows, cols = np.arange(m), (np.arange(m) + 1) % m
+
+    def cyclic(values):  # values_i between i and i + 1
+        T = sparse.coo_matrix((values, (rows, cols)), shape=(m, m))
+        return T + T.T
+
+    diagonal = (2.0 * within + across + np.roll(across, 1) + shift).repeat(m)
+    Kc = (sparse.diags(diagonal) - sparse.kron(cyclic(across), sparse.identity(m))
+          - sparse.kron(sparse.diags(within), cyclic(np.ones(m))))
+    return sparse.csc_matrix(Kc)[1:, 1:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(m=st.integers(4, 64), data=st.data(),
+       shift=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]))
+def test_grounded_periodic_layers_property(m, data, shift):
+    # the excess of each row is the shift, or the rounding of the diagonal's
+    # sum, either sign: the solve does not take the row sums as zero
+    layer = st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)
+    across, within = np.array(data.draw(layer)), np.array(data.draw(layer))
+    A = _grounded_layers(across, within, shift)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _superlu_calls(patch)
+        factor = cholesky(A)
+    assert not seen
+    b = np.random.default_rng(m).normal(size=(A.shape[0], 3))
+    x = factor.solve(b)
+    assert _backward_error(A, x, b) <= 4 * EPS
+    ref = splu(A).solve(b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    for j in range(3):
+        assert np.array_equal(factor.solve(b[:, j]), x[:, j])
+
+
+def test_layers_reject_an_indefinite_grounded_operator(monkeypatch):
+    # Kc - 20 I: the excess is -20 in every row, and the pivots say so
+    A = _companion(8, LIMIT) - 20.0 * sparse.identity(63)
+    seen = _superlu_calls(monkeypatch)
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite: pivot"):
+        cholesky(A)
+    assert not seen
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
