@@ -7,13 +7,12 @@ its first coordinate, so its limit is in closed form: the lamination
 formula, the harmonic mean of the profile across the layers and the
 arithmetic mean along them, which in 1D is the harmonic mean alone.  The
 2D periodic cell problem, two corrector solves K chi = b on the unit cell
-by CG preconditioned with a half-resolution companion that ``cholesky``
-solves, gives A* of any 2D field as the symmetric part of
-integral(A) - b^T chi - chi^T (b - K chi); ``homogenize`` runs it on a 2D
-laminate as a check on the formula, and there the companion takes the
-layered backend's transform, not a SuperLU factor.  These
-oracles make every convergence sweep checkable against an independent
-reference: ``limit_of`` builds the one ``Limit`` every runner takes it from.
+from one ``cholesky`` factor per level, gives A* of any 2D field as the
+symmetric part of integral(A) - b^T chi - chi^T (b - K chi); ``homogenize``
+runs it on a 2D laminate as a check on the formula, and there every level
+takes the layered backend's transform, not a SuperLU factor.  These oracles
+make every convergence sweep checkable against an independent reference:
+``limit_of`` builds the one ``Limit`` every runner takes it from.
 """
 from __future__ import annotations
 
@@ -28,14 +27,12 @@ from .families import (
     PiecewiseCoefficient,
     check_resolution,
 )
-from .linalg import ConvergenceError, EigenResult, cholesky, prefix_failures, residuals
-from .mesh import DIRICHLET, PERIODIC, QUADRATURE, build_rect_mesh, build_space, transfer
+from .linalg import EigenResult, cholesky, prefix_failures, residuals
+from .mesh import DIRICHLET, PERIODIC, QUADRATURE, build_rect_mesh, build_space
 
 CLOSED_FORM = "closed-form"
 CELL_PROBLEM = "cell-problem"
 MIN_QUAD_POINTS = 64
-CG_RTOL = 1e-12      # full-resolution corrector solves: relative residual
-CG_MAXITER = 500     # and the step budget
 CELL_RESOLUTION = 128  # default unit-cell resolution of the 2D cell problem
 
 
@@ -113,22 +110,14 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     is a 2D coefficient family, or a callable mapping points (..., 2) to
     a(y), taken as the family a(y) I.
 
-    An even resolution >= 32 also solves a half-resolution companion through
-    ``cholesky`` (one dof grounded); the tensors' difference is the error
-    estimate, nan without a companion.  A laminate's companion on a grid whose
-    step is a power of two takes the layered backend, a real DFT along the
-    layers and stacked tridiagonal solves across them; any other goes to
-    SuperLU.  The full-resolution correctors are solved by CG on the singular
-    stiffness, preconditioned by a two-grid cycle on that companion solve; no
-    fine dof is grounded and no mean is taken out of chi, as b has mean zero.
-    CG short of ``CG_RTOL`` raises ConvergenceError.
-
-    Each grid is built once.  The fine level comes first, then the
-    prolongation P from the companion's grid onto the fine space, which is
-    released before the companion level and its factor, so no level's
-    transients (its pattern build above all) stack on each other.  The peak
-    is the fine stiffness's assembly; a SuperLU factor of a companion at 256^2
-    and more can pass it.
+    Each level, the full resolution and, when it is even and >= 32, a
+    half-resolution companion, is assembled and factored once by
+    ``cholesky`` with dof 0 grounded, and both correctors come from one
+    two-column solve.  A laminate on a grid whose step is a power of two
+    takes the layered backend, a real DFT along the layers and stacked
+    tridiagonal solves across them; any other level goes to SuperLU.  The
+    tensors' difference is the error estimate, nan without a companion.
+    Each level is released before the next is built.
     """
     family = profile if isinstance(profile, CoefficientFamily) else CoefficientFamily(
         "unit-cell-profile", 2, float("nan"), float("nan"), profile, 1.0)
@@ -137,10 +126,8 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     context = f"cell_problem_2d(resolution={cell_resolution})"
     check_resolution(1.0, 1.0 / cell_resolution, context)
 
-    def grid(res):
-        return build_space(build_rect_mesh(res, res), PERIODIC)
-
-    def level(space):  # periodic stiffness, corrector right-hand sides, integral of A
+    def tensor(res):
+        space = build_space(build_rect_mesh(res, res), PERIODIC)
         dofs, measure, grads = space.cell_data()[:3]
         # the level's one sampling of a, for the stiffness and the right-hand sides
         mean = assembly.cell_means(space, family)
@@ -149,64 +136,22 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
         local = -grads * (mean * measure)[:, None, None]
         b = np.column_stack([np.bincount(dofs.ravel(), local[..., j].ravel(),
                                          space.num_dofs) for j in range(2)])
-        b -= b.mean(axis=0)  # zero up to round-off; exactly zero keeps CG consistent
-        return K, b, (mean @ measure) * np.eye(2)
-
-    def tensor(K, b, integral, chi):
+        # b's mean is zero up to round-off; exactly zero, K chi = b holds at
+        # the grounded dof too
+        b -= b.mean(axis=0)
+        integral = (mean @ measure) * np.eye(2)
+        del space, dofs, measure, grads, mean, local  # before the factor is made
+        with prefix_failures(context):
+            chi = np.insert(cholesky(K[1:, 1:]).solve(b[1:]), 0, 0.0, axis=0)
         # b[:, j] . chi[:, k] = -integral(A grad chi_k . e_j); less chi^T r, the
         # tensor's error is second order in chi's, (chi - K^+ b)^T K (chi - K^+ b)
-        r = b - _by_edges(K, chi)
-        eff = integral - b.T @ chi - chi.T @ r
+        eff = integral - b.T @ chi - chi.T @ (b - _by_edges(K, chi))
         return 0.5 * (eff + eff.T)
 
-    refine = cell_resolution >= 32 and cell_resolution % 2 == 0
-    coarse = cell_resolution // 2 if refine else cell_resolution
-    space = grid(cell_resolution)
-    if refine:
-        K, b, integral = level(space)
-        fine, space = space, grid(coarse)
-        P = transfer(space, fine)
-        del fine  # its cell data and pattern go before the companion's are built
-    Kc, bc, integral_c = level(space)
-    del space  # the companion's cell data and pattern go before its factor is made
-    with prefix_failures(context):
-        factor = cholesky(Kc[1:, 1:].tocsc())
-
-    def coarse_solve(r):  # dof 0 grounded
-        return np.insert(factor.solve(r[1:]), 0, 0.0, axis=0)
-
-    eff_c = tensor(Kc, bc, integral_c, coarse_solve(bc))
-    del Kc  # only the companion's factor is read from here on
-    if not refine:
-        return ConstantMatrixCoefficient(eff_c, CELL_PROBLEM, float("nan"))
-    jacobi = (2.0 / 3.0) / K.diagonal()
-
-    def two_grid(r):
-        r = r - r.mean()  # as for b: CG's recurred residual drifts off mean zero
-        x = jacobi * r
-        x += P @ coarse_solve(P.T @ (r - K @ x))
-        return x + jacobi * (r - K @ x)
-
-    chi = np.zeros_like(b)
-    for j in range(2):  # CG preconditioned by two_grid; a breakdown stops it
-        r = b[:, j].copy()
-        p = z = two_grid(r)
-        rz, bnorm, step = r @ z, np.linalg.norm(r), 0
-        while np.linalg.norm(r) > CG_RTOL * bnorm and rz > 0 and step < CG_MAXITER:
-            step += 1
-            q = K @ p
-            alpha = rz / (p @ q)
-            chi[:, j] += alpha * p
-            r -= alpha * q
-            z = two_grid(r)
-            rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
-        rel = np.linalg.norm(r) / (bnorm or 1.0)
-        if rel > CG_RTOL:
-            raise ConvergenceError(
-                f"{context}: corrector {j} CG stopped at step {step}, relative "
-                f"residual {rel:.3e} > {CG_RTOL:.1e}", "cell problem")
-    eff = tensor(K, b, integral, chi)
+    eff = tensor(cell_resolution)
+    if cell_resolution < 32 or cell_resolution % 2:
+        return ConstantMatrixCoefficient(eff, CELL_PROBLEM, float("nan"))
+    eff_c = tensor(cell_resolution // 2)
     return ConstantMatrixCoefficient(eff, CELL_PROBLEM, float(np.max(np.abs(eff - eff_c))))
 
 

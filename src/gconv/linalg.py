@@ -16,7 +16,7 @@ one of three backends:
   The same stiffness on the periodic grid, T and L cyclic, with its first
   dof grounded, is split by a real DFT along the rows instead: each mode's
   layers but the first are one more tridiagonal stack, and what is left of
-  the first layer is circulant.  That is the companion of every 2D laminate
+  the first layer is circulant.  That is each level of every 2D laminate
   cell problem.
 - Any other matrix gets a SuperLU decomposition run in symmetric mode with
   a fill-reducing ordering and diagonal pivoting disabled, which for a
@@ -260,9 +260,8 @@ def cholesky(matrix) -> CholeskyFactor:
     solves.  The P1 stiffness of a diagonal tensor times a field of x1 alone
     is such a matrix when the grid's step is a power of two (8, 128 and 256
     cells are; 24, 48, 96 and 100 are not: their entries differ in the last
-    bits), and so is the cell problem's grounded companion ``Kc[1:, 1:]`` of
-    a two-phase laminate on such a grid; a sinusoidal laminate's diagonal
-    differs along a grid row in its last bits.  Any other matrix goes to
+    bits), and so is the cell problem's grounded periodic stiffness
+    ``K[1:, 1:]`` of a laminate on such a grid.  Any other matrix goes to
     SuperLU.  Raises ``ValueError`` unless the matrix is square and
     symmetric, and ``NotPositiveDefiniteError`` on a non-positive pivot:
     violated ellipticity, or the constant kernel of a periodic-space

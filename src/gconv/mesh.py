@@ -110,7 +110,9 @@ class SymmetricPattern(NamedTuple):
     over ``starts`` sums them.  Both orientations of an entry sum the same
     values in the same order, so the global matrix is symmetric bit for bit,
     also where one local pair of a cell maps a dof pair both ways round (a
-    periodic axis of 2 cells).
+    periodic axis of 2 cells).  Equal keys come by local pair, then in cell
+    order, and every dof's diagonal sums its cells in the order of their
+    grid squares, at a periodic wrap too.
     """
 
     gather: np.ndarray    # int32 indices into local.ravel()
@@ -198,6 +200,7 @@ class FeSpace:
         pairs = [(i, j) for i in range(nd) for j in range(i, nd)]
         sizes = [(1 + (i != j)) * np.count_nonzero(kept[:, i] & kept[:, j])
                  for i, j in pairs]
+        simplices = _GRID_SIMPLICES[self.mesh.dimension]
         # sort key row * n + col and local entry of every orientation, each
         # cell's two side by side, filled in place: this build is the largest
         # transient of a large periodic level, so each temporary goes once used
@@ -206,6 +209,14 @@ class FeSpace:
         at = 0
         for (i, j), size in zip(pairs, sizes):
             cell = np.flatnonzero(kept[:, i] & kept[:, j])
+            if i == j and len(simplices) > 1:
+                # a dof's cells as local vertex i, one of each simplex type, in
+                # the order of their grid squares, as an interior dof has them
+                # in cell order: a periodic dof at the wrap sums its diagonal
+                # in the same order, not in the wrapped squares' order
+                ranked = sorted(range(len(simplices)),
+                                key=lambda t: ([-o for o in simplices[t][i]], t))
+                cell = np.concatenate([cell[cell % len(simplices) == t] for t in ranked])
             r, c, step = dofs[cell, i], dofs[cell, j], 1 + (i != j)
             for k, (a, b) in enumerate([(r, c), (c, r)][:step]):
                 key[at + k:at + size:step] = a * n + b

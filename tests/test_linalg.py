@@ -268,10 +268,13 @@ def _backward_error(A, x, b):
 
 @pytest.mark.parametrize("cells,coefficient", [
     (8, LIMIT), (32, _laminate([1.0, 4.0])), (64, _laminate([0.5, 7.0])),
-    (128, _laminate([0.3, 7.7]))], ids=["grounded", "32-1-4", "64-0.5-7", "128-0.3-7.7"])
+    (128, _laminate([0.3, 7.7])), (32, _laminate([2.0])), (128, _laminate([1.01]))],
+    ids=["grounded", "32-1-4", "64-0.5-7", "128-0.3-7.7", "32-2", "128-1.01"])
 def test_cell_problem_companions_solve_without_superlu(monkeypatch, cells, coefficient):
     # a grounded periodic laminate: the real DFT along the layers, stacked
-    # pttrs across them, and layer 0's circulant; stored, about 3n/2 numbers
+    # pttrs across them, and layer 0's circulant; stored, about 3n/2 numbers.
+    # A sinusoidal laminate's diagonal is constant along each grid row too:
+    # the wrap's dofs sum their cells in the interior's order
     A = _companion(cells, coefficient).tocsc()
     seen = _superlu_calls(monkeypatch)
     factor = cholesky(A)
@@ -282,6 +285,16 @@ def test_cell_problem_companions_solve_without_superlu(monkeypatch, cells, coeff
     assert _backward_error(A, x, b) <= 4 * EPS
     ref = splu(A).solve(b)
     assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(m=st.sampled_from([16, 32, 64, 128]),
+       params=st.one_of(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+                        st.tuples(st.floats(1.01, 10.0))))
+def test_grounded_periodic_laminates_take_the_layers_property(m, params):
+    # every two-phase or sinusoidal laminate2d on a periodic grid whose step
+    # is a power of two is exactly T x I + W x L: _layered takes Kc[1:, 1:]
+    assert linalg._layered(_companion(m, _laminate(list(params))).tocsc()) is not None
 
 
 def _grounded_layers(across, within, shift):
