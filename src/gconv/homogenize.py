@@ -113,11 +113,11 @@ def cell_problem_2d(profile, cell_resolution: int) -> ConstantMatrixCoefficient:
     Each level, the full resolution and, when it is even and >= 32, a
     half-resolution companion, is assembled and factored once by
     ``cholesky`` with dof 0 grounded, and both correctors come from one
-    two-column solve.  A laminate on a grid whose step is a power of two
-    takes the layered backend, a real DFT along the layers and stacked
-    tridiagonal solves across them; any other level goes to SuperLU.  The
-    tensors' difference is the error estimate, nan without a companion.
-    Each level is released before the next is built.
+    two-column solve.  A laminate's levels take the layered backend, a real
+    DFT along the layers and stacked tridiagonal solves across them; any
+    other field's go to SuperLU.  The tensors' difference is the error
+    estimate, nan without a companion.  Each level is released before the
+    next is built.
     """
     family = profile if isinstance(profile, CoefficientFamily) else CoefficientFamily(
         "unit-cell-profile", 2, float("nan"), float("nan"), profile, 1.0)

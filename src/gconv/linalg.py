@@ -10,9 +10,9 @@ one of three backends:
   grid rows into m tridiagonal systems (Hockney's method), each factored
   from its row excess.  The grid's squares are cut along their 00-11
   diagonals, whose couplings vanish for a diagonal tensor, so this is the P1
-  stiffness of a diagonal tensor times a field of x1 alone on a Dirichlet
-  grid of the unit square whose step is a power of two: every 2D laminate
-  rung, and every 2D constant-coefficient reference and Dirichlet solve.
+  stiffness of a diagonal tensor times a field of x1 alone on a uniform
+  Dirichlet grid of the unit square: every 2D laminate rung, and every 2D
+  constant-coefficient reference and Dirichlet solve.
   The same stiffness on the periodic grid, T and L cyclic, with its first
   dof grounded, is split by a real DFT along the rows instead: each mode's
   layers but the first are one more tridiagonal stack, and what is left of
@@ -258,10 +258,8 @@ def cholesky(matrix) -> CholeskyFactor:
     m x m grid (``_layered``), Dirichlet, or periodic with its first dof
     grounded, by a transform along the grid rows and stacked ``pttrs``
     solves.  The P1 stiffness of a diagonal tensor times a field of x1 alone
-    is such a matrix when the grid's step is a power of two (8, 128 and 256
-    cells are; 24, 48, 96 and 100 are not: their entries differ in the last
-    bits), and so is the cell problem's grounded periodic stiffness
-    ``K[1:, 1:]`` of a laminate on such a grid.  Any other matrix goes to
+    on a uniform grid is such a matrix, and so is the cell problem's grounded
+    periodic stiffness ``K[1:, 1:]`` of a laminate.  Any other matrix goes to
     SuperLU.  Raises ``ValueError`` unless the matrix is square and
     symmetric, and ``NotPositiveDefiniteError`` on a non-positive pivot:
     violated ellipticity, or the constant kernel of a periodic-space

@@ -11,8 +11,8 @@ read-only on the space itself.  The cell data is stored by component: the
 gradients ``(nc, dim + 1, dim)`` and the points ``(nq, nc, dim)`` keep their
 shapes, but each is a view of a ``(dim + 1, dim, nc)`` or ``(dim, nq, nc)``
 array, so every column ``grads[:, i, k]`` and ``points[..., k]`` that a
-kernel reads is contiguous.  All of it comes from one gather of the cell
-corners.
+kernel reads is contiguous.  The geometry comes once per simplex type from
+the grid's steps, so cells of one type are congruent to the bit on any grid.
 """
 from __future__ import annotations
 
@@ -159,19 +159,12 @@ class FeSpace:
     def _cell_data(self) -> CellData:
         mesh, dim, nc = self.mesh, self.mesh.dimension, self.mesh.num_cells
         ref, weights = QUADRATURE[dim]
-        # the corners of every cell, gathered once; x[k, m] is coordinate k of
-        # local vertex m and e[k, m] that of edge m, each an (nc,) column
-        x = np.take(mesh.vertices, mesh.cells, axis=0).transpose(2, 1, 0)
-        e = np.empty((dim, dim, nc))
-        np.subtract(x[:, 1:], x[:, :1], out=e)
-        # (x0 + r0 e0) + r1 e1 per point: the order fixes the last bit
-        pts = np.empty((dim, len(ref), nc))
-        for q, r in enumerate(ref):
-            np.add(x[:, 0], r[0] * e[:, 0], out=pts[:, q])
-            for m in range(1, dim):
-                pts[:, q] += r[m] * e[:, m]
-        del x  # each temporary goes before the next is made
-        grads = np.empty((dim + 1, dim, nc))
+        # cells of one simplex type are congruent: e[k, m, t] is coordinate k of
+        # edge m of type t, in steps 1 / n of axis k; cell c has type c % types
+        offsets = np.array(_GRID_SIMPLICES[dim])   # (types, dim + 1, dim)
+        types, step = len(offsets), 1.0 / np.array(mesh.structure)
+        e = (offsets[:, 1:] - offsets[:, :1]).transpose(2, 1, 0) * step[:, None, None]
+        grads = np.empty((dim + 1, dim, types))
         if dim == 1:
             measure = e[0, 0]
             np.divide(1.0, measure, out=grads[1, 0])
@@ -183,6 +176,18 @@ class FeSpace:
             np.divide(-e[1, 0], det, out=grads[2, 0])
             np.divide(e[0, 0], det, out=grads[2, 1])
         np.negative(grads[1:].sum(axis=0), out=grads[0])
+        measure, grads = np.tile(measure, nc // types), np.tile(grads, nc // types)
+        # the one corner gathered: x[k, s, t], coordinate k of the first corner of
+        # grid square s's cell of type t, and the cell's points by_type[k, q, s, t]
+        x = np.take(mesh.vertices, mesh.cells[:, 0], axis=0).T.reshape(dim, -1, types)
+        pts = np.empty((dim, len(ref), nc))
+        by_type = pts.reshape(dim, len(ref), -1, types)
+        # (x0 + r0 e0) + r1 e1 per point: the order fixes the last bit
+        for q, r in enumerate(ref):
+            np.add(x, r[0] * e[:, 0, None], out=by_type[:, q])
+            for m in range(1, dim):
+                by_type[:, q] += r[m] * e[:, m, None]
+        del x, by_type
         phi = np.column_stack([reduce(np.subtract, ref.T, 1.0), ref])  # (1 - r0) - r1
         _read_only(grads, pts)  # the views below are read-only too
         # taken last: taken first, it left the cell problem's heap 9 MiB higher

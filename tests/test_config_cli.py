@@ -331,15 +331,14 @@ def test_exactly_resolved_meshes_validate(h_list):
 
 def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
     # the layer pivots factor the 2D laminate2d rungs and the constant-coefficient
-    # 2D reference on grids whose step is a power of two, SuperLU on others,
-    # LAPACK's pttrf the 1D rungs (a 1D reference is in closed form); each
-    # failing exits 2 at the first operator it takes, named
-    splu, pivots = linalg.splu, linalg._layer_pivots
+    # 2D reference on grids of any step, LAPACK's pttrf the 1D rungs (a 1D
+    # reference is in closed form); each failing exits 2 at the first operator
+    # it takes, named.  SuperLU's failures map at the factor
+    # (test_cholesky_off_band_rejects)
+    pivots = linalg._layer_pivots
 
-    def singular(A, **kwargs):  # at the 23^2-dof rung h=1 of 24 points per period
-        if A.shape[0] == 23 ** 2:
-            raise RuntimeError("Factor is exactly singular")
-        return splu(A, **kwargs)
+    def zero_on_h1(delta, s):  # the 23^2-dof rung h=1 of 24 points per period
+        return np.zeros(delta.shape[::-1]) if delta.shape[0] == 23 else pivots(delta, s)
 
     def zero_on_rung(delta, s):  # the 63^2-dof rung h=2, whose layers vary; not the reference
         return np.zeros(delta.shape[::-1]) if delta.shape[0] == 63 and np.ptp(s) else pivots(
@@ -347,8 +346,8 @@ def test_cli_factorization_failure_exit_2(tmp_path, capsys, monkeypatch):
 
     laminate = _minimal(family={"name": "laminate2d", "params": [1.0, 4.0]}, h_list=[1, 2])
     for backend, fails, doc, message in [
-            ("splu", singular, {**laminate, "points_per_period": 24},
-             "h=1: not positive definite: Factor is exactly singular"),
+            ("_layer_pivots", zero_on_h1, {**laminate, "points_per_period": 24},
+             "h=1: not positive definite: pivot 1 of 529 is 0"),
             ("_layer_pivots", lambda delta, s: np.zeros(delta.shape[::-1]), laminate,
              "reference: not positive definite: pivot 1 of 3969 is 0"),
             ("_layer_pivots", zero_on_rung, laminate,
@@ -418,15 +417,22 @@ def test_cli_cell_problem_factor_failure_names_resolution(tmp_path, capsys, monk
 def test_cli_homogenize_laminate_at_the_budget_takes_no_superlu(tmp_path, monkeypatch,
                                                                 params):
     # both levels of a built-in laminate's cell problem at 512^2, the 2D dof
-    # budget, take the layered backend: a sinusoidal laminate's periodic
-    # diagonal is constant along each grid row, as a two-phase one's is
+    # budget, and at 510^2, whose step is no power of two, take the layered
+    # backend: a sinusoidal laminate's periodic diagonal is constant along each
+    # grid row, as a two-phase one's is.  So do the rungs and the reference of
+    # a ladder at 24 points per period
     def refused(*args, **kwargs):
         raise AssertionError("splu called")
 
     monkeypatch.setattr(linalg, "splu", refused)
-    cfg = _write(tmp_path, _minimal("homogenize", cell_resolution=512,
-                                    family={"name": "laminate2d", "params": params}))
-    assert main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    family = {"name": "laminate2d", "params": params}
+    for subcommand, doc in [
+            ("homogenize", _minimal("homogenize", cell_resolution=512, family=family)),
+            ("homogenize", _minimal("homogenize", cell_resolution=510, family=family)),
+            ("sweep-eigen", _minimal(family=family, points_per_period=24,
+                                     h_list=[1, 2, 4, 8, 16]))]:
+        cfg = _write(tmp_path, doc)
+        assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("subcommand,kind,dofs,call,rung", [

@@ -242,16 +242,12 @@ def _checkerboard(pts):
     lambda: _companion(8, FULL_TENSOR),
     lambda: _companion(16, CoefficientFamily("checkerboard", 2, 1.0, 100.0, _checkerboard, 1.0)),
     lambda: assembly.assemble_stiffness(build_space(build_rect_mesh(8, 4)), LIMIT),
-    # a step that is no power of two: the entries differ in their last bits
-    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 96), LIMIT),
-    lambda: _companion(48, _laminate([1.0, 4.0])),  # resolution 96's companion
     lambda: _layers_along_rows(_laminate_rung(32, 1, [1.0, 4.0])),
     # the mass's 00-11 couplings are not zero
     lambda: _laminate_rung(32, 1, [1.0, 4.0]) + assembly.assemble_mass(
         build_dirichlet_space(2, 32)),
 ], ids=["full-tensor", "periodic", "grounded-full-tensor", "grounded-checkerboard",
-        "non-square-n", "96-cells", "48-cell-companion", "layers-along-rows",
-        "rung-plus-mass"])
+        "non-square-n", "layers-along-rows", "rung-plus-mass"])
 def test_other_grid_operators_go_to_superlu(matrix):
     assert _goes_to_superlu(matrix())
 
@@ -264,6 +260,19 @@ def _backward_error(A, x, b):
     r = b - A @ x
     norm = abs(A).sum(axis=1).max()
     return np.max(np.abs(r).max(0) / (norm * np.abs(x).max(0) + np.abs(b).max(0)))
+
+
+@pytest.mark.parametrize("matrix", [
+    lambda: assembly.assemble_stiffness(build_dirichlet_space(2, 96), LIMIT),
+    lambda: _companion(48, _laminate([1.0, 4.0])),  # resolution 96's companion
+], ids=["96-cells", "48-cell-companion"])
+def test_grids_of_any_step_take_the_layers(matrix):
+    # a step that is no power of two: the cells of one type are congruent to
+    # the bit, so the operator is exactly layered
+    A = matrix().tocsc()
+    assert not _goes_to_superlu(A)
+    b = np.random.default_rng(A.shape[0]).normal(size=(A.shape[0], 2))
+    assert _backward_error(A, cholesky(A).solve(b), b) <= 4 * EPS
 
 
 @pytest.mark.parametrize("cells,coefficient", [
@@ -288,12 +297,12 @@ def test_cell_problem_companions_solve_without_superlu(monkeypatch, cells, coeff
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
-@given(m=st.sampled_from([16, 32, 64, 128]),
+@given(m=st.sampled_from([3, 6, 12, 16, 24, 32, 48, 64, 96, 128]),
        params=st.one_of(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
                         st.tuples(st.floats(1.01, 10.0))))
 def test_grounded_periodic_laminates_take_the_layers_property(m, params):
-    # every two-phase or sinusoidal laminate2d on a periodic grid whose step
-    # is a power of two is exactly T x I + W x L: _layered takes Kc[1:, 1:]
+    # every two-phase or sinusoidal laminate2d on a periodic grid of any step
+    # is exactly T x I + W x L: _layered takes Kc[1:, 1:]
     assert linalg._layered(_companion(m, _laminate(list(params))).tocsc()) is not None
 
 
@@ -348,7 +357,7 @@ def test_layers_reject_an_indefinite_grounded_operator(monkeypatch):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(params=st.one_of(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
                         st.tuples(st.floats(1.1, 10.0))),
-       cells=st.sampled_from([2, 4, 8, 16, 32]), h=st.integers(1, 4))
+       cells=st.sampled_from([2, 3, 4, 6, 8, 12, 16, 24, 32, 48]), h=st.integers(1, 4))
 def test_laminate_rungs_solve_without_superlu(params, cells, h):
     # a rung is T x I + W x L, the layers across the slow axis; permuted or
     # summed with a mass, it is not

@@ -258,20 +258,22 @@ def test_periodic_diagonal_sums_every_dof_in_the_interior_order(cells):
     lambda: build_space(build_interval_mesh(16384), DIRICHLET),
 ], ids=["2d-periodic", "1d-dirichlet"])
 def test_cell_data_build_peak_memory(space):
-    # one corner gather, then the points, then the gradients, each temporary
-    # gone before the next is made: the build's peak stays within a small
-    # margin over the arrays it keeps
+    # the gradients once per simplex type, then one gather of each cell's first
+    # corner and the points, the gather gone before the dofs are taken: the
+    # build's peak stays within a small margin over the arrays it keeps
     sp = space()
     peak, cd = peak_bytes(sp.cell_data)
     assert peak <= 1.4 * sum(a.nbytes for a in (cd.dofs, cd.measure, cd.grads, cd.points))
 
 
 def _reference_cell_data(space):
-    """dofs, measure, grads and points of every cell from its vertices[cells]
-    corners, cell-major, in the arithmetic the space's cell data keeps."""
+    """dofs, measure, grads and points of every cell, cell-major: its edges are
+    its corners' grid index differences times each axis's step 1 / n, and its
+    points are its first corner plus the reference points' multiples of them."""
     mesh, dim = space.mesh, space.mesh.dimension
-    corners = mesh.vertices[mesh.cells]                 # (nc, dim + 1, dim)
-    e = corners[:, 1:] - corners[:, :1]                 # e[c, m]: edge m
+    step = 1.0 / np.array(mesh.structure)
+    index = np.stack(np.unravel_index(mesh.cells, [n + 1 for n in mesh.structure]), -1)
+    e = (index[:, 1:] - index[:, :1]) * step            # e[c, m]: edge m
     grads = np.empty((mesh.num_cells, dim + 1, dim))
     if dim == 1:
         measure = e[:, 0, 0]
@@ -285,7 +287,7 @@ def _reference_cell_data(space):
         grads[:, 2, 1] = e[:, 0, 0] / det
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
     ref = QUADRATURE[dim][0]
-    points = corners[None, :, 0]
+    points = mesh.vertices[mesh.cells[:, 0]][None]
     for k in range(dim):  # (x0 + r0 e0) + r1 e1
         points = points + ref[:, k, None, None] * e[None, :, k]
     return space.dof_of_vertex[mesh.cells], measure, grads, points
@@ -312,6 +314,21 @@ def test_cell_data_matches_the_explicit_construction(cells, rule):
     columns = [cd.grads[:, i, k] for i in range(nb) for k in range(dim)]
     for col in columns + [cd.points[..., k] for k in range(dim)]:
         assert col.flags.c_contiguous and not col.flags.writeable
+
+
+@pytest.mark.parametrize("cells,rule", [
+    ((255,), DIRICHLET), ((37,), PERIODIC), ((3, 7), DIRICHLET), ((33, 40), PERIODIC)],
+    ids=["255", "37-periodic", "3x7", "33x40-periodic"])
+def test_cells_of_one_type_are_congruent(cells, rule):
+    # every grid square holds one cell of each simplex type, in the same order;
+    # cells of one type have the same measure and gradients to the bit, so a
+    # stiffness with layered coefficients is exactly layered on any grid
+    cd = build_space((build_interval_mesh if len(cells) == 1 else build_rect_mesh)(*cells),
+                     rule).cell_data()
+    types = cd.measure.size // math.prod(cells)
+    for data in (cd.measure, cd.grads):
+        by_type = data.reshape((-1, types) + data.shape[1:])
+        assert (by_type == by_type[:1]).all()
 
 
 def _float_interpolation(space_from, u, space_to):
