@@ -187,6 +187,18 @@ def validate_config(data: dict) -> ExperimentConfig:
                           "names the CSV report too")
     families = {key: build_family(effective[key], key) for key in FAMILY_CLASSES}
     family = families["family"]
+    if family is not None:  # the declared bounds against the family's exact ones
+        alpha, beta = declared_bounds(effective["family"], family)
+        slack = 1e-12  # round-off in a declared bound
+        problems = []
+        if not alpha <= family.alpha + slack:  # a NaN fails too
+            problems.append(f"ellipticity bound alpha={alpha!r} exceeds the family's "
+                            f"exact least value {family.alpha!r}")
+        if not family.beta <= beta + slack:
+            problems.append(f"ellipticity bound beta={beta!r} is below the family's "
+                            f"exact greatest value {family.beta!r}")
+        if problems:
+            raise ConfigError("config key 'family': " + "; ".join(problems))
     dim = getattr(family, "dim", 1)
     for key in ("potential", "source"):
         if families[key] is not None and dim != 1:
@@ -291,7 +303,7 @@ def build_family(spec: dict, key: str):
     """The built-in family a config spec names, or None for a null spec.
 
     Raises ``ConfigError`` unless the family is of the class ``key`` takes.
-    The spec's ``alpha`` and ``beta`` are read only by ``gconv validate``.
+    The spec's ``alpha`` and ``beta`` are read only by ``declared_bounds``.
     """
     if spec is None:
         return None
@@ -306,6 +318,13 @@ def build_family(spec: dict, key: str):
             f"expected a {expected.__name__}"
         )
     return fam
+
+
+def declared_bounds(spec: dict, family) -> tuple:
+    """A family spec's declared ellipticity bounds (alpha, beta); an
+    undeclared bound is the family's exact one."""
+    return tuple(getattr(family, key) if spec[key] is None else spec[key]
+                 for key in ("alpha", "beta"))
 
 
 def schema_help(kind: str | None = None) -> str:

@@ -13,9 +13,14 @@ shapes, but each is a view of a ``(dim + 1, dim, nc)`` or ``(dim, nq, nc)``
 array, so every column ``grads[:, i, k]`` and ``points[..., k]`` that a
 kernel reads is contiguous.  The geometry comes once per simplex type from
 the grid's steps, so cells of one type are congruent to the bit on any grid.
+The pattern comes from the grid's stencil: every row of one kind (per axis,
+at the low end, the high end, both or neither) has the same terms in the
+same order, so one representative row per kind orders them all, and no
+entry of the grid is sorted.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -26,9 +31,8 @@ from scipy import sparse
 
 DIRICHLET = "dirichlet-zero"
 PERIODIC = "periodic"
-# entries per block of the passes over a pattern's sorted entries (its build's
-# keys, assembly's sums): a block's transients take about 0.5 MiB, where a
-# whole pass's are the size of the pattern
+# CSR entries per block of assembly's sums over a pattern: a block's
+# transients take about 0.5 MiB, where a whole pass's are the size of the pattern
 PATTERN_BLOCK = 1 << 14
 
 
@@ -105,14 +109,14 @@ class SymmetricPattern(NamedTuple):
     """CSR pattern of the global matrices plus the order that fills it.
 
     ``local.ravel()[gather]`` lists the upper-triangle local entries of
-    every cell, off-diagonal ones twice (as (row, col) and mirrored, side by
-    side per cell), stably sorted by global (row, col); ``np.add.reduceat``
-    over ``starts`` sums them.  Both orientations of an entry sum the same
-    values in the same order, so the global matrix is symmetric bit for bit,
-    also where one local pair of a cell maps a dof pair both ways round (a
-    periodic axis of 2 cells).  Equal keys come by local pair, then in cell
-    order, and every dof's diagonal sums its cells in the order of their
-    grid squares, at a periodic wrap too.
+    every cell, off-diagonal ones twice (as (row, col) and mirrored), by
+    global (row, col); ``np.add.reduceat`` over ``starts`` sums them.  The
+    terms of one entry come by local pair (i, j), then, on a diagonal, by the
+    rank of their simplex type (the order of a dof's grid squares, at a
+    periodic wrap too), then in cell order, then (row, col) before its mirror.
+    Both orientations of an entry sum the same values in the same order, so
+    the global matrix is symmetric bit for bit, also where one local pair of
+    a cell maps a dof pair both ways round (a periodic axis of 2 cells).
     """
 
     gather: np.ndarray    # int32 indices into local.ravel()
@@ -198,59 +202,139 @@ class FeSpace:
     @cached_property
     def pattern(self) -> SymmetricPattern:
         """Symmetric CSR pattern of this space's P1 matrices (see SymmetricPattern)."""
-        dofs = self.cell_data().dofs
-        nd = dofs.shape[1]
-        n = self.num_dofs
-        kept = dofs >= 0
-        pairs = [(i, j) for i in range(nd) for j in range(i, nd)]
-        sizes = [(1 + (i != j)) * np.count_nonzero(kept[:, i] & kept[:, j])
-                 for i, j in pairs]
-        simplices = _GRID_SIMPLICES[self.mesh.dimension]
-        # sort key row * n + col and local entry of every orientation, each
-        # cell's two side by side, filled in place: this build is the largest
-        # transient of a large periodic level, so each temporary goes once used
-        key = np.empty(sum(sizes), dtype=np.int64)
-        src = np.empty(sum(sizes), dtype=np.int32)
-        at = 0
-        for (i, j), size in zip(pairs, sizes):
-            cell = np.flatnonzero(kept[:, i] & kept[:, j])
-            if i == j and len(simplices) > 1:
-                # a dof's cells as local vertex i, one of each simplex type, in
-                # the order of their grid squares, as an interior dof has them
-                # in cell order: a periodic dof at the wrap sums its diagonal
-                # in the same order, not in the wrapped squares' order
-                ranked = sorted(range(len(simplices)),
-                                key=lambda t: ([-o for o in simplices[t][i]], t))
-                cell = np.concatenate([cell[cell % len(simplices) == t] for t in ranked])
-            r, c, step = dofs[cell, i], dofs[cell, j], 1 + (i != j)
-            for k, (a, b) in enumerate([(r, c), (c, r)][:step]):
-                key[at + k:at + size:step] = a * n + b
-                src[at + k:at + size:step] = cell * (nd * nd) + (i * nd + j)
-            at += size
-        del kept, cell, r, c, a, b
-        order = np.argsort(key, kind="stable")
-        gather = src[order]
-        del src
-        # the sorted keys by block, never whole: where each new key starts
-        starts, keys, prev = [], [], -1
-        for lo in range(0, order.size, PATTERN_BLOCK):
-            block = key[order[lo:lo + PATTERN_BLOCK]]
-            new = np.flatnonzero(np.diff(block, prepend=prev))  # ascending keys
-            starts.append((new + lo).astype(np.int32))
-            keys.append(block[new])
-            prev = block[-1]
-        del key, order
-        starts, key = np.concatenate(starts), np.concatenate(keys)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-        return SymmetricPattern(*_read_only(gather, starts,
-                                            (key % n).astype(np.int32), indptr))
+        return _stencil_pattern(self.mesh.structure, self.rule == PERIODIC)
 
 
 # each grid cell's simplices as corner offsets in grid steps: the interval; the
 # square cut along its lower-left to upper-right diagonal, lower triangle first
 _GRID_SIMPLICES = {1: [[(0,), (1,)]],
                    2: [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]}
+
+
+def _stencil_terms(simplices) -> list:
+    """Every term a row of a P1 matrix can sum: (type, pair, rank, row corner,
+    column corner, orientation, local entry) for each upper-triangle local pair
+    (i, j) of a cell of each type, both ways round where i != j.  A diagonal
+    sums a dof's cells in the order of their grid squares: its rank orders
+    the types by corner i's offset, largest first."""
+    nd = len(simplices[0])
+    terms = []
+    for pair, (i, j) in enumerate((i, j) for i in range(nd) for j in range(i, nd)):
+        ranked = sorted(range(len(simplices)),
+                        key=lambda t: ([-o for o in simplices[t][i]], t))
+        for t in range(len(simplices)):
+            for o, (a, b) in enumerate([(i, j), (j, i)][:1 + (i != j)]):
+                terms.append((t, pair, ranked.index(t) if i == j else 0, a, b, o,
+                              i * nd + j))
+    return terms
+
+
+_TERMS = {dim: _stencil_terms(simplices) for dim, simplices in _GRID_SIMPLICES.items()}
+
+
+def _row_order(p: tuple, cells: tuple, periodic: bool, step: list) -> tuple:
+    """The terms the row at dof grid point ``p`` sums, in the order it sums
+    them: by column, then pair, rank, cell and orientation, where columns and
+    cells are grid points compared axis by axis, as in C order.  Also each
+    CSR entry's first term and column offset from the row, int32, for dofs
+    of C-order strides ``step``."""
+    simplices, shift = _GRID_SIMPLICES[len(cells)], 0 if periodic else 1
+    keys = []
+    for k, (t, pair, rank, a, b, o, _) in enumerate(_TERMS[len(cells)]):
+        square = [pk + shift - off for pk, off in zip(p, simplices[t][a])]
+        col = [s + off - shift for s, off in zip(square, simplices[t][b])]
+        if periodic:
+            square, col = ([v % n for v, n in zip(x, cells)] for x in (square, col))
+        if all(0 <= c < n - shift for c, n in zip(col, cells)):
+            keys.append((col, pair, rank, square, t, o, k))
+    keys.sort()
+    first = [e for e, key in enumerate(keys) if e == 0 or key[0] != keys[e - 1][0]]
+    delta = [sum((c - pk) * s for c, pk, s in zip(keys[e][0], p, step)) for e in first]
+    return ([key[-1] for key in keys], np.array(first, dtype=np.int32),
+            np.array(delta, dtype=np.int32))
+
+
+def _stencil_pattern(cells: tuple, periodic: bool) -> SymmetricPattern:
+    """SymmetricPattern of the P1 space of a uniform grid, from its stencil.
+
+    A row's terms depend on its grid point only through its kind: per axis,
+    whether it is at the low end, the high end, both or neither.  The kind
+    fixes which terms exist, where they wrap and the order they sum in, so
+    each kind's order comes from one representative row.  The gathered entry
+    of each term is affine in the row's grid point: it fills one contiguous
+    column per term in an interior row's order, the columns are transposed to
+    rows once, and only the rows of the other kinds are reordered and cut.
+    """
+    dim, shift = len(cells), 0 if periodic else 1
+    simplices, terms, nd = _GRID_SIMPLICES[dim], _TERMS[dim], dim + 1
+    shape = tuple(n - shift for n in cells)   # dofs per axis
+    n = math.prod(shape)
+    step = [math.prod(shape[k + 1:]) for k in range(dim)]   # dof strides, C order
+    # an interior row, on axes of 4 cells, orders the tables' columns
+    interior, first, delta = _row_order((1,) * dim, (4,) * dim, periodic, step)
+    column_of = {k: c for c, k in enumerate(interior)}
+    width = len(interior)
+    # every row's gathered entry cell * nd**2 + entry per term: along each axis
+    # the row's grid square is its grid point less the row corner's offset
+    cell_step = [math.prod(cells[k + 1:]) * len(simplices) * nd * nd for k in range(dim)]
+    table = np.empty((width, n), dtype=np.int32)
+    for column, k in zip(table, interior):
+        t, _, _, a, _, _, entry = terms[k]
+        parts = []
+        for m, off, stride, axis_cells in zip(shape, simplices[t][a], cell_step, cells):
+            square = np.arange(shift - off, m + shift - off, dtype=np.int32)
+            parts.append((square % axis_cells if periodic else square) * stride)
+        *head, last = np.ix_(*parts)
+        np.add(sum(head, t * nd * nd + entry), last, out=column.reshape(shape))
+    gather = table.T.copy()
+    del table
+    # the rows of each other kind: their terms reordered from the interior
+    # order, their entries' first terms and columns from one representative;
+    # offset and indptr count each row's terms and entries, then sum them
+    kinds = [[(1, range(1, m - 1))] + [(0, [0]), (m - 1, [m - 1])][:min(m, 2)]
+             for m in shape]
+    edges = []
+    offset = np.full(n + 1, width, dtype=np.int32)
+    indptr = np.full(n + 1, first.size, dtype=np.int32)
+    for kind in list(itertools.product(*kinds))[1:]:   # the first is the interior
+        at = np.ravel_multi_index(np.ix_(*[r for _, r in kind]), shape).ravel()
+        if at.size == 0:
+            continue
+        row, edge_first, edge_delta = _row_order(tuple(rep for rep, _ in kind), cells,
+                                                 periodic, step)
+        gather[at, :len(row)] = gather[at[:, None], [column_of[k] for k in row]]
+        offset[at + 1], indptr[at + 1] = len(row), edge_first.size
+        edges.append((at, edge_first, edge_delta))
+    offset[0] = indptr[0] = 0
+    np.cumsum(offset, out=offset)
+    np.cumsum(indptr, out=indptr)
+    gather = _cut(gather, offset)
+    # each entry's first term and column, filled one strided column at a time
+    rows = np.arange(n, dtype=np.int32)
+    starts, indices = (np.empty((n, first.size), dtype=np.int32) for _ in range(2))
+    for e in range(first.size):
+        np.add(offset[:-1], first[e], out=starts[:, e])
+        np.add(rows, delta[e], out=indices[:, e])
+    for at, edge_first, edge_delta in edges:
+        starts[at, :edge_first.size] = offset[at, None] + edge_first
+        indices[at, :edge_delta.size] = at[:, None] + edge_delta
+    return SymmetricPattern(*_read_only(gather, _cut(starts, indptr),
+                                        _cut(indices, indptr), indptr))
+
+
+def _cut(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The first ``ends[r + 1] - ends[r]`` columns of each row ``r``, flattened:
+    a row short of the table's width loses its last columns."""
+    width = rows.shape[1]
+    flat = rows.reshape(-1)
+    counts = np.diff(ends)
+    short = np.flatnonzero(counts < width)
+    if short.size == 0:
+        return flat
+    # the runs between the short rows' missing columns, one copy in all
+    lo = np.append(0, (short + 1) * width)
+    hi = np.append(short * width + counts[short], flat.size)
+    return np.concatenate([flat[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
 
 
 def _grid_mesh(cells: tuple) -> Mesh:
@@ -301,10 +385,11 @@ def build_space(mesh: Mesh, rule: str = DIRICHLET) -> FeSpace:
         return FeSpace(mesh, rule, dof_of_vertex, interior)
     if rule == PERIODIC:
         cells = mesh.structure
-        grid = np.unravel_index(np.arange(mesh.num_vertices), [n + 1 for n in cells])
+        points = [n + 1 for n in cells]
+        grid = np.unravel_index(np.arange(mesh.num_vertices), points)
         dof_of_vertex = np.ravel_multi_index(grid, cells, mode="wrap")
         # each dof's first vertex is its grid point below the upper faces
-        reps = np.unique(dof_of_vertex, return_index=True)[1]
+        reps = np.ravel_multi_index(np.indices(cells).reshape(len(cells), -1), points)
         return FeSpace(mesh, rule, dof_of_vertex, reps)
     raise ValueError(f"unknown boundary rule '{rule}'")
 

@@ -915,6 +915,19 @@ def test_cli_validate_bad_alpha_exit_1(capsys):
     assert "ellipticity bound" in err and "alpha" in err
 
 
+def test_cli_run_refuses_bad_alpha_before_writing(tmp_path, capsys):
+    # the declared bounds are checked with the rest of the config: a run
+    # subcommand refuses the config that validate refuses, and writes nothing
+    out = tmp_path / "out"
+    code = main(["sweep-eigen", "--config", str(CONFIGS / "invalid_alpha.json"),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("gconv: config error: config key 'family': ellipticity bound alpha=1.5 "
+            "exceeds the family's exact least value 1.0") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("alpha", "1.0000001",
      "ellipticity bound alpha=1.0000001 exceeds the family's exact least value 1.0"),
@@ -926,7 +939,7 @@ def test_cli_validate_compares_exact_bounds(capsys, key, value, message):
     code = main(["validate", "--config", str(CONFIGS / "a3_osc1d.json"),
                  "--set", f"family.{key}={value}"])
     assert code == 1
-    assert f"gconv validate: config key 'family': {message}" in capsys.readouterr().err
+    assert f"gconv: config error: config key 'family': {message}" in capsys.readouterr().err
 
 
 def test_cli_validate_verbose_prints_one_line_per_family(capsys):
@@ -1207,6 +1220,8 @@ def _leaf_values(path, tag, least):
         return st.lists(st.floats(1.5, 4.0), max_size=BUILTINS[name][1])
     if path == "solver.eig_tol":
         return st.floats(1e-14, 1.0)
+    if path in ("family.alpha", "family.beta"):  # osc1d [2] takes the values 1 and 3
+        return st.floats(-1e3, 1.0) if path == "family.alpha" else st.floats(3.0, 1e3)
     if path.startswith("output."):
         return st.text(st.sampled_from("az09._-"), min_size=1, max_size=12).filter(
             lambda name: name not in (".", "..", "report.csv", "report.json"))

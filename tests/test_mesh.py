@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from gconv import assembly
 from gconv.families import ConstantMatrixCoefficient
 from gconv.mesh import (
+    _GRID_SIMPLICES,
     DIRICHLET,
+    PATTERN_BLOCK,
     PERIODIC,
     QUADRATURE,
+    SymmetricPattern,
     build_interval_mesh,
     build_rect_mesh,
     build_space,
@@ -164,6 +167,16 @@ def test_periodic_identification_idempotent():
     assert abs(sp.cell_data().measure.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("cells", [(1,), (2,), (5,), (1, 4), (2, 2), (3, 7), (33, 40)])
+def test_periodic_representatives_are_the_first_vertices(cells):
+    # each dof's representative is its grid point below the upper faces: the
+    # first vertex that maps to it
+    sp = build_space((build_interval_mesh if len(cells) == 1 else build_rect_mesh)(*cells),
+                     PERIODIC)
+    want = np.unique(sp.dof_of_vertex, return_index=True)[1]
+    assert sp.dof_vertices.dtype == want.dtype and np.array_equal(sp.dof_vertices, want)
+
+
 def test_unknown_rule_rejected():
     with pytest.raises(ValueError):
         build_space(build_interval_mesh(4), "neumann")
@@ -182,28 +195,107 @@ def test_interpolate_nodal_values():
 
 def test_pattern_build_peak_memory():
     # the pattern build is the largest transient of a periodic stiffness's
-    # first assembly: the sorted keys are taken one block at a time
-    sp = build_space(build_rect_mesh(128, 128), PERIODIC)
-    sp.cell_data()   # the geometry it reads is built before, and kept
-    peak, pattern = peak_bytes(lambda: sp.pattern)
-    assert peak <= 3.8 * sum(a.nbytes for a in pattern)
+    # first assembly: one table the size of the gather, transposed once, and
+    # the entries' columns filled in place
+    for space in (build_space(build_rect_mesh(128, 128), PERIODIC),
+                  build_space(build_rect_mesh(128, 128), DIRICHLET),
+                  build_space(build_interval_mesh(1 << 16), DIRICHLET)):
+        peak, pattern = peak_bytes(lambda: space.pattern)
+        assert peak <= 3.8 * sum(a.nbytes for a in pattern), space.mesh.structure
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_space(build_interval_mesh(3000), DIRICHLET),
-    lambda: build_space(build_rect_mesh(30, 20), PERIODIC),
-    lambda: build_space(build_rect_mesh(2, 300), PERIODIC),
-], ids=["1d-dirichlet", "2d-periodic", "2d-two-cell-axis"])
-def test_pattern_is_the_same_in_any_blocks(monkeypatch, build):
-    # the keys are sorted whole and read one block at a time: wherever the
-    # block edges fall, between equal keys too, the pattern is the one-block one
-    monkeypatch.setattr("gconv.mesh.PATTERN_BLOCK", 1 << 40)
-    whole = build().pattern
-    assert len(whole.gather) > 1000
-    for block in (1, 2, 7, 1000):
-        monkeypatch.setattr("gconv.mesh.PATTERN_BLOCK", block)
-        for got, want in zip(build().pattern, whole):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
+def _reference_pattern(space) -> SymmetricPattern:
+    """The pattern by one stable sort of every term's (row, col) key, read in
+    blocks: the builder the stencil tables replaced, kept as their oracle."""
+    dofs = space.cell_data().dofs
+    nd = dofs.shape[1]
+    n = space.num_dofs
+    kept = dofs >= 0
+    pairs = [(i, j) for i in range(nd) for j in range(i, nd)]
+    sizes = [(1 + (i != j)) * np.count_nonzero(kept[:, i] & kept[:, j])
+             for i, j in pairs]
+    simplices = _GRID_SIMPLICES[space.mesh.dimension]
+    # sort key row * n + col and local entry of every orientation, each
+    # cell's two side by side, filled in place: this build is the largest
+    # transient of a large periodic level, so each temporary goes once used
+    key = np.empty(sum(sizes), dtype=np.int64)
+    src = np.empty(sum(sizes), dtype=np.int32)
+    at = 0
+    for (i, j), size in zip(pairs, sizes):
+        cell = np.flatnonzero(kept[:, i] & kept[:, j])
+        if i == j and len(simplices) > 1:
+            # a dof's cells as local vertex i, one of each simplex type, in the
+            # order of their grid squares, as an interior dof has them in cell
+            # order: a periodic dof at the wrap sums its diagonal in the same
+            # order, not in the wrapped squares' order
+            ranked = sorted(range(len(simplices)),
+                            key=lambda t: ([-o for o in simplices[t][i]], t))
+            cell = np.concatenate([cell[cell % len(simplices) == t] for t in ranked])
+        r, c, step = dofs[cell, i], dofs[cell, j], 1 + (i != j)
+        for k, (a, b) in enumerate([(r, c), (c, r)][:step]):
+            key[at + k:at + size:step] = a * n + b
+            src[at + k:at + size:step] = cell * (nd * nd) + (i * nd + j)
+        at += size
+    del kept, cell, r, c, a, b
+    order = np.argsort(key, kind="stable")
+    gather = src[order]
+    del src
+    # the sorted keys by block, never whole: where each new key starts
+    starts, keys, prev = [], [], -1
+    for lo in range(0, order.size, PATTERN_BLOCK):
+        block = key[order[lo:lo + PATTERN_BLOCK]]
+        new = np.flatnonzero(np.diff(block, prepend=prev))  # ascending keys
+        starts.append((new + lo).astype(np.int32))
+        keys.append(block[new])
+        prev = block[-1]
+    del key, order
+    starts, key = np.concatenate(starts), np.concatenate(keys)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return SymmetricPattern(gather, starts, (key % n).astype(np.int32), indptr)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cells=st.one_of(st.tuples(st.integers(1, 600)),
+                       st.tuples(st.integers(1, 40), st.integers(1, 40))),
+       rule=st.sampled_from([DIRICHLET, PERIODIC]))
+@example(cells=(255,), rule=DIRICHLET)
+@example(cells=(2, 300), rule=PERIODIC)    # an axis of 2 cells: entries alias
+@example(cells=(1, 4), rule=PERIODIC)      # an axis of 1 cell
+@example(cells=(2, 2), rule=PERIODIC)
+@example(cells=(2, 2), rule=DIRICHLET)     # one dof
+@example(cells=(33, 40), rule=DIRICHLET)
+@example(cells=(33, 40), rule=PERIODIC)
+def test_pattern_matches_the_sorted_keys(cells, rule):
+    # the stencil tables give the stable sort's pattern bit for bit: the same
+    # entries, each summing the same terms in the same order
+    space = build_space((build_interval_mesh if len(cells) == 1 else build_rect_mesh)(*cells),
+                        rule)
+    pattern = space.pattern
+    if space.num_dofs == 0:  # a Dirichlet axis of 1 cell; assembly refuses the space
+        assert [a.tolist() for a in pattern] == [[], [], [], [0]]
+        want = [np.empty(0, dtype=np.int32)] * 3 + [np.zeros(1, dtype=np.int32)]
+    else:
+        want = _reference_pattern(space)
+    for got, ref in zip(pattern, want):
+        assert got.dtype == ref.dtype == np.int32
+        assert got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+
+
+def test_grid_setup_sorts_nothing(monkeypatch):
+    # the order of every row comes from its kind's representative, and each
+    # periodic dof's representative from its grid point: no sort of the
+    # grid's entries, and no unique of its dofs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid set-up sorted")
+
+    for name in ("argsort", "sort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    for cells in [(9, 7), (2, 5), (1, 3), (50,), (1,)]:
+        mesh = (build_interval_mesh if len(cells) == 1 else build_rect_mesh)(*cells)
+        for rule in (DIRICHLET, PERIODIC):
+            build_space(mesh, rule).pattern
 
 
 def _diagonal_sources(space) -> list:
